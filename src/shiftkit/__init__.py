@@ -5,148 +5,37 @@ face counts and reduced homology ranks; this package computes it, checks
 it against matrix-free combinatorial rules for unions, gluings, cones and
 joins, and exposes kernel-dimension oracles that decide membership
 without running the shift itself.
+
+The names below are the library API; everything else stays importable
+from its module (``shiftkit.complexes``, ``shiftkit.operators``, ...).
 """
 
-from .complexes import (
-    EMPTY_FACE,
-    MAX_VERTICES,
-    Face,
-    SimplicialComplex,
-    dominates,
-    init_segment,
-    interval,
-    iter_k_subsets,
-    iter_vertices,
-    lex_leq,
-    lex_less,
-    lex_sorted,
-    vertex_tuple,
-)
+from .complexes import Face, SimplicialComplex
 from .engine import (
     ShiftResult,
     ValidationFailure,
-    ValidationFlags,
     exterior_shift,
-    image_dim_complete,
-    image_dim_complete_direct,
     kernel_intersection_dim,
-    lex_tail_count,
     membership_via_kernels,
     shifted,
 )
-from .field import (
-    DEFAULT_PRIME,
-    BlockGenericSpec,
-    ExplicitSpec,
-    FieldMatrix,
-    GenericSpec,
-    RowEchelonAccumulator,
-    check_prime,
-    is_prime,
-    realize,
-)
-from .homology import (
-    betti_direct,
-    betti_from_shifted,
-    boundary_matrix,
-    interior_matrix,
-    interior_product,
-    interior_sign,
-    is_near_cone,
-    sarkaria_maps,
-    wedge,
-    wedge_elements,
-    wedge_sign,
-)
-from .operators import (
-    NearConeCertificate,
-    antistar,
-    clique_sum_shift,
-    combine,
-    cone,
-    d_value,
-    disjoint_union,
-    disjoint_union_shift,
-    intersection,
-    join,
-    join_top_count_check,
-    last_gap,
-    lex_compare,
-    link,
-    near_cone_analyze,
-    near_cone_decomposition_check,
-    near_cone_iterated_check,
-    shifted_union_recursive,
-    suspension,
-    union,
-    union_interval_check,
-)
+from .field import DEFAULT_PRIME, BlockGenericSpec, ExplicitSpec, GenericSpec
+from .homology import betti_from_shifted
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BlockGenericSpec",
     "DEFAULT_PRIME",
-    "EMPTY_FACE",
     "ExplicitSpec",
     "Face",
-    "FieldMatrix",
     "GenericSpec",
-    "MAX_VERTICES",
-    "NearConeCertificate",
-    "RowEchelonAccumulator",
     "ShiftResult",
     "SimplicialComplex",
     "ValidationFailure",
-    "ValidationFlags",
-    "antistar",
-    "betti_direct",
     "betti_from_shifted",
-    "boundary_matrix",
-    "check_prime",
-    "clique_sum_shift",
-    "combine",
-    "cone",
-    "d_value",
-    "disjoint_union",
-    "disjoint_union_shift",
-    "dominates",
     "exterior_shift",
-    "image_dim_complete",
-    "image_dim_complete_direct",
-    "init_segment",
-    "interior_matrix",
-    "interior_product",
-    "interior_sign",
-    "intersection",
-    "interval",
-    "is_near_cone",
-    "is_prime",
-    "iter_k_subsets",
-    "iter_vertices",
-    "join",
-    "join_top_count_check",
     "kernel_intersection_dim",
-    "last_gap",
-    "lex_compare",
-    "lex_leq",
-    "lex_less",
-    "lex_sorted",
-    "lex_tail_count",
-    "link",
     "membership_via_kernels",
-    "near_cone_analyze",
-    "near_cone_decomposition_check",
-    "near_cone_iterated_check",
-    "realize",
-    "sarkaria_maps",
     "shifted",
-    "shifted_union_recursive",
-    "suspension",
-    "union",
-    "union_interval_check",
-    "vertex_tuple",
-    "wedge",
-    "wedge_elements",
-    "wedge_sign",
 ]

@@ -30,17 +30,41 @@ from .field import (
     check_prime,
 )
 from .homology import betti_direct, betti_from_shifted
-from .operators import clique_sum_shift, combine, disjoint_union_shift, lex_compare
-from .operators import shifted_union_recursive
+from .operators import (
+    antistar,
+    clique_sum_shift,
+    cone,
+    disjoint_union,
+    disjoint_union_shift,
+    intersection,
+    join,
+    lex_compare,
+    link,
+    shifted_union_recursive,
+    suspension,
+    union,
+)
 from .suites import SUITES, conjecture_scan
 
 SAFE_N = 16
 
-_UNARY_OPS = ("cone", "suspension")
-_BINARY_OPS = ("disjoint-union", "intersection", "join", "union")
-_CENTERED_OPS = ("antistar", "link")
-_RULE_OPS = ("clique-sum", "dushift", "sqcup")
+# op kinds that build a complex, and the function each one calls
+_BUILDERS = {
+    "antistar": antistar,
+    "clique-sum": clique_sum_shift,
+    "cone": cone,
+    "disjoint-union": disjoint_union,
+    "dushift": disjoint_union_shift,
+    "intersection": intersection,
+    "join": join,
+    "link": link,
+    "sqcup": shifted_union_recursive,
+    "suspension": suspension,
+    "union": union,
+}
 _REPORT_OPS = ("betti", "compare")
+_ONE_COMPLEX_OPS = ("antistar", "betti", "cone", "link", "suspension")
+_CENTERED_OPS = ("antistar", "link")
 
 
 # ----------------------------------------------------------------------
@@ -126,12 +150,25 @@ def _parse_matrix(text: str, seed: int):
     raise ValueError(f"unknown matrix spec {text!r}")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    out = getattr(args, "out", None)  # verify and explore have no --out
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_report(args: argparse.Namespace, **fields) -> None:
+    """Emit the JSON report of one command: schema and command name first,
+    then ``fields`` in the order given."""
+    report = {"schema": 1, "command": args.cmd, **fields}
+    _emit(args, json.dumps(report, indent=2) + "\n")
+
+
+def _check_max_n(args: argparse.Namespace) -> None:
+    if args.max_n > SAFE_N and not args.force:
+        raise ValueError(f"--max-n {args.max_n} exceeds {SAFE_N}; pass --force")
 
 
 # ----------------------------------------------------------------------
@@ -144,32 +181,31 @@ def _cmd_shift(args: argparse.Namespace) -> int:
     spec = _parse_matrix(args.matrix, args.seed)
     res = exterior_shift(K, spec, p=p, max_retries=args.retries)
     D = res.shifted
+    betti = betti_from_shifted(D) if res.validated.is_shifted else None
     if args.json:
-        report = {
-            "schema": 1,
-            "command": "shift",
-            "seed": res.seed_used,
-            "prime": p,
-            "n": D.n,
-            "facets": _face_lists(D),
-            "f_vector": list(D.f_vector),
-            "betti": list(betti_from_shifted(D)) if D.is_shifted() else None,
-            "validated": {
+        _emit_report(
+            args,
+            seed=res.seed_used,
+            prime=p,
+            n=D.n,
+            facets=_face_lists(D),
+            f_vector=list(D.f_vector),
+            betti=None if betti is None else list(betti),
+            validated={
                 "is_shifted": res.validated.is_shifted,
                 "f_vector_preserved": res.validated.f_vector_preserved,
             },
-            "retries": res.retries,
-        }
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
+            retries=res.retries,
+        )
     else:
         comments = [
             f"shift of {args.input} (matrix={args.matrix}, seed={res.seed_used})",
             f"f_vector={D.f_vector}",
             f"shifted={res.validated.is_shifted} retries={res.retries}",
         ]
-        if D.is_shifted():
-            comments.append(f"betti={betti_from_shifted(D)}")
-        _emit(format_complex(D, comments), args.out)
+        if betti is not None:
+            comments.append(f"betti={betti}")
+        _emit(args, format_complex(D, comments))
     return 0
 
 
@@ -178,75 +214,53 @@ def _cmd_op(args: argparse.Namespace) -> int:
     kind = args.kind
     if len(args.inputs) > 2:
         raise ValueError("op takes at most two complexes")
-    K = read_complex(args.inputs[0])
-    L = read_complex(args.inputs[1]) if len(args.inputs) > 1 else None
-    binary = kind in _BINARY_OPS or kind in _RULE_OPS or kind == "compare"
-    if binary and L is None:
-        raise ValueError(f"{kind} needs two complexes")
-    if not binary and L is not None:
+    complexes = [read_complex(path) for path in args.inputs]
+    if kind in _ONE_COMPLEX_OPS and len(complexes) > 1:
         raise ValueError(f"{kind} takes one complex")
+    if kind not in _ONE_COMPLEX_OPS and len(complexes) < 2:
+        raise ValueError(f"{kind} needs two complexes")
 
     if kind == "betti":
+        K = complexes[0]
         betti = betti_direct(K, p)
         if args.json:
-            report = {
-                "schema": 1,
-                "command": "op",
-                "kind": kind,
-                "prime": p,
-                "n": K.n,
-                "f_vector": list(K.f_vector),
-                "betti": list(betti),
-            }
-            _emit(json.dumps(report, indent=2) + "\n", args.out)
+            _emit_report(
+                args, kind=kind, prime=p, n=K.n, f_vector=list(K.f_vector), betti=list(betti)
+            )
         else:
-            _emit(f"f_vector: {K.f_vector}\nbetti: {betti}\n", args.out)
+            _emit(args, f"f_vector: {K.f_vector}\nbetti: {betti}\n")
         return 0
     if kind == "compare":
-        rel = lex_compare(K, L)
+        rel = lex_compare(*complexes)
         if args.json:
-            report = {"schema": 1, "command": "op", "kind": kind, "relation": rel}
-            _emit(json.dumps(report, indent=2) + "\n", args.out)
+            _emit_report(args, kind=kind, relation=rel)
         else:
-            _emit(f"relation: {rel}\n", args.out)
+            _emit(args, f"relation: {rel}\n")
         return 0
 
-    if kind in _UNARY_OPS:
-        R = combine(kind, K)
-    elif kind in _BINARY_OPS:
-        R = combine(kind.replace("-", "_"), K, L)
-    elif kind in _CENTERED_OPS:
+    extra = ()
+    if kind in _CENTERED_OPS:
         if args.face is None:
             raise ValueError(f"{kind} needs --face")
-        R = combine(kind, K, face=_parse_face(args.face))
-    elif kind == "dushift":
-        R = disjoint_union_shift(K, L)
-    elif kind == "sqcup":
-        R = shifted_union_recursive(K, L)
-    else:  # clique-sum
+        extra = (_parse_face(args.face),)
+    elif kind == "clique-sum":
         if args.dim is None:
             raise ValueError("clique-sum needs --dim")
-        R = clique_sum_shift(K, L, args.dim)
+        extra = (args.dim,)
+    R = _BUILDERS[kind](*complexes, *extra)
 
     if args.json:
-        report = {
-            "schema": 1,
-            "command": "op",
-            "kind": kind,
-            "n": R.n,
-            "facets": _face_lists(R),
-            "f_vector": list(R.f_vector),
-        }
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
+        _emit_report(
+            args, kind=kind, n=R.n, facets=_face_lists(R), f_vector=list(R.f_vector)
+        )
     else:
-        _emit(format_complex(R, [f"{kind} result", f"f_vector={R.f_vector}"]), args.out)
+        _emit(args, format_complex(R, [f"{kind} result", f"f_vector={R.f_vector}"]))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     p = check_prime(args.prime)
-    if args.max_n > SAFE_N and not args.force:
-        raise ValueError(f"--max-n {args.max_n} exceeds {SAFE_N}; pass --force")
+    _check_max_n(args)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
@@ -278,29 +292,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     print(f"{mark} {name}/{c.label}  {c.detail}")
             print(f"suite {name}: {passed}/{len(checks)} ok")
     if args.json:
-        report = {
-            "schema": 1,
-            "command": "verify",
-            "seed": args.seed,
-            "prime": p,
-            "trials": args.trials,
-            "max_n": args.max_n,
-            "ok": all_ok,
-            "suites": reports,
-        }
-        print(json.dumps(report, indent=2))
+        _emit_report(
+            args, seed=args.seed, prime=p, trials=args.trials, max_n=args.max_n,
+            ok=all_ok, suites=reports,
+        )
     return 0 if all_ok else 2
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
     p = check_prime(args.prime)
-    if args.max_n > SAFE_N and not args.force:
-        raise ValueError(f"--max-n {args.max_n} exceeds {SAFE_N}; pass --force")
+    _check_max_n(args)
     scan = conjecture_scan(trials=args.trials, max_n=args.max_n, seed=args.seed, p=p)
     if args.json:
-        report = {"schema": 1, "command": "explore", "seed": args.seed, "prime": p}
-        report.update(scan)
-        print(json.dumps(report, indent=2))
+        _emit_report(args, seed=args.seed, prime=p, **scan)
     else:
         print(f"trials: {scan['trials']} (n <= {scan['max_n']})")
         for rel, count in scan["tallies"].items():
@@ -318,7 +322,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="base RNG seed")
     sub.add_argument(
-        "--prime", type=int, default=DEFAULT_PRIME, help="field modulus (prime < 2^62)"
+        "--prime", type=int, default=DEFAULT_PRIME, help="field modulus (odd prime < 2^62)"
     )
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -343,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     op = sub.add_parser("op", help="constructions and shift rules")
     op.add_argument(
         "kind",
-        choices=sorted(_UNARY_OPS + _BINARY_OPS + _CENTERED_OPS + _RULE_OPS + _REPORT_OPS),
+        choices=sorted([*_BUILDERS, *_REPORT_OPS]),
     )
     op.add_argument("inputs", nargs="+", help="one or two complex files")
     op.add_argument("--face", help="center face for link/antistar, e.g. '1 3'")

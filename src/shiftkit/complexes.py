@@ -165,6 +165,17 @@ def interval(s: int, i: int, n: int) -> list:
     return out
 
 
+def _remap(faces: Iterable[int], image: Mapping[int, int]) -> list:
+    """Each face with every vertex ``v`` replaced by ``image[v]``."""
+    out = []
+    for f in faces:
+        m = 0
+        for v in iter_vertices(f):
+            m |= 1 << (image[v] - 1)
+        out.append(m)
+    return out
+
+
 def iter_k_subsets(n: int, k: int) -> Iterator[int]:
     """Masks of all k-subsets of [n] in lex order."""
     for bits in itertools.combinations(range(n), k):
@@ -358,13 +369,7 @@ class SimplicialComplex:
             range(1, self.n + 1)
         ):
             raise ValueError("permutation must be a bijection of 1..n")
-        faces = []
-        for f in self.all_faces():
-            m = 0
-            for v in f:
-                m |= 1 << (pi[v] - 1)
-            faces.append(m)
-        return SimplicialComplex(self.n, faces)
+        return SimplicialComplex(self.n, _remap(self._faces, pi))
 
     def relabeled(self, offset: int, ambient: int | None = None) -> "SimplicialComplex":
         """Shift every vertex label up by ``offset``."""
@@ -378,13 +383,7 @@ class SimplicialComplex:
         complex and the old labels in their new order."""
         old = vertex_tuple(self.support)
         code = {v: i + 1 for i, v in enumerate(old)}
-        faces = []
-        for f in self._faces:
-            m = 0
-            for v in iter_vertices(f):
-                m |= 1 << (code[v] - 1)
-            faces.append(m)
-        return SimplicialComplex(len(old), faces), old
+        return SimplicialComplex(len(old), _remap(self._faces, code)), old
 
     def with_ambient(self, n: int) -> "SimplicialComplex":
         return SimplicialComplex(n, self._faces)

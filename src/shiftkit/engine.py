@@ -16,8 +16,8 @@ are not shifted.
 
 The kernel-dimension functions at the bottom are a deliberately separate
 route to the same memberships, used as an oracle against the greedy scan;
-they build stacked contraction matrices and never touch the compound-row
-machinery above.
+they build stacked contraction matrices from the per-minor ``compound_row``
+and never touch the wedge tables the scan uses.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .field import (
     GenericSpec,
     MatrixSpec,
     RowEchelonAccumulator,
-    check_prime,
     realize,
 )
 from .homology import interior_matrix
@@ -132,19 +131,15 @@ class _WedgeTables:
         return w
 
 
-def _shift_family(
-    K: SimplicialComplex, A: FieldMatrix, p: int, use_fast: bool
-) -> SimplicialComplex:
+def _shift_family(K: SimplicialComplex, A: FieldMatrix, p: int) -> SimplicialComplex:
     faces: set[int] = set() if K.is_void else {0}
-    tables = _WedgeTables(K, p) if use_fast else None
+    tables = _WedgeTables(K, p)
     for k in range(1, len(K.f_vector)):
-        columns = K.faces_of_size(k)
-        target = len(columns)
+        target = len(K.faces_of_size(k))
         acc = RowEchelonAccumulator(target, p)
         kept = 0
         for mask in iter_k_subsets(K.n, k):
-            row = tables.row(A, mask) if use_fast else compound_row(A, mask, columns)
-            if acc.insert(row):
+            if acc.insert(tables.row(A, mask)):
                 faces.add(mask)
                 kept += 1
                 if kept == target:
@@ -158,7 +153,6 @@ def exterior_shift(
     *,
     p: int = DEFAULT_PRIME,
     max_retries: int = 3,
-    use_fast: bool = True,
 ) -> ShiftResult:
     """Shift ``K`` with the matrix described by ``spec``.
 
@@ -177,7 +171,6 @@ def exterior_shift(
     """
     if K.is_void:
         raise ValueError("cannot shift a complex with no faces")
-    check_prime(p)
     if spec is None:
         spec = GenericSpec(0)
     generic = isinstance(spec, GenericSpec)
@@ -185,7 +178,7 @@ def exterior_shift(
     for attempt in range(attempts):
         cur = GenericSpec(spec.seed + attempt) if generic else spec
         A = realize(cur, K.n, p)
-        out = _shift_family(K, A, p, use_fast)
+        out = _shift_family(K, A, p)
         flags = ValidationFlags(
             is_shifted=out.is_shifted(),
             f_vector_preserved=out.f_vector == K.f_vector,
@@ -207,12 +200,6 @@ def shifted(K: SimplicialComplex, seed: int = 0, p: int = DEFAULT_PRIME) -> Simp
 
 # ----------------------------------------------------------------------
 # kernel-intersection oracle (independent of the greedy scan above)
-
-
-def _wedge_element(A: FieldMatrix, R: int, supports) -> dict[int, int]:
-    """Expansion of the wedge of A's rows R over the given support faces,
-    computed entry by entry from exact minors."""
-    return {int(T): A.minor(R, T) for T in supports}
 
 
 def kernel_intersection_dim(
@@ -255,7 +242,7 @@ def kernel_intersection_dim(
     for mask in iter_k_subsets(limit, s):
         if lex_less(S, mask) or (strict and mask == int(S)):
             continue
-        element = _wedge_element(A, mask, supports)
+        element = dict(zip(supports, compound_row(A, mask, supports)))
         block = interior_matrix(K, element, s + extra, p)
         for row in block.rows:
             if acc.insert(row) and acc.rank == ncols:
@@ -330,7 +317,7 @@ def image_dim_complete_direct(h: int, n: int, S: int, A: FieldMatrix) -> int:
     for R in iter_k_subsets(n, s):
         if not lex_less(R, S):
             continue
-        element = _wedge_element(A, R, supports)
+        element = dict(zip(supports, compound_row(A, R, supports)))
         block = interior_matrix(H, element, s + 1, p)
         for row in block.rows:
             acc.insert(row)

@@ -3,7 +3,7 @@
 Elements are plain Python ints reduced into ``0..p-1``; products of two
 61-bit residues exceed 64 bits, so machine-word vector libraries are not
 usable here and all arithmetic stays in native big ints.  The default
-modulus is the Mersenne prime 2^61 - 1; any prime below 2^62 is accepted.
+modulus is the Mersenne prime 2^61 - 1; any odd prime below 2^62 is accepted.
 
 Matrices are immutable once built.  ``RowEchelonAccumulator`` is the one
 mutable object and supports a single writer.
@@ -11,6 +11,7 @@ mutable object and supports a single writer.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -48,11 +49,12 @@ def is_prime(m: int) -> bool:
     return True
 
 
+@functools.lru_cache
 def check_prime(p: int) -> int:
     if p >= MAX_PRIME:
         raise ValueError(f"modulus must be below 2^62, got {p}")
-    if not is_prime(p):
-        raise ValueError(f"modulus must be prime, got {p}")
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"modulus must be an odd prime, got {p}")
     return p
 
 

@@ -86,29 +86,6 @@ def antistar(K: SimplicialComplex, S: int) -> SimplicialComplex:
     return SimplicialComplex(K.n, (m for m in map(int, K.face_set()) if not m & s))
 
 
-def combine(kind: str, K: SimplicialComplex, L: SimplicialComplex | None = None, *, face: int | None = None) -> SimplicialComplex:
-    """String-dispatched constructor used by the command line."""
-    unary = {"cone": cone, "suspension": suspension}
-    binary = {
-        "disjoint_union": disjoint_union,
-        "intersection": intersection,
-        "join": join,
-        "union": union,
-    }
-    centered = {"link": link, "antistar": antistar}
-    if kind in unary:
-        return unary[kind](K)
-    if kind in binary:
-        if L is None:
-            raise ValueError(f"{kind} needs two complexes")
-        return binary[kind](K, L)
-    if kind in centered:
-        if face is None:
-            raise ValueError(f"{kind} needs a center face")
-        return centered[kind](K, face)
-    raise ValueError(f"unknown operation {kind!r}")
-
-
 # ----------------------------------------------------------------------
 # interval counts and gap tests
 

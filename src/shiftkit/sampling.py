@@ -10,7 +10,7 @@ import random
 from itertools import combinations
 from typing import Iterator
 
-from .complexes import Face, SimplicialComplex, vertex_tuple
+from .complexes import Face, SimplicialComplex, _remap, vertex_tuple
 from .engine import shifted
 from .field import DEFAULT_PRIME
 
@@ -91,19 +91,11 @@ def all_complexes(n: int) -> Iterator[SimplicialComplex]:
     masks = list(range(1, 1 << n))
     for bits in range(1 << len(masks)):
         chosen = {m for i, m in enumerate(masks) if bits >> i & 1}
-        if _downward_closed(chosen):
-            yield SimplicialComplex(n, chosen | {0})
-
-
-def _downward_closed(chosen: set) -> bool:
-    for m in chosen:
-        rest = m
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if m ^ low and m ^ low not in chosen:
-                return False
-    return True
+        try:
+            K = SimplicialComplex(n, chosen | {0})
+        except ValueError:  # not downward closed
+            continue
+        yield K
 
 
 def all_shifted_complexes(n: int) -> list:
@@ -127,18 +119,6 @@ def glue(A: SimplicialComplex, B: SimplicialComplex, sigma: int) -> SimplicialCo
             f" {k} vertices"
         )
     target = vertex_tuple(sigma)
-    image = {}
-    nxt = A.n
-    for v in range(1, B.n + 1):
-        if v <= k:
-            image[v] = target[v - 1]
-        else:
-            nxt += 1
-            image[v] = nxt
-    mapped = set()
-    for f in B.all_faces():
-        m = 0
-        for v in f:
-            m |= 1 << (image[v] - 1)
-        mapped.add(Face(m))
-    return SimplicialComplex(nxt, set(A.all_faces()) | mapped)
+    image = {v: target[v - 1] if v <= k else A.n + v - k for v in range(1, B.n + 1)}
+    mapped = _remap(B.face_set(), image)
+    return SimplicialComplex(A.n + B.n - k, A.face_set().union(mapped))

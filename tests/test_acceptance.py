@@ -14,14 +14,16 @@ from shiftkit import (
     BlockGenericSpec,
     Face,
     SimplicialComplex,
-    betti_direct,
     betti_from_shifted,
     exterior_shift,
+    shifted,
+)
+from shiftkit.homology import betti_direct
+from shiftkit.operators import (
+    clique_sum_shift,
     join,
     join_top_count_check,
     lex_compare,
-    shifted,
-    clique_sum_shift,
     suspension,
 )
 from shiftkit.sampling import all_complexes, all_shifted_complexes, glue, random_complex

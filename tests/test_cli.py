@@ -200,3 +200,74 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert parse_complex_text(dest.read_text()) == SimplicialComplex.from_facets(
         4, [[1, 2], [1, 3], [4]]
     )
+
+
+P61 = 2305843009213693951
+
+
+def _pretty(report):
+    return json.dumps(report, indent=2) + "\n"
+
+
+def test_golden_stdout_bytes(tmp_path, capsys, monkeypatch):
+    # exact stdout, key order included, for fixed inputs and seeds
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.cx").write_text("1 2 3\n3 4\n4 5\n2 5\n")
+    (tmp_path / "d.cx").write_text("n=4\n1 2\n1 3\n4\n")
+    shifted_facets = [[1, 4], [1, 5], [2, 4], [1, 2, 3]]
+    golden = {
+        ("shift", "k.cx", "--seed", "5"): (
+            "# shift of k.cx (matrix=generic, seed=5)\n"
+            "# f_vector=(1, 5, 6, 1)\n"
+            "# shifted=True retries=0\n"
+            "# betti=(0, 0, 1, 0)\n"
+            "n=5\n1 4\n1 5\n2 4\n1 2 3\n"
+        ),
+        ("shift", "k.cx", "--seed", "5", "--json"): _pretty({
+            "schema": 1, "command": "shift", "seed": 5, "prime": P61, "n": 5,
+            "facets": shifted_facets, "f_vector": [1, 5, 6, 1], "betti": [0, 0, 1, 0],
+            "validated": {"is_shifted": True, "f_vector_preserved": True},
+            "retries": 0,
+        }),
+        ("op", "betti", "k.cx", "--json"): _pretty({
+            "schema": 1, "command": "op", "kind": "betti", "prime": P61, "n": 5,
+            "f_vector": [1, 5, 6, 1], "betti": [0, 0, 1, 0],
+        }),
+        ("op", "compare", "k.cx", "d.cx", "--json"): _pretty({
+            "schema": 1, "command": "op", "kind": "compare", "relation": "less",
+        }),
+        ("op", "cone", "d.cx", "--json"): _pretty({
+            "schema": 1, "command": "op", "kind": "cone", "n": 5,
+            "facets": [[1, 5], [1, 2, 3], [1, 2, 4]], "f_vector": [1, 5, 6, 2],
+        }),
+        ("verify", "counterexample", "--seed", "7", "--json"): _pretty({
+            "schema": 1, "command": "verify", "seed": 7, "prime": P61,
+            "trials": 10, "max_n": 8, "ok": True,
+            "suites": [{
+                "suite": "counterexample", "ok": True, "passed": 4, "total": 4,
+                "checks": [
+                    {"label": "shift-of-suspension-extra", "ok": True, "detail": "126"},
+                    {"label": "suspension-of-shift-extra", "ok": True, "detail": "134"},
+                    {"label": "f-vectors-agree", "ok": True, "detail": "(1, 6, 10, 4)"},
+                    {"label": "strictly-lex-smaller", "ok": True, "detail": "less"},
+                ],
+            }],
+        }),
+        ("explore", "--trials", "3", "--seed", "11", "--json"): _pretty({
+            "schema": 1, "command": "explore", "seed": 11, "prime": P61,
+            "trials": 3, "max_n": 8,
+            "tallies": {"equal": 2, "less": 1, "greater": 0, "incomparable": 0},
+            "violations": 0, "witnesses": [],
+        }),
+    }
+    for argv, want in golden.items():
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out == want, argv
+
+
+def test_prime_two_is_rejected(tmp_path, capsys):
+    src = write(tmp_path, "b.cx", TWO_EDGES)
+    code, out, err = run(capsys, "shift", src, "--prime", "2")
+    assert code == 1 and out == ""
+    assert "odd prime" in err

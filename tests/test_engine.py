@@ -12,16 +12,19 @@ from shiftkit import (
     GenericSpec,
     SimplicialComplex,
     exterior_shift,
-    image_dim_complete,
-    image_dim_complete_direct,
-    iter_k_subsets,
     kernel_intersection_dim,
-    lex_tail_count,
     membership_via_kernels,
-    realize,
     shifted,
 )
-from shiftkit.engine import _WedgeTables, compound_row
+from shiftkit.complexes import iter_k_subsets
+from shiftkit.engine import (
+    _WedgeTables,
+    compound_row,
+    image_dim_complete,
+    image_dim_complete_direct,
+    lex_tail_count,
+)
+from shiftkit.field import realize
 from shiftkit.sampling import random_complex
 
 P = 10007
@@ -109,28 +112,29 @@ def test_identity_matrix_returns_input_family():
     assert res.validated.f_vector_preserved
 
 
-def test_compound_rows_match_reference_path():
+def _reference_instances():
+    # 25 draws at seed 4021, then the 10 draws at seed 991 that used to
+    # compare whole shifts of the table and per-minor paths
     rng = random.Random(4021)
     for _ in range(25):
         K = random_complex(rng, rng.randint(2, 6))
-        A = realize(GenericSpec(rng.randrange(2**32)), K.n, P)
+        yield K, GenericSpec(rng.randrange(2**32))
+    rng = random.Random(991)
+    for _ in range(10):
+        K = random_complex(rng, rng.randint(2, 6))
+        yield K, GenericSpec(rng.randrange(2**16))
+
+
+def test_compound_rows_match_reference_path():
+    # every candidate row the scan can build agrees with the per-minor
+    # reference, so the scan's kept family is the reference path's
+    for K, spec in _reference_instances():
+        A = realize(spec, K.n, P)
         tables = _WedgeTables(K, P)
         for k in range(1, len(K.f_vector)):
             cols = K.faces_of_size(k)
             for mask in iter_k_subsets(K.n, k):
                 assert tuple(tables.row(A, mask)) == compound_row(A, mask, cols)
-
-
-def test_fast_and_reference_shifts_agree():
-    rng = random.Random(991)
-    for _ in range(10):
-        K = random_complex(rng, rng.randint(2, 6))
-        if K.is_void:
-            continue
-        spec = GenericSpec(rng.randrange(2**16))
-        fast = exterior_shift(K, spec, p=P)
-        slow = exterior_shift(K, spec, p=P, use_fast=False)
-        assert fast.shifted == slow.shifted
 
 
 def test_kernel_route_reconstructs_the_shift():

@@ -55,7 +55,7 @@ def test_default_prime_is_prime_and_in_range():
 
 
 def test_check_prime_rejects_bad_moduli():
-    for bad in (0, 1, 4, 2**61, 1 << 62, (1 << 62) + 15):
+    for bad in (0, 1, 2, 4, 2**61, 1 << 62, (1 << 62) + 15):
         with pytest.raises(ValueError):
             check_prime(bad)
 

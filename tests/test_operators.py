@@ -4,13 +4,11 @@ import random
 
 import pytest
 
-from shiftkit import (
-    Face,
-    SimplicialComplex,
+from shiftkit import Face, SimplicialComplex, shifted
+from shiftkit.complexes import iter_k_subsets
+from shiftkit.operators import (
     antistar,
-    iter_k_subsets,
     clique_sum_shift,
-    combine,
     cone,
     d_value,
     disjoint_union,
@@ -23,7 +21,6 @@ from shiftkit import (
     link,
     near_cone_analyze,
     near_cone_decomposition_check,
-    shifted,
     shifted_union_recursive,
     suspension,
     union,
@@ -88,21 +85,6 @@ def test_link_and_antistar_on_triangle_boundary():
         link(K, Face.of(1, 2, 3))
     with pytest.raises(ValueError, match="face"):
         antistar(cone(two_points()), Face.of(2, 3))
-
-
-def test_combine_dispatch():
-    K, L = edge(), edge()
-    assert combine("join", K, L) == join(K, L)
-    assert combine("cone", K) == cone(K)
-    got = combine("link", cone(two_points()), face=int(Face.of(1)))
-    assert facet_sets(got) == [[2], [3]]
-    assert combine("intersection", K, K) == K
-    with pytest.raises(ValueError, match="two complexes"):
-        combine("union", K)
-    with pytest.raises(ValueError, match="center"):
-        combine("antistar", K)
-    with pytest.raises(ValueError, match="unknown"):
-        combine("product", K, L)
 
 
 # ---------------------------------------------------------------- gap rules

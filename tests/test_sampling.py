@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from shiftkit import Face, SimplicialComplex, is_near_cone
+from shiftkit import Face, SimplicialComplex
+from shiftkit.homology import is_near_cone
 from shiftkit.sampling import (
     all_complexes,
     all_shifted_complexes,
