@@ -24,7 +24,7 @@ from shiftkit.engine import (
     image_dim_complete_direct,
     lex_tail_count,
 )
-from shiftkit.field import realize
+from shiftkit.field import RowEchelonAccumulator, realize
 from shiftkit.sampling import random_complex
 
 P = 10007
@@ -112,29 +112,43 @@ def test_identity_matrix_returns_input_family():
     assert res.validated.f_vector_preserved
 
 
-def _reference_instances():
-    # 25 draws at seed 4021, then the 10 draws at seed 991 that used to
-    # compare whole shifts of the table and per-minor paths
+def test_compound_rows_match_reference_path():
     rng = random.Random(4021)
     for _ in range(25):
         K = random_complex(rng, rng.randint(2, 6))
-        yield K, GenericSpec(rng.randrange(2**32))
-    rng = random.Random(991)
-    for _ in range(10):
-        K = random_complex(rng, rng.randint(2, 6))
-        yield K, GenericSpec(rng.randrange(2**16))
-
-
-def test_compound_rows_match_reference_path():
-    # every candidate row the scan can build agrees with the per-minor
-    # reference, so the scan's kept family is the reference path's
-    for K, spec in _reference_instances():
-        A = realize(spec, K.n, P)
+        A = realize(GenericSpec(rng.randrange(2**32)), K.n, P)
         tables = _WedgeTables(K, P)
         for k in range(1, len(K.f_vector)):
             cols = K.faces_of_size(k)
             for mask in iter_k_subsets(K.n, k):
                 assert tuple(tables.row(A, mask)) == compound_row(A, mask, cols)
+
+
+def _reference_shift(K, A):
+    # greedy lex scan over per-minor compound rows, independent of the
+    # wedge tables the engine uses
+    faces = {0}
+    for k in range(1, len(K.f_vector)):
+        cols = K.faces_of_size(k)
+        acc = RowEchelonAccumulator(len(cols), P)
+        for mask in iter_k_subsets(K.n, k):
+            if acc.insert(compound_row(A, mask, cols)):
+                faces.add(mask)
+                if acc.rank == len(cols):
+                    break
+    return SimplicialComplex(K.n, faces)
+
+
+def test_fast_and_reference_shifts_agree():
+    rng = random.Random(991)
+    for _ in range(10):
+        K = random_complex(rng, rng.randint(2, 6))
+        if K.is_void:
+            continue
+        spec = GenericSpec(rng.randrange(2**16))
+        fast = exterior_shift(K, spec, p=P)
+        A = realize(GenericSpec(fast.seed_used), K.n, P)
+        assert fast.shifted == _reference_shift(K, A)
 
 
 def test_kernel_route_reconstructs_the_shift():
