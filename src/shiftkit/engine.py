@@ -171,6 +171,8 @@ def exterior_shift(
     """
     if K.is_void:
         raise ValueError("cannot shift a complex with no faces")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be nonnegative, got {max_retries}")
     if spec is None:
         spec = GenericSpec(0)
     generic = isinstance(spec, GenericSpec)

@@ -14,12 +14,15 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .complexes import iter_vertices
 
 DEFAULT_PRIME = (1 << 61) - 1
 MAX_PRIME = 1 << 62
+# random matrices drawn per spec before giving up; a draw is singular with
+# probability below 1/(p - 1), so hitting the cap means a fault, not bad luck
+MAX_DRAWS = 64
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -205,39 +208,17 @@ class ExplicitSpec:
         return cls(tuple(tuple(int(x) for x in row) for row in rows))
 
 
-MatrixSpec = Union[GenericSpec, BlockGenericSpec, ExplicitSpec]
+MatrixSpec = GenericSpec | BlockGenericSpec | ExplicitSpec
 
 
 def realize(spec: MatrixSpec, n: int, p: int = DEFAULT_PRIME) -> FieldMatrix:
     """Produce the concrete n x n matrix described by ``spec``.
 
     Random variants are drawn deterministically from their seed and are
-    redrawn until nonsingular; an explicit singular matrix is an error.
+    redrawn until nonsingular, at most ``MAX_DRAWS`` times; an explicit
+    singular matrix is an error.
     """
     check_prime(p)
-    if isinstance(spec, GenericSpec):
-        rng = random.Random(spec.seed)
-        while True:
-            m = FieldMatrix(
-                ([rng.randrange(p) for _ in range(n)] for _ in range(n)), p
-            )
-            if m.is_nonsingular():
-                return m
-    if isinstance(spec, BlockGenericSpec):
-        if spec.k < 0 or spec.l < 0 or spec.k + spec.l != n:
-            raise ValueError("block sizes must be nonnegative and sum to n")
-        rng = random.Random(spec.seed)
-        while True:
-            rows = [[0] * n for _ in range(n)]
-            for i in range(spec.k):
-                for j in range(spec.k):
-                    rows[i][j] = rng.randrange(p)
-            for i in range(spec.k, n):
-                for j in range(spec.k, n):
-                    rows[i][j] = rng.randrange(p)
-            m = FieldMatrix(rows, p)
-            if m.is_nonsingular():
-                return m
     if isinstance(spec, ExplicitSpec):
         if len(spec.entries) != n or any(len(r) != n for r in spec.entries):
             raise ValueError(f"explicit matrix must be {n}x{n}")
@@ -245,7 +226,27 @@ def realize(spec: MatrixSpec, n: int, p: int = DEFAULT_PRIME) -> FieldMatrix:
         if not m.is_nonsingular():
             raise ValueError("explicit matrix is singular mod p")
         return m
-    raise TypeError(f"unknown matrix spec {spec!r}")
+    if isinstance(spec, BlockGenericSpec):
+        if spec.k < 0 or spec.l < 0 or spec.k + spec.l != n:
+            raise ValueError("block sizes must be nonnegative and sum to n")
+        k = spec.k
+    elif isinstance(spec, GenericSpec):
+        k = n  # a single block: every entry random
+    else:
+        raise TypeError(f"unknown matrix spec {spec!r}")
+    rng = random.Random(spec.seed)
+    for _ in range(MAX_DRAWS):
+        # row by row, so each block's entries are drawn in row-major order
+        rows = [
+            [rng.randrange(p) if (i < k) == (j < k) else 0 for j in range(n)]
+            for i in range(n)
+        ]
+        m = FieldMatrix(rows, p)
+        if m.is_nonsingular():
+            return m
+    raise ValueError(
+        f"no nonsingular matrix for {spec!r} (seed {spec.seed}, p={p}) in {MAX_DRAWS} draws"
+    )
 
 
 class RowEchelonAccumulator:

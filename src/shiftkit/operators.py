@@ -6,21 +6,20 @@ the second operand's labels move up past the first operand's ambient set;
 a cone inserts its apex as the new vertex 1.
 
 The second half computes shifts of unions directly from the shifts of the
-pieces, using last-gap tests driven by interval counts, plus a recursive
+pieces, using last-gap tests driven by head counts, plus a recursive
 variant that descends through links and antistars.  These are exercised
 against the matrix engine; they never call it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .complexes import (
     Face,
     SimplicialComplex,
-    init_segment,
     interval,
-    iter_k_subsets,
     iter_vertices,
     vertex_tuple,
 )
@@ -87,27 +86,31 @@ def antistar(K: SimplicialComplex, S: int) -> SimplicialComplex:
 
 
 # ----------------------------------------------------------------------
-# interval counts and gap tests
+# head counts and gap tests
 
 
-def d_value(D: SimplicialComplex, S: int, n: int | None = None) -> int:
-    """Interval count steering the gap tests: the number of faces of ``D``
+def _head_counts(D: SimplicialComplex) -> Counter:
+    """Nonempty faces of ``D`` counted by head: the face minus its largest
+    vertex."""
+    return Counter(m ^ (1 << (m.bit_length() - 1)) for m in map(int, D.face_set()) if m)
+
+
+def d_value(D: SimplicialComplex, S: int) -> int:
+    """Head count steering the gap tests: the number of faces of ``D``
     of size ``|S|`` whose lex-initial ``|S| - 1`` vertices match ``S``'s.
 
-    ``D`` must be shifted; the value does not depend on ``n`` once the
-    ambient set covers the supports.
+    ``D`` must be shifted.
     """
     if not D.is_shifted():
-        raise ValueError("interval counts are defined on shifted complexes")
-    return _d_value(D, S, D.n if n is None else n)
+        raise ValueError("head counts are defined on shifted complexes")
+    return _d_value(D, S)
 
 
-def _d_value(D: SimplicialComplex, S: int, n: int) -> int:
-    s = int(S).bit_count()
-    if s < 1:
+def _d_value(D: SimplicialComplex, S: int) -> int:
+    s = int(S)
+    if not s:
         raise ValueError("face must be nonempty")
-    head = init_segment(S, s - 1)
-    return sum(1 for T in interval(head, 1, n) if T in D)
+    return _head_counts(D)[s ^ (1 << (s.bit_length() - 1))]
 
 
 def last_gap(S: int) -> int:
@@ -119,15 +122,14 @@ def last_gap(S: int) -> int:
     return vs[-1] if len(vs) == 1 else vs[-1] - vs[-2]
 
 
-def _gap_family(n: int, allowance) -> set[int]:
-    """Greedy fill of faces S with ``last_gap(S) <= allowance(S)``, by
-    cardinality, stopping at the first empty level."""
+def _gap_family(n: int, counts: Counter) -> set[int]:
+    """The empty face plus every face S inside [n] with
+    ``last_gap(S) <= counts[head(S)]``: for a head h with count c, the
+    faces h + {v} with max(h) < v <= max(h) + c."""
     faces: set[int] = {0}
-    for k in range(1, n + 1):
-        level = [m for m in iter_k_subsets(n, k) if last_gap(m) <= allowance(m)]
-        if not level:
-            break
-        faces.update(level)
+    for h, c in counts.items():
+        top = h.bit_length()
+        faces.update(h | 1 << b for b in range(top, min(n, top + c)))
     return faces
 
 
@@ -143,22 +145,13 @@ def disjoint_union_shift(
     """Shift of a disjoint union, from the shifts of the parts.
 
     A face S belongs iff its last gap is at most the sum of the two
-    interval counts of S; no matrix work involved.
+    head counts of S; no matrix work involved.
     """
     _require_shifted(DK, DL)
     n = DK.n + DL.n if n is None else n
     if DK.is_void and DL.is_void:
         return SimplicialComplex(n, ())
-    if DK.is_void or DK.dim < 0:
-        return (DL if DK.is_void else _nonvoid(DL)).with_ambient(n)
-    if DL.is_void or DL.dim < 0:
-        return DK.with_ambient(n)
-    faces = _gap_family(n, lambda m: _d_value(DK, m, n) + _d_value(DL, m, n))
-    return SimplicialComplex(n, faces)
-
-
-def _nonvoid(D: SimplicialComplex) -> SimplicialComplex:
-    return D if not D.is_void else SimplicialComplex(D.n, (0,))
+    return SimplicialComplex(n, _gap_family(n, _head_counts(DK) + _head_counts(DL)))
 
 
 def clique_sum_shift(
@@ -170,7 +163,7 @@ def clique_sum_shift(
     """Shift of any gluing of two complexes along a shared d-simplex,
     from the shifts of the parts.
 
-    The allowance is the sum of the two interval counts minus the count
+    The allowance is the sum of the two head counts minus the count
     contributed by the shared simplex (a full simplex on d + 1 vertices).
     ``d = -1`` degenerates to the disjoint union rule.
     """
@@ -181,13 +174,8 @@ def clique_sum_shift(
         raise ValueError("shared simplex exceeds an operand's dimension")
     n = DK.n + DL.n - (d + 1) if n is None else n
     sigma = SimplicialComplex.complete(d + 1)
-    faces = _gap_family(
-        n,
-        lambda m: _d_value(DK, m, n)
-        + _d_value(DL, m, n)
-        - _d_value(sigma, m, n),
-    )
-    return SimplicialComplex(n, faces)
+    counts = _head_counts(DK) + _head_counts(DL) - _head_counts(sigma)
+    return SimplicialComplex(n, _gap_family(n, counts))
 
 
 def shifted_union_recursive(

@@ -21,7 +21,7 @@ from .engine import (
     membership_via_kernels,
     shifted,
 )
-from .field import DEFAULT_PRIME, ExplicitSpec, FieldMatrix, GenericSpec, realize
+from .field import DEFAULT_PRIME, MAX_DRAWS, ExplicitSpec, FieldMatrix, GenericSpec, realize
 from .homology import (
     betti_direct,
     betti_from_shifted,
@@ -258,13 +258,15 @@ def _explicit_apex_check(rng: random.Random, K: SimplicialComplex, p: int) -> bo
     nonzero and the lower-right block (the row projections away from the
     apex coordinate) is invertible, which is all the decomposition needs."""
     n = K.n
-    while True:
+    for _ in range(MAX_DRAWS):
         rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
         rows[0] = [1 + rng.randrange(p - 1) for _ in range(n)]
         X = FieldMatrix(rows, p)
         sub = FieldMatrix([r[1:] for r in rows[1:]], p)
         if X.is_nonsingular() and (n == 1 or sub.is_nonsingular()):
             break
+    else:
+        raise ValueError(f"no apex matrix for n={n}, p={p} in {MAX_DRAWS} draws")
     res = exterior_shift(K, ExplicitSpec.from_rows(rows), p=p)
     through = {f for f in res.shifted.all_faces() if int(f) & 1}
     lk = link(K, Face.of(1))

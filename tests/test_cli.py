@@ -4,8 +4,11 @@ import io
 import json
 from itertools import combinations
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from shiftkit import Face, SimplicialComplex
-from shiftkit.cli import main, parse_complex_text
+from shiftkit.cli import format_complex, main, parse_complex_text
 
 TWO_EDGES = "1 2\n3 4\n"
 
@@ -103,6 +106,17 @@ def test_parse_errors_exit_one(tmp_path, capsys):
         assert "error:" in err, name
 
 
+@given(
+    st.lists(st.sets(st.integers(1, 8), max_size=5), min_size=1, max_size=6),
+    st.integers(0, 8),
+)
+def test_format_then_parse_round_trips(facets, n):
+    # the contract behind `shift | shift -`: printed complexes parse back
+    top = max((max(f) for f in facets if f), default=0)
+    K = SimplicialComplex.from_facets(max(n, top), facets)
+    assert parse_complex_text(format_complex(K)) == K
+
+
 def test_header_comments_and_empty_literal(tmp_path, capsys):
     src = write(tmp_path, "e.cx", "# just the empty face\nempty\n")
     code, out, _ = run(capsys, "op", "betti", src, "--json")
@@ -172,11 +186,25 @@ def test_verify_json_aggregate(capsys):
     assert report["suites"][0]["passed"] == report["suites"][0]["total"]
 
 
-def test_verify_guards(capsys):
+def test_verify_guards(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "nosuchsuite")
     assert code == 1 and "unknown suite" in err
     code, _, err = run(capsys, "verify", "betti", "--max-n", "20")
     assert code == 1 and "--force" in err
+    # counts that would do no work or draw from an empty range
+    refused = [
+        ("verify", "all", "--trials", "-5"),
+        ("verify", "union-eq1", "--max-n", "1"),
+        ("explore", "--trials", "-1"),
+        ("explore", "--max-n", "0"),
+        ("shift", write(tmp_path, "b.cx", TWO_EDGES), "--retries", "-1"),
+    ]
+    for argv in refused:
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "error:" in err, argv
+    # the smallest sizes each command draws are accepted
+    assert run(capsys, "verify", "union-eq1", "--max-n", "2", "--trials", "2")[0] == 0
+    assert run(capsys, "explore", "--max-n", "1", "--trials", "2")[0] == 0
 
 
 def test_explore_runs_clean(capsys):

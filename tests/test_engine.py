@@ -93,6 +93,11 @@ def test_void_complex_rejected():
         exterior_shift(SimplicialComplex(3, []))
 
 
+def test_negative_retries_rejected():
+    with pytest.raises(ValueError, match="max_retries"):
+        exterior_shift(SimplicialComplex.point(1), max_retries=-1)
+
+
 def test_trivial_fixed_points():
     empty_only = SimplicialComplex(3, [0])
     assert shifted(empty_only) == empty_only.with_ambient(3)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shiftkit.complexes import Face
+from shiftkit.complexes import Face, SimplicialComplex
 from shiftkit.field import (
     DEFAULT_PRIME,
     BlockGenericSpec,
@@ -19,6 +19,7 @@ from shiftkit.field import (
     is_prime,
     realize,
 )
+from shiftkit.suites import _explicit_apex_check
 
 P = 10007  # small prime keeps oracle arithmetic readable
 
@@ -173,6 +174,16 @@ def test_realize_explicit_validates():
         realize(spec, 3, P)
     with pytest.raises(ValueError, match="singular"):
         realize(ExplicitSpec.from_rows([[1, 1], [1, 1]]), 2, P)
+
+
+def test_random_redraws_are_bounded(monkeypatch):
+    monkeypatch.setattr(FieldMatrix, "is_nonsingular", lambda self: False)
+    for spec in (GenericSpec(seed=7), BlockGenericSpec(1, 2, seed=7)):
+        with pytest.raises(ValueError, match="seed 7, p=10007"):
+            realize(spec, 3, P)
+    K = SimplicialComplex.from_facets(3, [[1, 2], [1, 3]])
+    with pytest.raises(ValueError, match="p=10007"):
+        _explicit_apex_check(random.Random(0), K, P)
 
 
 def test_accumulator_tracks_rank_and_rejects_dependents():

@@ -26,7 +26,12 @@ from shiftkit.operators import (
     union,
     union_interval_check,
 )
-from shiftkit.sampling import glue, random_complex, random_shifted
+from shiftkit.sampling import (
+    all_shifted_complexes,
+    glue,
+    random_complex,
+    random_shifted,
+)
 
 
 def facet_sets(K):
@@ -192,6 +197,27 @@ def test_clique_sum_rule_matches_engine_on_glued_instances():
         got = clique_sum_shift(shifted(A), shifted(B), d, n=glued.n)
         assert got == want
         done += 1
+
+
+def test_union_rules_on_every_pair_of_small_shifted_complexes():
+    # every ordered pair of shifted complexes on 1..3 vertices, {[]} included,
+    # and every clique dimension the pair admits
+    pool = [D for n in range(1, 4) for D in all_shifted_complexes(n)]
+    assert len(pool) == 15
+    for DK in pool:
+        for DL in pool:
+            assert disjoint_union_shift(DK, DL) == shifted_union_recursive(DK, DL)
+            for d in range(min(DK.dim, DL.dim) + 1):
+                g = glue(DK, DL, (1 << (d + 1)) - 1)
+                assert clique_sum_shift(DK, DL, d, n=g.n) == shifted(g)
+
+
+def test_disjoint_union_rule_on_void_operands():
+    void = SimplicialComplex(2, ())
+    empty_face = SimplicialComplex(1, (0,))
+    assert disjoint_union_shift(void, void) == SimplicialComplex(4, ())
+    assert disjoint_union_shift(void, empty_face) == SimplicialComplex(3, (0,))
+    assert disjoint_union_shift(empty_face, void) == SimplicialComplex(3, (0,))
 
 
 # ---------------------------------------------------------------- lex order
