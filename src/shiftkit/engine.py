@@ -212,7 +212,6 @@ def kernel_intersection_dim(
     strict: bool = True,
     extra: int = 0,
     first_k_only: bool = False,
-    p: int | None = None,
 ) -> int:
     """Dimension of the joint kernel of the contractions by all wedge rows
     lex-below ``S`` (or lex-at-most ``S``), acting on the size
@@ -228,7 +227,7 @@ def kernel_intersection_dim(
             leaves the intersection unchanged, which is what the oracle
             checks.
     """
-    p = A.p if p is None else p
+    p = A.p
     s = int(S).bit_count()
     if s < 1:
         raise ValueError("reference face must be nonempty")
@@ -241,9 +240,9 @@ def kernel_intersection_dim(
     limit = K.num_vertices if first_k_only else K.n
     supports = K.faces_of_size(s)
     acc = RowEchelonAccumulator(ncols, p)
-    for mask in iter_k_subsets(limit, s):
+    for mask in iter_k_subsets(limit, s):  # lex-ascending
         if lex_less(S, mask) or (strict and mask == int(S)):
-            continue
+            break
         element = dict(zip(supports, compound_row(A, mask, supports)))
         block = interior_matrix(K, element, s + extra, p)
         for row in block.rows:
@@ -303,24 +302,15 @@ def image_dim_complete(h: int, n: int, S: int) -> int:
 
 
 def image_dim_complete_direct(h: int, n: int, S: int, A: FieldMatrix) -> int:
-    """The same image dimension, measured as an exact stacked rank."""
+    """The same image dimension, measured as an exact stacked rank: the
+    size ``|S| + 1`` chains of the full simplex minus the joint kernel of
+    the contractions by wedge rows lex-below ``S``."""
     s = int(S).bit_count()
     if s < 1:
         raise ValueError("reference face must be nonempty")
     if h > n or A.nrows != n:
         raise ValueError("shape mismatch")
-    H = SimplicialComplex.complete(h, ambient=n)
-    domain = H.faces_of_size(s + 1)
-    if not domain:
+    if s >= h:
         return 0
-    p = A.p
-    supports = H.faces_of_size(s)
-    acc = RowEchelonAccumulator(len(domain), p)
-    for R in iter_k_subsets(n, s):
-        if not lex_less(R, S):
-            continue
-        element = dict(zip(supports, compound_row(A, R, supports)))
-        block = interior_matrix(H, element, s + 1, p)
-        for row in block.rows:
-            acc.insert(row)
-    return acc.rank
+    H = SimplicialComplex.complete(h, ambient=n)
+    return len(H.faces_of_size(s + 1)) - kernel_intersection_dim(H, A, S, extra=1)

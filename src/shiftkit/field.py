@@ -112,11 +112,6 @@ class FieldMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "FieldMatrix":
-        return FieldMatrix(
-            ((self.rows[i][j] for j in col_idx) for i in row_idx), self.p
-        )
-
     def minor(self, row_face: int, col_face: int) -> int:
         """Determinant of the square submatrix picked out by two faces.
 

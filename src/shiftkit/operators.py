@@ -7,23 +7,17 @@ a cone inserts its apex as the new vertex 1.
 
 The second half computes shifts of unions directly from the shifts of the
 pieces, using last-gap tests driven by head counts, plus a recursive
-variant that descends through links and antistars.  These are exercised
-against the matrix engine; they never call it.
+variant that descends through links and antistars.  Everything here works
+on face sets; the checks against the matrix engine live in ``suites``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
-from .complexes import (
-    Face,
-    SimplicialComplex,
-    interval,
-    iter_vertices,
-    vertex_tuple,
-)
-from .field import DEFAULT_PRIME
+from .complexes import Face, SimplicialComplex, iter_vertices, vertex_tuple
 from .homology import is_near_cone
 
 
@@ -89,10 +83,10 @@ def antistar(K: SimplicialComplex, S: int) -> SimplicialComplex:
 # head counts and gap tests
 
 
-def _head_counts(D: SimplicialComplex) -> Counter:
-    """Nonempty faces of ``D`` counted by head: the face minus its largest
+def _head_counts(faces: Iterable[int]) -> Counter:
+    """Nonempty face masks counted by head: the face minus its largest
     vertex."""
-    return Counter(m ^ (1 << (m.bit_length() - 1)) for m in map(int, D.face_set()) if m)
+    return Counter(m ^ (1 << (m.bit_length() - 1)) for m in faces if m)
 
 
 def d_value(D: SimplicialComplex, S: int) -> int:
@@ -110,7 +104,7 @@ def _d_value(D: SimplicialComplex, S: int) -> int:
     s = int(S)
     if not s:
         raise ValueError("face must be nonempty")
-    return _head_counts(D)[s ^ (1 << (s.bit_length() - 1))]
+    return _head_counts(D.face_set())[s ^ (1 << (s.bit_length() - 1))]
 
 
 def last_gap(S: int) -> int:
@@ -139,19 +133,18 @@ def _require_shifted(*complexes: SimplicialComplex) -> None:
             raise ValueError("operands must be shifted complexes")
 
 
-def disjoint_union_shift(
-    DK: SimplicialComplex, DL: SimplicialComplex, n: int | None = None
-) -> SimplicialComplex:
+def disjoint_union_shift(DK: SimplicialComplex, DL: SimplicialComplex) -> SimplicialComplex:
     """Shift of a disjoint union, from the shifts of the parts.
 
     A face S belongs iff its last gap is at most the sum of the two
     head counts of S; no matrix work involved.
     """
     _require_shifted(DK, DL)
-    n = DK.n + DL.n if n is None else n
+    n = DK.n + DL.n
     if DK.is_void and DL.is_void:
         return SimplicialComplex(n, ())
-    return SimplicialComplex(n, _gap_family(n, _head_counts(DK) + _head_counts(DL)))
+    counts = _head_counts(DK.face_set()) + _head_counts(DL.face_set())
+    return SimplicialComplex(n, _gap_family(n, counts))
 
 
 def clique_sum_shift(
@@ -173,14 +166,12 @@ def clique_sum_shift(
     if d > min(DK.dim, DL.dim):
         raise ValueError("shared simplex exceeds an operand's dimension")
     n = DK.n + DL.n - (d + 1) if n is None else n
-    sigma = SimplicialComplex.complete(d + 1)
-    counts = _head_counts(DK) + _head_counts(DL) - _head_counts(sigma)
+    counts = _head_counts(DK.face_set()) + _head_counts(DL.face_set())
+    counts -= _head_counts(range(1 << (d + 1)))
     return SimplicialComplex(n, _gap_family(n, counts))
 
 
-def shifted_union_recursive(
-    DK: SimplicialComplex, DL: SimplicialComplex, n: int | None = None
-) -> SimplicialComplex:
+def shifted_union_recursive(DK: SimplicialComplex, DL: SimplicialComplex) -> SimplicialComplex:
     """Shift of a disjoint union by structural recursion.
 
     The vertex level is the full union of the two vertex sets; faces
@@ -190,36 +181,34 @@ def shifted_union_recursive(
     point, not efficiency.
     """
     _require_shifted(DK, DL)
-    n = DK.n + DL.n if n is None else n
     memo: dict[tuple[frozenset, frozenset], frozenset] = {}
 
-    def rec(A: SimplicialComplex, B: SimplicialComplex) -> frozenset:
-        if A.is_void or A.dim < 0:
-            return B.face_set() if A.is_void else frozenset(B.face_set() | {0})
-        if B.is_void or B.dim < 0:
-            return A.face_set() if B.is_void else frozenset(A.face_set() | {0})
-        key = (A.face_set(), B.face_set())
-        got = memo.get(key)
+    def rec(A: frozenset, B: frozenset) -> frozenset:
+        # shifted face sets; links and antistars of vertex 1 recurse with
+        # their labels moved down by one
+        if A <= {0} or B <= {0}:  # a void or {∅} operand
+            return A | B
+        got = memo.get((A, B))
         if got is not None:
             return got
-        one = Face.of(1)
-        lk = rec(_drop_one(link(A, one)), _drop_one(link(B, one)))
-        ast = rec(_drop_one(antistar(A, one)), _drop_one(antistar(B, one)))
+        lk = rec(
+            frozenset(m >> 1 for m in A if m & 1),
+            frozenset(m >> 1 for m in B if m & 1),
+        )
+        ast = rec(
+            frozenset(m >> 1 for m in A if not m & 1),
+            frozenset(m >> 1 for m in B if not m & 1),
+        )
+        vertices = sum(1 for X in (A, B) for m in X if m.bit_count() == 1)
         faces = {0}
-        faces.update(1 << i for i in range(A.num_vertices + B.num_vertices))
-        faces.update((int(f) << 1) | 1 for f in lk)
-        faces.update(int(f) << 1 for f in ast if int(f).bit_count() >= 2)
+        faces.update(1 << i for i in range(vertices))
+        faces.update((m << 1) | 1 for m in lk)
+        faces.update(m << 1 for m in ast if m.bit_count() >= 2)
         out = frozenset(faces)
-        memo[key] = out
+        memo[A, B] = out
         return out
 
-    return SimplicialComplex(n, rec(DK, DL))
-
-
-def _drop_one(D: SimplicialComplex) -> SimplicialComplex:
-    """Shift all labels down by one; vertex 1 must be unused."""
-    faces = [int(f) >> 1 for f in D.face_set()]
-    return SimplicialComplex(max(D.n - 1, 0), faces)
+    return SimplicialComplex(DK.n + DL.n, rec(DK.face_set(), DL.face_set()))
 
 
 # ----------------------------------------------------------------------
@@ -295,113 +284,3 @@ def near_cone_analyze(K: SimplicialComplex) -> NearConeCertificate:
         apexes.append(pick)
         cur = antistar(cur, Face.of(pick))
         chain.append(cur)
-
-
-# ----------------------------------------------------------------------
-# engine-backed structure checks
-
-from .engine import shifted as _shifted  # noqa: E402  (no cycle: engine is lower)
-
-
-def _shift_of_link(K: SimplicialComplex, v: int, seed: int, p: int) -> SimplicialComplex:
-    lk, _ = link(K, Face.of(v)).compacted()
-    if lk.is_void or lk.dim < 0:
-        return lk
-    return _shifted(lk, seed, p)
-
-
-def near_cone_decomposition_check(
-    K: SimplicialComplex, v: int, *, seed: int = 0, p: int = DEFAULT_PRIME
-) -> bool:
-    """For a near cone with apex ``v``: the faces of the shift through
-    vertex 1 must be exactly 1 joined onto the shift of the link of ``v``,
-    labels moved up by one."""
-    if not is_near_cone(K, v):
-        raise ValueError("complex is not a near cone at the given vertex")
-    D = _shifted(K, seed, p)
-    dlk = _shift_of_link(K, v, seed, p)
-    want = {(int(f) << 1) | 1 for f in dlk.face_set()}
-    got = {int(f) for f in D.face_set() if int(f) & 1}
-    return got == want
-
-
-def near_cone_iterated_check(
-    K: SimplicialComplex,
-    cert: NearConeCertificate,
-    *,
-    seed: int = 0,
-    p: int = DEFAULT_PRIME,
-) -> bool:
-    """Check the full apex-chain decomposition: for each level j the faces
-    of the shift with minimum vertex j are j joined onto the shift of the
-    link of that level's apex, labels moved up by j; faces avoiding the
-    first ``depth`` labels must be faces of the shift outright."""
-    D = _shifted(K, seed, p)
-    for j, apex in enumerate(cert.apexes, start=1):
-        dlk = _shift_of_link(cert.chain[j - 1], apex, seed, p)
-        want = {(int(f) << j) | (1 << (j - 1)) for f in dlk.face_set()}
-        got = {
-            int(f)
-            for f in D.face_set()
-            if int(f) and (int(f) & -int(f)).bit_length() == j
-        }
-        if got != want:
-            return False
-    # remaining faces avoid the first ``depth`` labels by construction,
-    # which is exactly the residual part of the decomposition
-    return True
-
-
-def union_interval_check(
-    K: SimplicialComplex,
-    L: SimplicialComplex,
-    A: int,
-    *,
-    seed: int = 0,
-    p: int = DEFAULT_PRIME,
-) -> tuple[int, int]:
-    """Count, in the interval of height dim(K and L) + 2 over ``A``, the
-    faces of the shift of the union versus the sum over the two parts.
-
-    Returns the pair (union count, sum of part counts); equality is the
-    property under test.  ``K`` and ``L`` live on shared labels.
-    """
-    n = max(K.n, L.n)
-    d = intersection(K, L).dim
-    if d < -1:
-        d = -1
-    window = interval(A, d + 2, n)
-    du = _shifted(union(K, L), seed, p)
-    dk = _shifted(K, seed, p)
-    dl = _shifted(L, seed, p)
-    lhs = sum(1 for T in window if T in du)
-    rhs = sum(1 for T in window if T in dk) + sum(1 for T in window if T in dl)
-    return lhs, rhs
-
-
-def join_top_count_check(
-    K: SimplicialComplex,
-    L: SimplicialComplex,
-    i: int,
-    *,
-    seed: int = 0,
-    p: int = DEFAULT_PRIME,
-) -> tuple[int, int]:
-    """Top-dimensional face counts avoiding the first ``i`` labels:
-    the count for the shift of the join against the product of the counts
-    for the shifts of the factors.
-
-    Returns (join count, product).
-    """
-    if i < 0:
-        raise ValueError("label prefix must be nonnegative")
-
-    def top_avoiding(D: SimplicialComplex) -> int:
-        k = D.dim + 1
-        low = (1 << i) - 1
-        return sum(1 for f in D.faces_of_size(k) if not int(f) & low)
-
-    dj = _shifted(join(K, L), seed, p)
-    dk = _shifted(K, seed, p)
-    dl = _shifted(L, seed, p)
-    return top_avoiding(dj), top_avoiding(dk) * top_avoiding(dl)

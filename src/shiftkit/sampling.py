@@ -57,11 +57,9 @@ def random_shifted(
     return shifted(random_complex(rng, n), seed=rng.randrange(1 << 32), p=p)
 
 
-def random_near_cone(
-    rng: random.Random, n: int, *, max_extras: int = 3
-) -> SimplicialComplex:
+def random_near_cone(rng: random.Random, n: int) -> SimplicialComplex:
     """A near cone with apex 1: a cone over a random base on ``{2..n}``
-    plus a few faces avoiding the apex whose whole boundary lies in the
+    plus up to three faces avoiding the apex whose whole boundary lies in the
     base, so swapping any of their vertices for the apex stays inside.
     """
     if n < 2:
@@ -78,7 +76,7 @@ def random_near_cone(
                 continue
             if all((int(m) & ~(1 << (v - 1))) in base_faces for v in comb):
                 candidates.append(m)
-    extras = rng.randint(0, max_extras)
+    extras = rng.randint(0, 3)
     faces.update(rng.sample(candidates, min(extras, len(candidates))))
     return SimplicialComplex(n, faces)
 

@@ -32,17 +32,16 @@ from .homology import (
     wedge_elements,
 )
 from .operators import (
+    NearConeCertificate,
     clique_sum_shift,
     cone,
     disjoint_union,
     disjoint_union_shift,
     intersection,
-    join_top_count_check,
+    join,
     lex_compare,
     link,
     near_cone_analyze,
-    near_cone_decomposition_check,
-    near_cone_iterated_check,
     shifted_union_recursive,
     suspension,
     union,
@@ -177,6 +176,33 @@ def sqcup_agree(
     return direct == disjoint_union_shift(DA, DB) == shifted_union_recursive(DA, DB)
 
 
+def union_interval_check(
+    K: SimplicialComplex,
+    L: SimplicialComplex,
+    A: int,
+    *,
+    seed: int = 0,
+    p: int = DEFAULT_PRIME,
+) -> tuple[int, int]:
+    """Count, in the interval of height dim(K and L) + 2 over ``A``, the
+    faces of the shift of the union versus the sum over the two parts.
+
+    Returns the pair (union count, sum of part counts); equality is the
+    property under test.  ``K`` and ``L`` live on shared labels.
+    """
+    n = max(K.n, L.n)
+    d = intersection(K, L).dim
+    if d < -1:
+        d = -1
+    window = interval(A, d + 2, n)
+    du = shifted(union(K, L), seed=seed, p=p)
+    dk = shifted(K, seed=seed, p=p)
+    dl = shifted(L, seed=seed, p=p)
+    lhs = sum(1 for T in window if T in du)
+    rhs = sum(1 for T in window if T in dk) + sum(1 for T in window if T in dl)
+    return lhs, rhs
+
+
 def suite_sqcup(
     *, trials: int = 10, max_n: int = 10, seed: int = 0, p: int = DEFAULT_PRIME
 ) -> list:
@@ -253,6 +279,46 @@ def suite_cone(
     return out
 
 
+def _apex_level_matches(D: SimplicialComplex, j: int, dlk: SimplicialComplex) -> bool:
+    """Whether the faces of ``D`` with smallest vertex ``j`` are exactly
+    ``j`` joined onto ``dlk``, labels moved up by ``j``."""
+    got = {m for m in D.face_set() if m and (m & -m).bit_length() == j}
+    return got == {(m << j) | (1 << (j - 1)) for m in dlk.face_set()}
+
+
+def near_cone_decomposition_check(
+    K: SimplicialComplex, v: int, *, seed: int = 0, p: int = DEFAULT_PRIME
+) -> bool:
+    """For a near cone with apex ``v``: the faces of the shift through
+    vertex 1 must be exactly 1 joined onto the shift of the link of ``v``,
+    labels moved up by one."""
+    if not is_near_cone(K, v):
+        raise ValueError("complex is not a near cone at the given vertex")
+    dlk = shifted(link(K, Face.of(v)).compacted()[0], seed=seed, p=p)
+    return _apex_level_matches(shifted(K, seed=seed, p=p), 1, dlk)
+
+
+def near_cone_iterated_check(
+    K: SimplicialComplex,
+    cert: NearConeCertificate,
+    *,
+    seed: int = 0,
+    p: int = DEFAULT_PRIME,
+) -> bool:
+    """Check the full apex-chain decomposition: for each level j the faces
+    of the shift with minimum vertex j are j joined onto the shift of the
+    link of that level's apex, labels moved up by j; faces avoiding the
+    first ``depth`` labels must be faces of the shift outright."""
+    D = shifted(K, seed=seed, p=p)
+    for j, apex in enumerate(cert.apexes, start=1):
+        dlk = shifted(link(cert.chain[j - 1], Face.of(apex)).compacted()[0], seed=seed, p=p)
+        if not _apex_level_matches(D, j, dlk):
+            return False
+    # remaining faces avoid the first ``depth`` labels by construction,
+    # which is exactly the residual part of the decomposition
+    return True
+
+
 def _explicit_apex_check(rng: random.Random, K: SimplicialComplex, p: int) -> bool:
     """Apex decomposition through an explicit matrix: the first row is all
     nonzero and the lower-right block (the row projections away from the
@@ -268,12 +334,9 @@ def _explicit_apex_check(rng: random.Random, K: SimplicialComplex, p: int) -> bo
     else:
         raise ValueError(f"no apex matrix for n={n}, p={p} in {MAX_DRAWS} draws")
     res = exterior_shift(K, ExplicitSpec.from_rows(rows), p=p)
-    through = {f for f in res.shifted.all_faces() if int(f) & 1}
-    lk = link(K, Face.of(1))
-    small = SimplicialComplex(n - 1, {Face(int(f) >> 1) for f in lk.all_faces()})
+    small = SimplicialComplex(n - 1, {m >> 1 for m in K.face_set() if m & 1})
     res_sub = exterior_shift(small, ExplicitSpec.from_rows(sub.rows), p=p)
-    expect = {Face((int(g) << 1) | 1) for g in res_sub.shifted.all_faces()}
-    return through == expect
+    return _apex_level_matches(res.shifted, 1, res_sub.shifted)
 
 
 def suite_near_cone(
@@ -461,6 +524,34 @@ def suite_sarkaria(
 
 # ----------------------------------------------------------------------
 # joins
+
+
+def join_top_count_check(
+    K: SimplicialComplex,
+    L: SimplicialComplex,
+    i: int,
+    *,
+    seed: int = 0,
+    p: int = DEFAULT_PRIME,
+) -> tuple[int, int]:
+    """Top-dimensional face counts avoiding the first ``i`` labels:
+    the count for the shift of the join against the product of the counts
+    for the shifts of the factors.
+
+    Returns (join count, product).
+    """
+    if i < 0:
+        raise ValueError("label prefix must be nonnegative")
+
+    def top_avoiding(D: SimplicialComplex) -> int:
+        k = D.dim + 1
+        low = (1 << i) - 1
+        return sum(1 for f in D.faces_of_size(k) if not int(f) & low)
+
+    dj = shifted(join(K, L), seed=seed, p=p)
+    dk = shifted(K, seed=seed, p=p)
+    dl = shifted(L, seed=seed, p=p)
+    return top_avoiding(dj), top_avoiding(dk) * top_avoiding(dl)
 
 
 def suite_join_top(

@@ -22,13 +22,13 @@ from shiftkit.homology import betti_direct
 from shiftkit.operators import (
     clique_sum_shift,
     join,
-    join_top_count_check,
     lex_compare,
     suspension,
 )
 from shiftkit.sampling import all_complexes, all_shifted_complexes, glue, random_complex
 from shiftkit.suites import (
     conjecture_scan,
+    join_top_count_check,
     sqcup_agree,
     suite_clique_sum,
     suite_cone,

@@ -45,6 +45,24 @@ def rational_det(rows):
     return det
 
 
+def rational_rank(rows):
+    """Elimination over Q on the columns; the reference for rank mod p."""
+    n = len(rows)
+    probe = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for j in range(len(rows[0])):
+        col = [probe[i][j] for i in range(n)]
+        for pr, pj in pivots:
+            factor = col[pr]
+            if factor:
+                col = [c - factor * d for c, d in zip(col, pj)]
+        nz = next((i for i, c in enumerate(col) if c), None)
+        if nz is not None:
+            inv = 1 / col[nz]
+            pivots.append((nz, [c * inv for c in col]))
+    return len(pivots)
+
+
 def frac_mod(q: Fraction, p: int) -> int:
     return q.numerator * pow(q.denominator, -1, p) % p
 
@@ -94,22 +112,7 @@ def test_rank_against_rational_oracle():
         ]
         got = FieldMatrix(rows, P).rank()
         assert got <= r
-        # rational rank via elimination on the columns
-        cols = 0
-        probe = [[Fraction(x) for x in row] for row in rows]
-        pivots = []
-        for j in range(m):
-            col = [probe[i][j] for i in range(n)]
-            for pr, pj in pivots:
-                factor = col[pr]
-                if factor:
-                    col = [c - factor * d for c, d in zip(col, pj)]
-            nz = next((i for i, c in enumerate(col) if c), None)
-            if nz is not None:
-                inv = 1 / col[nz]
-                pivots.append((nz, [c * inv for c in col]))
-                cols += 1
-        assert got == cols
+        assert got == rational_rank(rows)
 
 
 @given(st.integers(1, 3), st.data())
@@ -203,4 +206,4 @@ def test_accumulator_matches_matrix_rank():
         acc = RowEchelonAccumulator(4, P)
         for row in rows:
             acc.insert(row)
-        assert acc.rank == FieldMatrix(rows, P).rank()
+        assert acc.rank == rational_rank(rows)

@@ -15,22 +15,24 @@ from shiftkit.operators import (
     disjoint_union_shift,
     intersection,
     join,
-    join_top_count_check,
     last_gap,
     lex_compare,
     link,
     near_cone_analyze,
-    near_cone_decomposition_check,
     shifted_union_recursive,
     suspension,
     union,
-    union_interval_check,
 )
 from shiftkit.sampling import (
     all_shifted_complexes,
     glue,
     random_complex,
     random_shifted,
+)
+from shiftkit.suites import (
+    join_top_count_check,
+    near_cone_decomposition_check,
+    union_interval_check,
 )
 
 
@@ -215,9 +217,17 @@ def test_union_rules_on_every_pair_of_small_shifted_complexes():
 def test_disjoint_union_rule_on_void_operands():
     void = SimplicialComplex(2, ())
     empty_face = SimplicialComplex(1, (0,))
-    assert disjoint_union_shift(void, void) == SimplicialComplex(4, ())
-    assert disjoint_union_shift(void, empty_face) == SimplicialComplex(3, (0,))
-    assert disjoint_union_shift(empty_face, void) == SimplicialComplex(3, (0,))
+    e = shifted(edge())
+    cases = [
+        (void, void, SimplicialComplex(4, ())),
+        (void, empty_face, SimplicialComplex(3, (0,))),
+        (empty_face, void, SimplicialComplex(3, (0,))),
+        (empty_face, e, SimplicialComplex.from_facets(3, [[1, 2]])),
+        (e, empty_face, SimplicialComplex.from_facets(3, [[1, 2]])),
+    ]
+    for a, b, want in cases:
+        assert disjoint_union_shift(a, b) == want
+        assert shifted_union_recursive(a, b) == disjoint_union_shift(a, b)
 
 
 # ---------------------------------------------------------------- lex order
