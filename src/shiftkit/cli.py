@@ -17,6 +17,7 @@ same format back, so commands pipe into each other.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -332,7 +333,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="shiftkit", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
@@ -347,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sh.add_argument("--retries", type=int, default=3, help="reseeds before giving up")
     sh.add_argument("--out", help="write here instead of stdout")
+    sh.set_defaults(func=_cmd_shift)
     _add_common(sh)
 
     op = sub.add_parser("op", help="constructions and shift rules")
@@ -358,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--face", help="center face for link/antistar, e.g. '1 3'")
     op.add_argument("--dim", type=int, help="shared simplex dimension for clique-sum")
     op.add_argument("--out", help="write here instead of stdout")
+    op.set_defaults(func=_cmd_op)
     _add_common(op)
 
     ve = sub.add_parser("verify", help="run a named property suite")
@@ -366,31 +371,26 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--max-n", type=int, default=8, dest="max_n")
     ve.add_argument("--force", action="store_true", help="allow --max-n beyond 16")
     ve.add_argument("--verbose", action="store_true", help="print passing checks too")
+    ve.set_defaults(func=_cmd_verify)
     _add_common(ve)
 
     ex = sub.add_parser("explore", help="scan the suspension-order conjecture")
     ex.add_argument("--trials", type=int, default=50)
     ex.add_argument("--max-n", type=int, default=8, dest="max_n")
     ex.add_argument("--force", action="store_true", help="allow --max-n beyond 16")
+    ex.set_defaults(func=_cmd_explore)
     _add_common(ex)
 
     return parser
 
 
 def main(argv: list | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    handlers = {
-        "shift": _cmd_shift,
-        "op": _cmd_op,
-        "verify": _cmd_verify,
-        "explore": _cmd_explore,
-    }
     try:
-        return handlers[args.cmd](args)
+        return args.func(args)
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

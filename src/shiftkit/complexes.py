@@ -293,9 +293,8 @@ class SimplicialComplex:
     def support(self) -> Face:
         """Union of all faces, as a mask."""
         m = 0
-        for g in self._by_size:
-            for f in g:
-                m |= int(f)
+        for f in self.faces_of_size(1):
+            m |= f
         return Face(m)
 
     def faces_of_size(self, k: int) -> tuple:
@@ -311,18 +310,16 @@ class SimplicialComplex:
         return self._faces
 
     def facets(self) -> list:
-        out = []
-        for g in self._by_size:
-            for f in g:
-                m = int(f)
-                has_cover = any(
-                    (m | (1 << b)) in self._faces
-                    for b in range(self.n)
-                    if not (m >> b) & 1
-                )
-                if not has_cover:
-                    out.append(f)
-        return lex_sorted(out)
+        """The maximal faces, by size then lex: the faces that are no
+        face's codimension-one subface."""
+        covered = set()
+        for m in self._faces:
+            probe = m
+            while probe:
+                low = probe & -probe
+                covered.add(m ^ low)
+                probe ^= low
+        return [f for f in self.all_faces() if f not in covered]
 
     def __contains__(self, face: int) -> bool:
         return int(face) in self._faces
@@ -344,20 +341,23 @@ class SimplicialComplex:
     def is_shifted(self) -> bool:
         """Whether the family is closed downward under the domination order.
 
-        Checking single-vertex swaps (replace a vertex by a smaller absent
-        one) is equivalent: these moves generate the order.
+        Only the trades of a vertex ``v`` for ``v - 1`` are checked, and
+        they suffice.  Let ``S != T`` have the same size with ``s_j <= t_j``
+        for every j, and let i be the first index with ``s_i < t_i``.  Then
+        ``t_i - 1`` is not in ``T`` (it is at least ``s_i``, which exceeds
+        ``t_{i-1} = s_{i-1}``), and trading ``t_i`` for ``t_i - 1`` gives a
+        face that lies between ``S`` and ``T``; repeating the step reaches
+        ``S``.
         """
-        for g in self._by_size[1:] if self._faces else ():
-            for f in g:
-                m = int(f)
-                for v in iter_vertices(m):
-                    bit = 1 << (v - 1)
-                    for w in range(1, v):
-                        wbit = 1 << (w - 1)
-                        if m & wbit:
-                            continue
-                        if (m ^ bit) | wbit not in self._faces:
-                            return False
+        faces = self._faces
+        for m in faces:
+            # v in m with v >= 2 and v - 1 not in m
+            movable = m & ~(m << 1) & ~1
+            while movable:
+                b = movable & -movable
+                if m ^ b ^ (b >> 1) not in faces:
+                    return False
+                movable ^= b
         return True
 
     # ------------------------------------------------------------------
@@ -371,12 +371,11 @@ class SimplicialComplex:
             raise ValueError("permutation must be a bijection of 1..n")
         return SimplicialComplex(self.n, _remap(self._faces, pi))
 
-    def relabeled(self, offset: int, ambient: int | None = None) -> "SimplicialComplex":
-        """Shift every vertex label up by ``offset``."""
+    def relabeled(self, offset: int) -> "SimplicialComplex":
+        """Shift every vertex label up by ``offset``, inside ``[n + offset]``."""
         if offset < 0:
             raise ValueError("offset must be nonnegative")
-        ambient = self.n + offset if ambient is None else ambient
-        return SimplicialComplex(ambient, (int(f) << offset for f in self._faces))
+        return SimplicialComplex(self.n + offset, (int(f) << offset for f in self._faces))
 
     def compacted(self) -> tuple["SimplicialComplex", tuple[int, ...]]:
         """Relabel the support onto an initial segment; returns the new

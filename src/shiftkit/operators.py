@@ -151,7 +151,6 @@ def clique_sum_shift(
     DK: SimplicialComplex,
     DL: SimplicialComplex,
     d: int,
-    n: int | None = None,
 ) -> SimplicialComplex:
     """Shift of any gluing of two complexes along a shared d-simplex,
     from the shifts of the parts.
@@ -165,7 +164,7 @@ def clique_sum_shift(
         raise ValueError("d must be at least -1")
     if d > min(DK.dim, DL.dim):
         raise ValueError("shared simplex exceeds an operand's dimension")
-    n = DK.n + DL.n - (d + 1) if n is None else n
+    n = DK.n + DL.n - (d + 1)
     counts = _head_counts(DK.face_set()) + _head_counts(DL.face_set())
     counts -= _head_counts(range(1 << (d + 1)))
     return SimplicialComplex(n, _gap_family(n, counts))

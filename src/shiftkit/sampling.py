@@ -64,7 +64,7 @@ def random_near_cone(rng: random.Random, n: int) -> SimplicialComplex:
     """
     if n < 2:
         raise ValueError("need at least two vertices")
-    base = random_complex(rng, n - 1, max_size=4).relabeled(1, n)
+    base = random_complex(rng, n - 1, max_size=4).relabeled(1)
     faces = set(base.all_faces())
     faces.update(Face(int(m) | 1) for m in base.all_faces())
     base_faces = base.face_set()

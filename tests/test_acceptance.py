@@ -148,7 +148,7 @@ def test_criterion_07_union_rules_vs_engine():
                 sigma = DA.faces_of_size(d + 1)[0]
                 glued = glue(DA, DB, sigma)
                 glue_cases += 1
-                rule = clique_sum_shift(DA, DB, d, n=glued.n)
+                rule = clique_sum_shift(DA, DB, d)
                 if rule != shifted(glued):
                     glue_bad += 1
     ok = bad == 0 and glue_bad == 0 and pairs == 676

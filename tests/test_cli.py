@@ -1,10 +1,13 @@
 """End-to-end command line checks, all in-process through main(argv)."""
 
+import contextlib
 import io
 import json
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftkit import Face, SimplicialComplex
@@ -115,6 +118,37 @@ def test_format_then_parse_round_trips(facets, n):
     top = max((max(f) for f in facets if f), default=0)
     K = SimplicialComplex.from_facets(max(n, top), facets)
     assert parse_complex_text(format_complex(K)) == K
+
+
+# Labels stay <= 9 and lines hold at most 8 tokens: a facet with k labels
+# makes from_facets build all 2^k of its faces, so one long facet line is
+# exponential (18 labels: 262,144 faces, ~4 s and 120 MB; each further
+# label doubles both) and the CLI has no up-front size guard yet.
+_TOKEN = st.one_of(
+    st.integers(-1, 9).map(str),
+    st.sampled_from(["empty", "#", "n=", "n=3", "n=70", "x", "1.5", "1,2", "+2"]),
+)
+_LINE = st.one_of(
+    st.sets(st.integers(1, 9), max_size=8).map(lambda f: " ".join(map(str, f))),
+    st.lists(_TOKEN, max_size=8).map(" ".join),
+    st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=8),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_LINE, max_size=6))
+def test_malformed_input_exits_cleanly(lines):
+    # any text gives exit 0, or exit 1 with an error line; never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cx"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["op", "compare", str(path), str(path)])
+    if code == 0:
+        assert out.getvalue() == "relation: equal\n"
+    else:
+        assert code == 1 and err.getvalue().startswith("error: ")
 
 
 def test_header_comments_and_empty_literal(tmp_path, capsys):

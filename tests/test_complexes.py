@@ -20,6 +20,7 @@ from shiftkit.complexes import (
     lex_sorted,
     vertex_tuple,
 )
+from shiftkit.sampling import random_complex, random_shifted
 
 
 def test_face_construction_and_views():
@@ -181,23 +182,56 @@ def test_is_shifted_examples():
     assert SimplicialComplex.empty(3).is_shifted()
 
 
+def _closed_under_all_trades(K):
+    # definition: replacing any vertex by a smaller absent one stays inside
+    closure = set(map(int, K.all_faces()))
+    return all(
+        (m & ~(1 << (v - 1))) | (1 << (u - 1)) in closure
+        for m in closure
+        for v in range(1, K.n + 1)
+        if m >> (v - 1) & 1
+        for u in range(1, v)
+        if not m >> (u - 1) & 1
+    )
+
+
 def test_is_shifted_matches_bruteforce_swap_definition():
     rng = random.Random(5)
     for _ in range(80):
         facets = [rng.sample(range(1, 5), rng.randint(1, 3))
                   for _ in range(rng.randint(1, 5))]
         K = SimplicialComplex.from_facets(4, facets)
-        closure = set(map(int, K.all_faces()))
-        # definition: replacing any vertex by a smaller absent one stays inside
-        want = all(
-            (m & ~(1 << (v - 1))) | (1 << (u - 1)) in closure
-            for m in closure
-            for v in range(1, 5)
-            if m >> (v - 1) & 1
-            for u in range(1, v)
-            if not m >> (u - 1) & 1
-        )
-        assert K.is_shifted() == want
+        assert K.is_shifted() == _closed_under_all_trades(K)
+    # larger ambient sets, and shifts as drawn, with one top face removed
+    # and with one face added, so both answers are compared
+    cases = [random_complex(rng, rng.randint(5, 8)) for _ in range(60)]
+    for _ in range(40):
+        D = random_shifted(rng, rng.randint(2, 8))
+        faces = D.face_set()
+        top = rng.choice(D.faces_of_size(len(D.f_vector) - 1))
+        addable = [
+            m for m in range(1 << D.n)
+            if m not in faces and all(m ^ (1 << b) in faces for b in range(D.n) if m >> b & 1)
+        ]
+        cases += [D, SimplicialComplex(D.n, faces - {top})]
+        if addable:
+            cases.append(SimplicialComplex(D.n, faces | {rng.choice(addable)}))
+    answers = [K.is_shifted() for K in cases]
+    assert answers == [_closed_under_all_trades(K) for K in cases]
+    assert answers.count(True) >= 40 and answers.count(False) >= 40
+
+
+def test_facets_are_the_bruteforce_maximal_faces():
+    rng = random.Random(31)
+    cases = [SimplicialComplex.empty(3), SimplicialComplex(3, [0])]
+    cases += [random_complex(rng, rng.randint(1, 9)) for _ in range(80)]
+    for K in cases:
+        faces = set(map(int, K.all_faces()))
+        maximal = [m for m in faces if not any(m != g and m & g == m for g in faces)]
+        got = K.facets()
+        assert got == lex_sorted(maximal)  # by size, then lex
+        assert all(type(f) is Face for f in got)
+    assert cases[0].facets() == [] and cases[1].facets() == [EMPTY_FACE]
 
 
 def test_permuted_and_compacted():
@@ -214,7 +248,7 @@ def test_permuted_and_compacted():
 
 def test_relabeled_and_with_ambient():
     K = SimplicialComplex.from_facets(2, [[1, 2]])
-    up = K.relabeled(2, 4)
+    up = K.relabeled(2)
     assert up.n == 4 and up.facets() == [Face.of(3, 4)]
     wide = K.with_ambient(6)
     assert wide.n == 6 and wide.f_vector == K.f_vector

@@ -196,7 +196,7 @@ def test_clique_sum_rule_matches_engine_on_glued_instances():
         )
         glued = glue(A, B, sigma)
         want = shifted(glued)
-        got = clique_sum_shift(shifted(A), shifted(B), d, n=glued.n)
+        got = clique_sum_shift(shifted(A), shifted(B), d)
         assert got == want
         done += 1
 
@@ -211,7 +211,7 @@ def test_union_rules_on_every_pair_of_small_shifted_complexes():
             assert disjoint_union_shift(DK, DL) == shifted_union_recursive(DK, DL)
             for d in range(min(DK.dim, DL.dim) + 1):
                 g = glue(DK, DL, (1 << (d + 1)) - 1)
-                assert clique_sum_shift(DK, DL, d, n=g.n) == shifted(g)
+                assert clique_sum_shift(DK, DL, d) == shifted(g)
 
 
 def test_disjoint_union_rule_on_void_operands():
