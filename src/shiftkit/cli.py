@@ -48,6 +48,9 @@ from .operators import (
 from .suites import SUITES, conjecture_scan
 
 SAFE_N = 16
+# a facet line with k labels expands to 2^k faces; files whose facet lines
+# sum past this many are refused before anything is expanded
+MAX_FACET_FACES = 1 << 16
 
 # op kinds that build a complex, and the function each one calls
 _BUILDERS = {
@@ -75,6 +78,7 @@ _CENTERED_OPS = ("antistar", "link")
 def parse_complex_text(text: str, name: str = "<input>") -> SimplicialComplex:
     facets = []
     ambient = None
+    faces = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -87,6 +91,7 @@ def parse_complex_text(text: str, name: str = "<input>") -> SimplicialComplex:
             continue
         if line == "empty":
             facets.append(Face(0))
+            faces += 1
             continue
         try:
             labels = [int(tok) for tok in line.split()]
@@ -96,6 +101,12 @@ def parse_complex_text(text: str, name: str = "<input>") -> SimplicialComplex:
             raise ValueError(f"{name}:{lineno}: labels must be positive")
         if len(set(labels)) != len(labels):
             raise ValueError(f"{name}:{lineno}: repeated label in facet")
+        faces += 1 << len(labels)
+        if faces > MAX_FACET_FACES:
+            raise ValueError(
+                f"{name}:{lineno}: facets expand to more than {MAX_FACET_FACES} faces"
+                f" (a facet with k labels has 2^k faces)"
+            )
         facets.append(Face.from_vertices(labels))
     if not facets:
         raise ValueError(f"{name}: no facets found")

@@ -6,11 +6,13 @@ usable here and all arithmetic stays in native big ints.  The default
 modulus is the Mersenne prime 2^61 - 1; any odd prime below 2^62 is accepted.
 
 Matrices are immutable once built.  ``RowEchelonAccumulator`` is the one
-mutable object and supports a single writer.
+mutable object and supports a single writer; it packs each vector into one
+int, so reducing by a stored row is one big-int multiply-add.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import random
 from dataclasses import dataclass
@@ -245,29 +247,33 @@ def realize(spec: MatrixSpec, n: int, p: int = DEFAULT_PRIME) -> FieldMatrix:
 
 
 class RowEchelonAccumulator:
-    """Incremental reduced row echelon basis over Z/p.
+    """Incremental row echelon basis over Z/p, one packed int per row.
 
-    ``insert`` reduces an incoming vector against the basis; a vector that
-    survives is normalized, back-substituted into the stored rows and kept.
-    The stored rows therefore always have distinct pivots and zeros in one
-    another's pivot columns, so the membership test is exact.
+    Entry i of a packed vector is the slot of bits [8Bi, 8B(i + 1)), with
+    B = ceil((2 bitlen(p) + bitlen(width + 1) + 2) / 8) bytes.  A kept row is
+    stored as (pivot, packed row), sorted by pivot, its pivot entry scaled to
+    1 and every slot negated to ``(-a) mod p``; reducing v by it is v += c *
+    row with c = v's pivot slot mod p.  The form is echelon, not reduced:
+    rows are zero below their pivots, so applying them in pivot order keeps
+    each pivot slot already cleared at 0 mod p.
+
+    No slot carries into the next: v's slots start in 0..p-1, and so do c
+    and every stored slot, so after at most rank <= width additions a slot
+    holds at most (p - 1) + width (p - 1)^2 <= (width + 1)(p - 1)^2
+    < 2^(2 bitlen(p) + bitlen(width + 1)) <= 2^(8B), and nothing subtracts.
     """
 
-    __slots__ = ("p", "width", "_pivots", "_rows")
+    __slots__ = ("p", "width", "_bytes", "_rows")
 
     def __init__(self, width: int, p: int = DEFAULT_PRIME):
         self.p = p
         self.width = width
-        self._pivots: list[int] = []
-        self._rows: list[list[int]] = []
+        self._bytes = (2 * p.bit_length() + (width + 1).bit_length() + 9) // 8
+        self._rows: list[tuple[int, int]] = []
 
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(self._pivots)
 
     def insert(self, vec: Sequence[int]) -> bool:
         """Reduce ``vec`` and keep it if independent.
@@ -278,25 +284,19 @@ class RowEchelonAccumulator:
         """
         if len(vec) != self.width:
             raise ValueError("vector width mismatch")
-        p = self.p
-        v = [int(x) % p for x in vec]
-        for pivot, row in zip(self._pivots, self._rows):
-            c = v[pivot]
+        p, nb = self.p, self._bytes
+        bits, mask = 8 * nb, (1 << 8 * nb) - 1
+        v = int.from_bytes(b"".join((x % p).to_bytes(nb, "little") for x in vec), "little")
+        for pivot, row in self._rows:
+            c = ((v >> pivot * bits) & mask) % p
             if c:
-                v = [(a - c * b) % p for a, b in zip(v, row)]
-        pivot = next((j for j, x in enumerate(v) if x), None)
+                v += c * row
+        buf = v.to_bytes(nb * self.width, "little")
+        slots = [int.from_bytes(buf[i : i + nb], "little") % p for i in range(0, len(buf), nb)]
+        pivot = next((j for j, x in enumerate(slots) if x), None)
         if pivot is None:
             return False
-        inv = pow(v[pivot], -1, p)
-        v = [a * inv % p for a in v]
-        for i, row in enumerate(self._rows):
-            c = row[pivot]
-            if c:
-                self._rows[i] = [(a - c * b) % p for a, b in zip(row, v)]
-        # keep pivot lists sorted so reduction sweeps stay echelon-shaped
-        at = next(
-            (i for i, q in enumerate(self._pivots) if q > pivot), len(self._pivots)
-        )
-        self._pivots.insert(at, pivot)
-        self._rows.insert(at, v)
+        neg = p - pow(slots[pivot], -1, p)
+        row = b"".join((x * neg % p).to_bytes(nb, "little") for x in slots)
+        bisect.insort(self._rows, (pivot, int.from_bytes(row, "little")))
         return True

@@ -4,13 +4,16 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from itertools import combinations
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftkit import Face, SimplicialComplex
+from shiftkit import cli
 from shiftkit.cli import format_complex, main, parse_complex_text
 
 TWO_EDGES = "1 2\n3 4\n"
@@ -109,6 +112,23 @@ def test_parse_errors_exit_one(tmp_path, capsys):
         assert "error:" in err, name
 
 
+def test_huge_facet_line_is_refused_before_expansion(tmp_path, capsys):
+    # 18 labels would expand to 262,144 faces (seconds, 100+ MB)
+    src = write(tmp_path, "big.cx", "1 2\n" + " ".join(map(str, range(1, 19))) + "\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "op", "compare", src, src)
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert err.startswith(f"error: {src}:2: facets expand to more than 65536 faces")
+
+
+def test_facet_budget_sums_over_lines(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_FACET_FACES", 9)
+    assert parse_complex_text("1 2\n3 4\nempty\n").f_vector == (1, 4, 2)  # 4 + 4 + 1
+    with pytest.raises(ValueError, match="^f.cx:4: facets expand"):
+        parse_complex_text("1 2\n# 3 4 5\n3 4\n5\n", "f.cx")  # 4 + 4 + 2
+
+
 @given(
     st.lists(st.sets(st.integers(1, 8), max_size=5), min_size=1, max_size=6),
     st.integers(0, 8),
@@ -121,9 +141,8 @@ def test_format_then_parse_round_trips(facets, n):
 
 
 # Labels stay <= 9 and lines hold at most 8 tokens: a facet with k labels
-# makes from_facets build all 2^k of its faces, so one long facet line is
-# exponential (18 labels: 262,144 faces, ~4 s and 120 MB; each further
-# label doubles both) and the CLI has no up-front size guard yet.
+# makes from_facets build all 2^k of its faces, and lines up to the
+# MAX_FACET_FACES budget (one 16-label line) still parse, at ~1 s each.
 _TOKEN = st.one_of(
     st.integers(-1, 9).map(str),
     st.sampled_from(["empty", "#", "n=", "n=3", "n=70", "x", "1.5", "1,2", "+2"]),

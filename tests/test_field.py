@@ -63,6 +63,29 @@ def rational_rank(rows):
     return len(pivots)
 
 
+def mod_p_pivot_rows(rows, p):
+    """Elimination mod p on the columns, like ``rational_rank``.
+
+    Returns the pivot rows.  Each pivot row is the first nonzero entry of
+    its reduced column, so the pivot rows are the rows that extend the span
+    of the rows before them: their count is the rank, and ``i in pivots``
+    is the verdict a row-by-row greedy scan gives row i.
+    """
+    n = len(rows)
+    pivots = []
+    for j in range(len(rows[0])):
+        col = [rows[i][j] % p for i in range(n)]
+        for pr, pj in pivots:
+            factor = col[pr]
+            if factor:
+                col = [(c - factor * d) % p for c, d in zip(col, pj)]
+        nz = next((i for i, c in enumerate(col) if c), None)
+        if nz is not None:
+            inv = pow(col[nz], -1, p)
+            pivots.append((nz, [c * inv % p for c in col]))
+    return {pr for pr, _ in pivots}
+
+
 def frac_mod(q: Fraction, p: int) -> int:
     return q.numerator * pow(q.denominator, -1, p) % p
 
@@ -207,3 +230,49 @@ def test_accumulator_matches_matrix_rank():
         for row in rows:
             acc.insert(row)
         assert acc.rank == rational_rank(rows)
+
+
+def _combination(rng, rows, width, p):
+    cs = [rng.randrange(p) for _ in rows]
+    return [sum(c * r[j] for c, r in zip(cs, rows)) % p for j in range(width)]
+
+
+def _check_verdicts(rows, width, p):
+    acc = RowEchelonAccumulator(width, p)
+    verdicts = [acc.insert(row) for row in rows]
+    pivots = mod_p_pivot_rows(rows, p)
+    assert verdicts == [i in pivots for i in range(len(rows))]
+    assert acc.rank == len(pivots)
+
+
+@pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME])
+def test_accumulator_matches_mod_p_oracle(p):
+    # at p = 3 the rank mod p differs from the rank over Q, so this oracle
+    # stays in Z/p; dependent combinations of earlier rows are mixed in
+    rng = random.Random(p)
+    for width in range(1, 17):
+        for _ in range(6):
+            rows = []
+            for _ in range(rng.randint(1, 2 * width)):
+                if rows and rng.random() < 0.4:
+                    picked = rng.sample(rows, rng.randint(1, len(rows)))
+                    rows.append(_combination(rng, picked, width, p))
+                else:
+                    rows.append([rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(width)])
+            _check_verdicts(rows, width, p)
+
+
+def test_accumulator_worst_case_slot_sums():
+    # Unit rows scaled by p - 1 with p - 1 in every trailing slot are stored
+    # as p - 1 throughout, and reducing an all-(p - 1) vector takes c = p - 1
+    # from each of them, so each trailing slot sums k (p - 1)^2 + (p - 1):
+    # past 2^128 here, which one byte less per slot would overflow.
+    p, width, k = DEFAULT_PRIME, 256, 96
+    rows = [[p - 1 if j == i or j >= k else 0 for j in range(width)] for i in range(k)]
+    assert k * (p - 1) ** 2 >= 1 << 128
+    rng = random.Random(11)
+    for _ in range(6):
+        rows.append([p - 1] * width)
+        rows.append([rng.randrange(p) for _ in range(k)] + [p - 1] * (width - k))
+        rows.append(_combination(rng, rows, width, p))
+    _check_verdicts(rows, width, p)
