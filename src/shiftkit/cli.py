@@ -231,6 +231,8 @@ def _cmd_op(args: argparse.Namespace) -> int:
     kind = args.kind
     if len(args.inputs) > 2:
         raise ValueError("op takes at most two complexes")
+    if args.inputs.count("-") > 1:
+        raise ValueError("stdin can be read once: give - for at most one operand")
     complexes = [read_complex(path) for path in args.inputs]
     if kind in _ONE_COMPLEX_OPS and len(complexes) > 1:
         raise ValueError(f"{kind} takes one complex")

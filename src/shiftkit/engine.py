@@ -7,6 +7,14 @@ the rows of A indexed by S, restricted to the chain space of the complex.
 Scanning the S in lex order and keeping those whose compound row extends
 the span yields the shifted family, one cardinality at a time.
 
+The rows are built one vertex at a time: the wedge of S's rows is its
+smallest vertex's row wedged with the next, and so on, each partial
+restricted to the faces of the complex of that size.  Lex neighbours
+share their leading vertices and so their leading partials, and
+``_WedgeTables.row`` rebuilds only the levels past the prefix it shares
+with the previous S.  The partials are exact residues mod p, so a reused
+one is the list a fresh sweep would build and the rows are bit-identical.
+
 For a uniformly random A the kept family is the canonical shift with
 failure probability bounded by total-degree/p per determinant comparison
 (Schwartz-Zippel); the engine validates shiftedness and retries with a
@@ -44,7 +52,9 @@ from .homology import interior_matrix
 
 
 class ValidationFailure(RuntimeError):
-    """Raised when a generic shift repeatedly fails its shiftedness check."""
+    """Raised when a shift fails a validated property: a generic shift is
+    still not shifted after every reseed, or the face counts changed under
+    a nonsingular matrix (a broken invariant)."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +89,7 @@ def compound_row(A: FieldMatrix, S: int, columns) -> tuple[int, ...]:
 
 
 class _WedgeTables:
-    """Per-complex expansion tables for the optimized compound rows.
+    """Per-complex, per-matrix expansion tables for the compound rows.
 
     For each face U of size j the table stores the triples
     ``(position of U - u, column u - 1, sign)``; wedging a partial product
@@ -87,22 +97,31 @@ class _WedgeTables:
     coordinate at a face T only ever consults subfaces of T, so keeping
     just the faces of the complex is exact, and this path agrees bit for
     bit with the per-minor reference.
+
+    Lex neighbours share prefix partials.  The level-j partial of S is the
+    wedge of the rows of its j smallest vertices restricted to the size-j
+    faces, so it depends on those vertices only.  ``row`` keeps the vertex
+    list of the last S and its partials ``w_0 = [1], w_1, ..., w_k``, and
+    for a new S sweeps only the levels past the common prefix; a lex step
+    that changes the top vertex costs one level instead of k.  Every
+    partial is reduced mod p, so a reused one is the same list of ints a
+    fresh sweep would build and the rows stay bit-identical.  The matrix
+    is bound at construction, so the cache cannot outlive it, and it holds
+    at most one vector per face size.
     """
 
-    __slots__ = ("p", "faces", "index", "terms")
+    __slots__ = ("p", "arows", "terms", "_verts", "_partials")
 
-    def __init__(self, K: SimplicialComplex, p: int):
-        self.p = p
+    def __init__(self, K: SimplicialComplex, A: FieldMatrix):
+        self.p = A.p
+        self.arows = A.rows
         top = len(K.f_vector)
-        self.faces = [K.faces_of_size(k) for k in range(top)]
-        self.index = [
-            {int(f): i for i, f in enumerate(group)} for group in self.faces
-        ]
+        faces = [K.faces_of_size(k) for k in range(top)]
         self.terms = [None]
         for j in range(1, top):
-            sub = self.index[j - 1]
+            sub = {int(f): i for i, f in enumerate(faces[j - 1])}
             level = []
-            for f in self.faces[j]:
+            for f in faces[j]:
                 m = int(f)
                 entries = []
                 for v in iter_vertices(m):
@@ -111,13 +130,24 @@ class _WedgeTables:
                     entries.append((sub[m ^ bit], v - 1, -1 if above & 1 else 1))
                 level.append(tuple(entries))
             self.terms.append(level)
+        self._verts: list[int] = []
+        self._partials: list[list[int]] = [[1]]
 
-    def row(self, A: FieldMatrix, S: int) -> list[int]:
+    def row(self, S: int) -> list[int]:
+        """The compound row of S; the returned list must not be mutated."""
         p = self.p
-        w = [1]
+        verts = list(iter_vertices(S))
+        prev = self._verts
         j = 0
-        for v in iter_vertices(S):
-            arow = A.rows[v - 1]
+        for u, v in zip(verts, prev):
+            if u != v:
+                break
+            j += 1
+        partials = self._partials
+        del partials[j + 1 :]
+        w = partials[j]
+        for v in verts[j:]:
+            arow = self.arows[v - 1]
             j += 1
             out = []
             for entries in self.terms[j]:
@@ -127,19 +157,21 @@ class _WedgeTables:
                     if c:
                         acc = acc + sign * c * arow[col]
                 out.append(acc % p)
+            partials.append(out)
             w = out
+        self._verts = verts
         return w
 
 
 def _shift_family(K: SimplicialComplex, A: FieldMatrix, p: int) -> SimplicialComplex:
     faces: set[int] = set() if K.is_void else {0}
-    tables = _WedgeTables(K, p)
+    tables = _WedgeTables(K, A)
     for k in range(1, len(K.f_vector)):
         target = len(K.faces_of_size(k))
         acc = RowEchelonAccumulator(target, p)
         kept = 0
         for mask in iter_k_subsets(K.n, k):
-            if acc.insert(tables.row(A, mask)):
+            if acc.insert(tables.row(mask)):
                 faces.add(mask)
                 kept += 1
                 if kept == target:
@@ -157,10 +189,11 @@ def exterior_shift(
     """Shift ``K`` with the matrix described by ``spec``.
 
     The f-vector of the output always matches the input; a mismatch would
-    mean a broken invariant and raises.  For ``GenericSpec`` the output is
-    additionally validated shifted, reseeding up to ``max_retries`` times
-    before raising ``ValidationFailure``.  Other specs return their family
-    as computed, with the validation flags recording what held.
+    mean a broken invariant and raises ``ValidationFailure``.  For
+    ``GenericSpec`` the output is additionally validated shifted, reseeding
+    up to ``max_retries`` times before raising ``ValidationFailure``.  Other
+    specs return their family as computed, with the validation flags
+    recording what held.
 
     Args:
         K: input complex; must have at least one face.
@@ -179,6 +212,7 @@ def exterior_shift(
     attempts = max_retries + 1 if generic else 1
     for attempt in range(attempts):
         cur = GenericSpec(spec.seed + attempt) if generic else spec
+        seed = getattr(cur, "seed", None)
         A = realize(cur, K.n, p)
         out = _shift_family(K, A, p)
         flags = ValidationFlags(
@@ -186,9 +220,11 @@ def exterior_shift(
             f_vector_preserved=out.f_vector == K.f_vector,
         )
         if not flags.f_vector_preserved:
-            raise RuntimeError("face counts changed under a nonsingular matrix")
+            raise ValidationFailure(
+                f"face counts changed under the nonsingular matrix of {cur!r} "
+                f"(seed {seed}, p={p}): f-vector {out.f_vector}, input {K.f_vector}"
+            )
         if flags.is_shifted or not generic:
-            seed = getattr(cur, "seed", None)
             return ShiftResult(out, cur, seed, flags, attempt)
     raise ValidationFailure(
         f"output not shifted after {max_retries} reseeds of {spec!r}"

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftkit import Face, SimplicialComplex
-from shiftkit import cli
+from shiftkit import cli, engine
 from shiftkit.cli import format_complex, main, parse_complex_text
 
 TWO_EDGES = "1 2\n3 4\n"
@@ -220,6 +220,34 @@ def test_op_usage_errors(tmp_path, capsys):
     assert run(capsys, "op", "clique-sum", e, e)[0] == 1
     code, _, err = run(capsys, "op", "dushift", e, e.replace("e.cx", "missing.cx"))
     assert code == 1 and "error:" in err
+
+
+def test_stdin_is_refused_for_two_operands(tmp_path, capsys, monkeypatch):
+    stdin = io.StringIO(TWO_EDGES)
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "op", "compare", "-", "-")
+    assert code == 1 and out == ""
+    assert err.startswith("error: stdin can be read once")
+    assert stdin.tell() == 0  # refused before anything was read
+    e = write(tmp_path, "e.cx", TWO_EDGES)
+    code, out, _ = run(capsys, "op", "compare", "-", e)
+    assert code == 0 and out == "relation: equal\n"
+
+
+def test_changed_face_counts_exit_two(tmp_path, capsys, monkeypatch):
+    real = engine._shift_family
+
+    def drop_top_face(K, A, p):
+        D = real(K, A, p)
+        top = D.faces_of_size(len(D.f_vector) - 1)
+        return SimplicialComplex(D.n, set(D.face_set()) - {top[-1]})
+
+    monkeypatch.setattr(engine, "_shift_family", drop_top_face)
+    src = write(tmp_path, "b.cx", TWO_EDGES)
+    code, out, err = run(capsys, "shift", src, "--seed", "5", "--prime", "101")
+    assert code == 2 and out == ""
+    assert err.startswith("error: face counts changed")
+    assert "GenericSpec(seed=5)" in err and "p=101" in err
 
 
 def test_verify_named_suite_passes(capsys):

@@ -19,6 +19,7 @@ from shiftkit import (
 from shiftkit.complexes import iter_k_subsets
 from shiftkit.engine import (
     _WedgeTables,
+    _shift_family,
     compound_row,
     image_dim_complete,
     image_dim_complete_direct,
@@ -122,20 +123,33 @@ def test_compound_rows_match_reference_path():
     for _ in range(25):
         K = random_complex(rng, rng.randint(2, 6))
         A = realize(GenericSpec(rng.randrange(2**32)), K.n, P)
-        tables = _WedgeTables(K, P)
+        tables = _WedgeTables(K, A)
+        masks = []
         for k in range(1, len(K.f_vector)):
             cols = K.faces_of_size(k)
             for mask in iter_k_subsets(K.n, k):
-                assert tuple(tables.row(A, mask)) == compound_row(A, mask, cols)
+                assert tuple(tables.row(mask)) == compound_row(A, mask, cols)
+                masks.append(mask)
+        # the prefix cache must not depend on lex order: the same masks
+        # shuffled, sizes mixed, some asked twice in a row, and a second
+        # matrix on the same complex with its own tables, calls interleaved
+        order = rng.sample(masks, len(masks))
+        order = [m for m in order for _ in range(1 + (rng.random() < 0.2))]
+        B = realize(GenericSpec(rng.randrange(2**32)), K.n, P)
+        other = _WedgeTables(K, B)
+        for mask in order:
+            cols = K.faces_of_size(mask.bit_count())
+            assert tuple(tables.row(mask)) == compound_row(A, mask, cols)
+            assert tuple(other.row(mask)) == compound_row(B, mask, cols)
 
 
-def _reference_shift(K, A):
+def _reference_shift(K, A, p):
     # greedy lex scan over per-minor compound rows, independent of the
     # wedge tables the engine uses
     faces = {0}
     for k in range(1, len(K.f_vector)):
         cols = K.faces_of_size(k)
-        acc = RowEchelonAccumulator(len(cols), P)
+        acc = RowEchelonAccumulator(len(cols), p)
         for mask in iter_k_subsets(K.n, k):
             if acc.insert(compound_row(A, mask, cols)):
                 faces.add(mask)
@@ -153,7 +167,19 @@ def test_fast_and_reference_shifts_agree():
         spec = GenericSpec(rng.randrange(2**16))
         fast = exterior_shift(K, spec, p=P)
         A = realize(GenericSpec(fast.seed_used), K.n, P)
-        assert fast.shifted == _reference_shift(K, A)
+        assert fast.shifted == _reference_shift(K, A, P)
+    # block-diagonal matrices and small primes: deterministic specs whose
+    # families need not be shifted, and partial products full of zeros
+    for p in (3, 5, 7, P):
+        for _ in range(8):
+            n = rng.randint(2, 6)
+            K = random_complex(rng, n)
+            a = rng.randint(1, n - 1)
+            spec = BlockGenericSpec(a, n - a, rng.randrange(2**16))
+            fast = exterior_shift(K, spec, p=p)
+            assert fast.shifted == _reference_shift(K, realize(spec, n, p), p)
+            A = realize(GenericSpec(rng.randrange(2**16)), n, p)
+            assert _shift_family(K, A, p) == _reference_shift(K, A, p)
 
 
 def test_kernel_route_reconstructs_the_shift():
