@@ -153,11 +153,14 @@ def _parse_matrix(text: str, seed: int):
         path = text[len("explicit:"):]
         rows = []
         with open(path, encoding="utf-8") as fh:
-            for raw in fh:
+            for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
-                rows.append([int(tok) for tok in line.split()])
+                try:
+                    rows.append([int(tok) for tok in line.split()])
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: not a matrix row: {line!r}")
         return ExplicitSpec.from_rows(rows)
     raise ValueError(f"unknown matrix spec {text!r}")
 

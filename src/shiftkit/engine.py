@@ -7,6 +7,25 @@ the rows of A indexed by S, restricted to the chain space of the complex.
 Scanning the S in lex order and keeping those whose compound row extends
 the span yields the shifted family, one cardinality at a time.
 
+The scan runs on M = L^-1 A instead of A, where L is the unit
+lower-triangular matrix of ``FieldMatrix.lower_reduced``: each row of A
+cleared against the reduced rows above it, no swaps, no scaling.  This
+keeps or rejects every candidate exactly as A would, for every nonsingular
+A.  By Cauchy-Binet, wedge^k A = wedge^k L . wedge^k M, so row S of A's
+compound is the sum over T of det L[S, T] times row T of M's.  L is unit
+lower triangular, so det L[S, T] = 0 unless T <= S vertex by vertex (the
+i-th smallest of T at most the i-th smallest of S), which implies T <=_lex
+S, and det L[S, S] = 1.  Row S of A's compound is therefore row S of M's
+plus a combination of M's rows lex-before S, and by induction along the lex
+order the two compounds span the same space over every lex prefix.  The
+greedy scan keeps S exactly when S's row leaves its prefix's span, so it
+keeps the same family.  Nothing here needs M's pivots in order, so block
+and explicit matrices are covered too.  For a generic A they are in order
+and M is upper triangular; then det M[S, T] = 0 unless T >= S vertex by
+vertex, most of each compound row is zero, and the wedge tables skip the
+zero entries of M while the echelon insert skips the stored rows below a
+row's first nonzero slot.
+
 The rows are built one vertex at a time: the wedge of S's rows is its
 smallest vertex's row wedged with the next, and so on, each partial
 restricted to the faces of the complex of that size.  Lex neighbours
@@ -91,12 +110,17 @@ def compound_row(A: FieldMatrix, S: int, columns) -> tuple[int, ...]:
 class _WedgeTables:
     """Per-complex, per-matrix expansion tables for the compound rows.
 
-    For each face U of size j the table stores the triples
-    ``(position of U - u, column u - 1, sign)``; wedging a partial product
-    with one more matrix row is then a flat multiply-add sweep.  The final
-    coordinate at a face T only ever consults subfaces of T, so keeping
-    just the faces of the complex is exact, and this path agrees bit for
-    bit with the per-minor reference.
+    Wedging a level-(j - 1) partial w with one more matrix row a gives, at
+    a size-j face U, the sum over u in U of sign(u, U) w[U - u] a[u].  The
+    tables are column-major: ``terms[j][u]`` holds the pairs (position of U,
+    position of U - u) for the size-j faces U that contain vertex u + 1,
+    split by sign into ``(plus, minus)``, and ``nonzero[v]`` holds the pairs
+    (u, a[u]) of the nonzero entries of row v.  A sweep then visits only the
+    columns where the row is nonzero; for the lower-reduced matrix the scan
+    passes in, row v of a generic matrix is zero left of column v.  The
+    final coordinate at a face T only ever consults subfaces of T, so
+    keeping just the faces of the complex is exact, and this path agrees
+    bit for bit with the per-minor reference.
 
     Lex neighbours share prefix partials.  The level-j partial of S is the
     wedge of the rows of its j smallest vertices restricted to the size-j
@@ -110,25 +134,23 @@ class _WedgeTables:
     at most one vector per face size.
     """
 
-    __slots__ = ("p", "arows", "terms", "_verts", "_partials")
+    __slots__ = ("p", "nonzero", "sizes", "terms", "_verts", "_partials")
 
     def __init__(self, K: SimplicialComplex, A: FieldMatrix):
         self.p = A.p
-        self.arows = A.rows
+        self.nonzero = [tuple((u, a) for u, a in enumerate(row) if a) for row in A.rows]
         top = len(K.f_vector)
         faces = [K.faces_of_size(k) for k in range(top)]
+        self.sizes = [len(level) for level in faces]
         self.terms = [None]
         for j in range(1, top):
             sub = {int(f): i for i, f in enumerate(faces[j - 1])}
-            level = []
-            for f in faces[j]:
+            level = [([], []) for _ in range(K.n)]
+            for i, f in enumerate(faces[j]):
                 m = int(f)
-                entries = []
                 for v in iter_vertices(m):
-                    bit = 1 << (v - 1)
                     above = (m >> v).bit_count()
-                    entries.append((sub[m ^ bit], v - 1, -1 if above & 1 else 1))
-                level.append(tuple(entries))
+                    level[v - 1][above & 1].append((i, sub[m ^ (1 << (v - 1))]))
             self.terms.append(level)
         self._verts: list[int] = []
         self._partials: list[list[int]] = [[1]]
@@ -147,25 +169,32 @@ class _WedgeTables:
         del partials[j + 1 :]
         w = partials[j]
         for v in verts[j:]:
-            arow = self.arows[v - 1]
             j += 1
-            out = []
-            for entries in self.terms[j]:
-                acc = 0
-                for sub, col, sign in entries:
+            level = self.terms[j]
+            out = [0] * self.sizes[j]
+            for u, a in self.nonzero[v - 1]:
+                plus, minus = level[u]
+                for i, sub in plus:
                     c = w[sub]
                     if c:
-                        acc = acc + sign * c * arow[col]
-                out.append(acc % p)
-            partials.append(out)
-            w = out
+                        out[i] += c * a
+                a = p - a
+                for i, sub in minus:
+                    c = w[sub]
+                    if c:
+                        out[i] += c * a
+            w = [x % p for x in out]
+            partials.append(w)
         self._verts = verts
         return w
 
 
 def _shift_family(K: SimplicialComplex, A: FieldMatrix, p: int) -> SimplicialComplex:
+    M = A.lower_reduced()
+    if M is None:
+        raise ValueError("cannot shift with a singular matrix")
     faces: set[int] = set() if K.is_void else {0}
-    tables = _WedgeTables(K, A)
+    tables = _WedgeTables(K, M)
     for k in range(1, len(K.f_vector)):
         target = len(K.faces_of_size(k))
         acc = RowEchelonAccumulator(target, p)

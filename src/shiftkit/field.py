@@ -86,14 +86,46 @@ def _det_in_place(rows: list[list[int]], p: int) -> int:
     return det
 
 
+def _lower_reduce(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, ...]] | None:
+    """Rows of M = L^-1 A, or None when A is singular.
+
+    Row i of M is row i of A minus the multiples of the reduced rows above
+    it that clear its entries at their pivots (first nonzero columns): no
+    swaps and no scaling, so L is unit lower triangular.  The reduced rows
+    are applied in pivot order; each is zero left of its pivot, so clearing
+    one pivot never refills a smaller one.  A row that reduces to zero
+    depends on the rows above it, which happens exactly when A is singular.
+    """
+    echelon: list[tuple[int, int, tuple[int, ...]]] = []  # (pivot, inverse, row)
+    out = []
+    for row in rows:
+        v = list(row)
+        for q, inv, r in echelon:
+            c = v[q]
+            if c:
+                f = c * inv % p
+                v[q:] = [(x - f * y) % p for x, y in zip(v[q:], r[q:])]
+        q = next((j for j, x in enumerate(v) if x), None)
+        if q is None:
+            return None
+        v = tuple(v)
+        bisect.insort(echelon, (q, pow(v[q], -1, p), v))
+        out.append(v)
+    return out
+
+
+_UNSET = object()
+
+
 class FieldMatrix:
     """An immutable matrix over Z/p with 0-indexed entry access."""
 
-    __slots__ = ("p", "rows")
+    __slots__ = ("p", "rows", "_lower")
 
     def __init__(self, rows: Iterable[Iterable[int]], p: int = DEFAULT_PRIME):
         self.p = p
         self.rows = tuple(tuple(int(x) % p for x in row) for row in rows)
+        self._lower = _UNSET
         if self.rows:
             width = len(self.rows[0])
             if any(len(r) != width for r in self.rows):
@@ -150,7 +182,24 @@ class FieldMatrix:
         return acc.rank
 
     def is_nonsingular(self) -> bool:
-        return self.nrows == self.ncols and self.det() != 0
+        """Whether the matrix is square and invertible, decided by the
+        downward reduction of ``lower_reduced``, which is kept."""
+        if self._lower is _UNSET:
+            square = self.nrows == self.ncols
+            lower = _lower_reduce(self.rows, self.p) if square else None
+            self._lower = None if lower is None else FieldMatrix(lower, self.p)
+        return self._lower is not None
+
+    def lower_reduced(self) -> "FieldMatrix | None":
+        """M = L^-1 A for the unit lower-triangular L that clears each row
+        against the reduced rows above it; None when A is singular.
+
+        The pivots of M are distinct and row i of M is zero at the pivots of
+        the rows above it.  For a generic A the pivots are in order and M is
+        upper triangular.  Computed once, by ``is_nonsingular``.
+        """
+        self.is_nonsingular()
+        return self._lower
 
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.p != other.p or self.ncols != other.nrows:
@@ -261,6 +310,13 @@ class RowEchelonAccumulator:
     and every stored slot, so after at most rank <= width additions a slot
     holds at most (p - 1) + width (p - 1)^2 <= (width + 1)(p - 1)^2
     < 2^(2 bitlen(p) + bitlen(width + 1)) <= 2^(8B), and nothing subtracts.
+
+    The reduction starts at the first stored pivot at or past v's lowest
+    nonzero slot.  Adding a row with pivot q changes only slots >= q, so the
+    slots below that start stay 0 throughout, and every stored row with a
+    smaller pivot would take c = 0.  On the shift scan of a generic matrix the
+    columns are faces in lex order and each compound row vanishes on the
+    faces lex-before its own row face, so this skips most of the basis.
     """
 
     __slots__ = ("p", "width", "_bytes", "_rows")
@@ -287,7 +343,12 @@ class RowEchelonAccumulator:
         p, nb = self.p, self._bytes
         bits, mask = 8 * nb, (1 << 8 * nb) - 1
         v = int.from_bytes(b"".join((x % p).to_bytes(nb, "little") for x in vec), "little")
-        for pivot, row in self._rows:
+        if not v:
+            return False
+        rows = self._rows
+        low = ((v & -v).bit_length() - 1) // bits
+        for i in range(bisect.bisect_left(rows, (low,)), len(rows)):
+            pivot, row = rows[i]
             c = ((v >> pivot * bits) & mask) % p
             if c:
                 v += c * row

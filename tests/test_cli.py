@@ -97,6 +97,14 @@ def test_explicit_matrix_must_be_square_and_nonsingular(tmp_path, capsys):
     assert code == 1 and "4x4" in err
 
 
+def test_bad_matrix_token_names_file_and_line(tmp_path, capsys):
+    src = write(tmp_path, "b.cx", TWO_EDGES)
+    mat = write(tmp_path, "m.mat", "# a comment\n1 0 0 0\n\n0 x 0 0\n")
+    code, out, err = run(capsys, "shift", src, "--matrix", f"explicit:{mat}")
+    assert code == 1 and out == ""
+    assert err == f"error: {mat}:4: not a matrix row: '0 x 0 0'\n"
+
+
 def test_parse_errors_exit_one(tmp_path, capsys):
     cases = {
         "words.cx": "1 two\n",

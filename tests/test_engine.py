@@ -25,7 +25,7 @@ from shiftkit.engine import (
     image_dim_complete_direct,
     lex_tail_count,
 )
-from shiftkit.field import RowEchelonAccumulator, realize
+from shiftkit.field import FieldMatrix, RowEchelonAccumulator, realize
 from shiftkit.sampling import random_complex
 
 P = 10007
@@ -141,6 +141,15 @@ def test_compound_rows_match_reference_path():
             cols = K.faces_of_size(mask.bit_count())
             assert tuple(tables.row(mask)) == compound_row(A, mask, cols)
             assert tuple(other.row(mask)) == compound_row(B, mask, cols)
+        # sparse matrices: the lower-reduced A the scan uses, and a block
+        # matrix at p = 3; the sweep skips their zero entries
+        a = rng.randint(1, K.n - 1)
+        block = BlockGenericSpec(a, K.n - a, rng.randrange(2**16))
+        for C in (A.lower_reduced(), realize(block, K.n, 3)):
+            sparse = _WedgeTables(K, C)
+            for mask in masks:
+                cols = K.faces_of_size(mask.bit_count())
+                assert tuple(sparse.row(mask)) == compound_row(C, mask, cols)
 
 
 def _reference_shift(K, A, p):
@@ -180,6 +189,41 @@ def test_fast_and_reference_shifts_agree():
             assert fast.shifted == _reference_shift(K, realize(spec, n, p), p)
             A = realize(GenericSpec(rng.randrange(2**16)), n, p)
             assert _shift_family(K, A, p) == _reference_shift(K, A, p)
+    # explicit matrices whose downward reduction has out-of-order pivots:
+    # the scan runs on L^-1 A, the reference on A itself
+    out_of_order = 0
+    for p in (3, P):
+        for kind in ("permutation", "zero corner", "sparse") * 12:
+            n = rng.randint(2, 6)
+            K = random_complex(rng, n)
+            if K.is_void:
+                continue
+            A = _explicit_matrix(rng, kind, n, p)
+            pivots = [next(j for j, x in enumerate(r) if x) for r in A.lower_reduced().rows]
+            out_of_order += pivots != sorted(pivots)
+            assert _shift_family(K, A, p) == _reference_shift(K, A, p)
+            res = exterior_shift(K, ExplicitSpec(A.rows), p=p)
+            assert res.shifted == _reference_shift(K, A, p)
+    assert out_of_order >= 30
+
+
+def _explicit_matrix(rng, kind, n, p):
+    if kind == "permutation":
+        perm = rng.sample(range(n), n)
+        return FieldMatrix([[int(j == perm[i]) for j in range(n)] for i in range(n)], p)
+    for _ in range(500):
+        if kind == "zero corner":
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            rows[0][0] = 0
+        else:
+            rows = [
+                [rng.randrange(1, p) if rng.random() < 0.35 else 0 for _ in range(n)]
+                for _ in range(n)
+            ]
+        A = FieldMatrix(rows, p)
+        if A.is_nonsingular():
+            return A
+    raise AssertionError(f"no nonsingular {kind} matrix in 500 draws")
 
 
 def test_kernel_route_reconstructs_the_shift():

@@ -171,6 +171,58 @@ def test_is_nonsingular():
     assert not FieldMatrix([[1, 2]], P).is_nonsingular()  # not square
 
 
+def _random_square(rng, n, p):
+    kind = rng.randrange(4)
+    if kind == 0:  # permutation
+        perm = rng.sample(range(n), n)
+        return [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+    rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+    if kind == 1:
+        rows[0][0] = 0
+    elif kind == 2:  # sparse, often singular
+        rows = [[x if rng.random() < 0.35 else 0 for x in row] for row in rows]
+    return rows
+
+
+@pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME])
+def test_lower_reduced_is_a_unit_lower_triangular_reduction(p):
+    rng = random.Random(p)
+    checked = 0
+    for _ in range(120):
+        n = rng.randint(1, 7)
+        A = FieldMatrix(_random_square(rng, n, p), p)
+        M = A.lower_reduced()
+        assert (M is not None) == A.is_nonsingular()
+        if M is None:
+            continue
+        checked += 1
+        pivots = [next(j for j, x in enumerate(r) if x) for r in M.rows]
+        assert len(set(pivots)) == n
+        for i, row in enumerate(M.rows):
+            assert all(row[q] == 0 for q in pivots[:i])
+        # row i of M is row i of A minus a combination of the rows above
+        for i in range(1, n + 1):
+            a, m = list(A.rows[:i]), list(M.rows[:i])
+            rank = len(mod_p_pivot_rows(a, p))
+            assert len(mod_p_pivot_rows(m, p)) == rank
+            assert len(mod_p_pivot_rows(a + m, p)) == rank
+    assert checked >= 40
+
+
+def test_is_nonsingular_agrees_with_det():
+    rng = random.Random(4)
+    singular = 0
+    for _ in range(200):
+        p = rng.choice((3, 5, 7))
+        A = FieldMatrix(_random_square(rng, rng.randint(1, 5), p), p)
+        det = A.det()
+        assert A.is_nonsingular() == (det != 0)
+        singular += det == 0
+    assert singular >= 40
+    wide = FieldMatrix([[1, 0, 0], [0, 1, 0]], P)
+    assert not wide.is_nonsingular() and wide.lower_reduced() is None
+
+
 def test_realize_generic_is_deterministic_and_nonsingular():
     a = realize(GenericSpec(seed=5), 4, DEFAULT_PRIME)
     b = realize(GenericSpec(seed=5), 4, DEFAULT_PRIME)
@@ -248,15 +300,23 @@ def _check_verdicts(rows, width, p):
 @pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME])
 def test_accumulator_matches_mod_p_oracle(p):
     # at p = 3 the rank mod p differs from the rank over Q, so this oracle
-    # stays in Z/p; dependent combinations of earlier rows are mixed in
+    # stays in Z/p; dependent combinations of earlier rows are mixed in, and
+    # zero vectors and vectors with leading zeros, where insert skips ahead
     rng = random.Random(p)
     for width in range(1, 17):
         for _ in range(6):
             rows = []
             for _ in range(rng.randint(1, 2 * width)):
-                if rows and rng.random() < 0.4:
+                roll = rng.random()
+                if rows and roll < 0.3:
                     picked = rng.sample(rows, rng.randint(1, len(rows)))
                     rows.append(_combination(rng, picked, width, p))
+                elif roll < 0.4:
+                    rows.append([0] * width)
+                elif roll < 0.7:
+                    # supported on a suffix: long runs of leading zeros
+                    lead = rng.randrange(width)
+                    rows.append([0] * lead + [rng.randrange(p) for _ in range(width - lead)])
                 else:
                     rows.append([rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(width)])
             _check_verdicts(rows, width, p)
