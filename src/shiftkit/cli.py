@@ -7,10 +7,10 @@ Subcommands:
 * ``verify``  -- run a named property suite
 * ``explore`` -- randomized scan of the suspension-order conjecture
 
-A complex file holds one facet per line as whitespace-separated positive
-integers; ``#`` starts a comment line, the literal word ``empty`` is the
-empty facet, and an optional ``n=<count>`` line fixes the ambient vertex
-count (default: the largest label used).  ``shift`` and ``op`` print the
+A complex file holds one facet per line as whitespace-separated integers in
+1..64; ``#`` starts a comment line, the literal word ``empty`` is the empty
+facet, and an optional ``n=<count>`` line, count in 0..64, fixes the ambient
+vertex count (default: the largest label used).  ``shift`` and ``op`` print the
 same format back, so commands pipe into each other.
 """
 
@@ -21,7 +21,7 @@ import functools
 import json
 import sys
 
-from .complexes import Face, SimplicialComplex, vertex_tuple
+from .complexes import MAX_VERTICES, Face, SimplicialComplex, vertex_tuple
 from .engine import ValidationFailure, exterior_shift
 from .field import (
     DEFAULT_PRIME,
@@ -88,6 +88,9 @@ def parse_complex_text(text: str, name: str = "<input>") -> SimplicialComplex:
                 ambient = int(line[2:])
             except ValueError:
                 raise ValueError(f"{name}:{lineno}: bad ambient count {line!r}")
+            if not 0 <= ambient <= MAX_VERTICES:
+                raise ValueError(f"{name}:{lineno}: n={ambient} outside 0..{MAX_VERTICES}")
+            ambient_line = lineno
             continue
         if line == "empty":
             facets.append(Face(0))
@@ -97,8 +100,9 @@ def parse_complex_text(text: str, name: str = "<input>") -> SimplicialComplex:
             labels = [int(tok) for tok in line.split()]
         except ValueError:
             raise ValueError(f"{name}:{lineno}: not a facet line: {line!r}")
-        if any(v < 1 for v in labels):
-            raise ValueError(f"{name}:{lineno}: labels must be positive")
+        bad = next((v for v in labels if not 1 <= v <= MAX_VERTICES), None)
+        if bad is not None:
+            raise ValueError(f"{name}:{lineno}: label {bad} outside 1..{MAX_VERTICES}")
         if len(set(labels)) != len(labels):
             raise ValueError(f"{name}:{lineno}: repeated label in facet")
         faces += 1 << len(labels)
@@ -114,7 +118,7 @@ def parse_complex_text(text: str, name: str = "<input>") -> SimplicialComplex:
     if ambient is None:
         ambient = top
     elif ambient < top:
-        raise ValueError(f"{name}: n={ambient} is below the largest label {top}")
+        raise ValueError(f"{name}:{ambient_line}: n={ambient} is below the largest label {top}")
     return SimplicialComplex.from_facets(ambient, facets)
 
 
@@ -145,10 +149,11 @@ def _parse_matrix(text: str, seed: int):
     if text == "generic":
         return GenericSpec(seed)
     if text.startswith("block:"):
-        parts = text[len("block:"):].split(",")
-        if len(parts) != 2:
-            raise ValueError("block spec must be block:<k>,<l>")
-        return BlockGenericSpec(int(parts[0]), int(parts[1]), seed)
+        try:
+            k, l = map(int, text[len("block:"):].split(","))
+        except ValueError:
+            raise ValueError("block spec must be block:<k>,<l> with integer sizes") from None
+        return BlockGenericSpec(k, l, seed)
     if text.startswith("explicit:"):
         path = text[len("explicit:"):]
         rows = []

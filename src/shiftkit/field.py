@@ -6,8 +6,9 @@ usable here and all arithmetic stays in native big ints.  The default
 modulus is the Mersenne prime 2^61 - 1; any odd prime below 2^62 is accepted.
 
 Matrices are immutable once built.  ``RowEchelonAccumulator`` is the one
-mutable object and supports a single writer; it packs each vector into one
-int, so reducing by a stored row is one big-int multiply-add.
+mutable object and supports a single writer.  It packs each vector of
+residues into one int and keeps each row from its pivot on, so reducing by
+a stored row is one big-int multiply-add on a vector consumed from the bottom.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import bisect
 import functools
 import random
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from typing import Iterable, Sequence
 
 from .complexes import iter_vertices
@@ -299,24 +301,36 @@ class RowEchelonAccumulator:
     """Incremental row echelon basis over Z/p, one packed int per row.
 
     Entry i of a packed vector is the slot of bits [8Bi, 8B(i + 1)), with
-    B = ceil((2 bitlen(p) + bitlen(width + 1) + 2) / 8) bytes.  A kept row is
-    stored as (pivot, packed row), sorted by pivot, its pivot entry scaled to
-    1 and every slot negated to ``(-a) mod p``; reducing v by it is v += c *
-    row with c = v's pivot slot mod p.  The form is echelon, not reduced:
-    rows are zero below their pivots, so applying them in pivot order keeps
-    each pivot slot already cleared at 0 mod p.
+    B = ceil((2 bitlen(p) + bitlen(width + 1) + 2) / 8) bytes.  A kept row
+    with pivot q is stored, sorted by pivot, as (q, tail): the tail packs
+    its slots q..width-1 as residues, the pivot scaled to read -1 (p - 1).
+    ``insert`` takes residues only: an entry in p..2^(8B)-1 would silently
+    break the no-carry bound below.
+
+    ``insert`` consumes v from the bottom, walking the stored rows from the
+    first pivot at or past v's lowest nonzero slot (rows below would take
+    c = 0).  The slots below the next stored pivot q are free columns: all
+    0 mod p (at once if literally 0), they are dropped; else the first one
+    nonzero mod p is v's pivot and the walk stops.  Then v += c * tail with
+    c = slot q mod p, which clears slot q mod p, and slot q is dropped.
+    After the last row the first slot nonzero mod p, if any, is the pivot.
+    A kept v is unpacked from its pivot on, scaled and packed once.
+
+    The early stop is exact.  An echelon basis needs distinct pivots, each
+    row zero left of its pivot, not rows reduced against larger pivots.  If
+    v is 0 mod p below a free column r and nonzero at r, v is no combination
+    of stored rows: a combination is nonzero at the smallest pivot it uses,
+    which lies below r, where v is 0, or above r, where the combination is 0
+    at r.  So verdicts and rank are those of a reduced form, though the
+    stored rows may differ.
 
     No slot carries into the next: v's slots start in 0..p-1, and so do c
-    and every stored slot, so after at most rank <= width additions a slot
+    and every tail slot, so after at most rank <= width additions a slot
     holds at most (p - 1) + width (p - 1)^2 <= (width + 1)(p - 1)^2
     < 2^(2 bitlen(p) + bitlen(width + 1)) <= 2^(8B), and nothing subtracts.
-
-    The reduction starts at the first stored pivot at or past v's lowest
-    nonzero slot.  Adding a row with pivot q changes only slots >= q, so the
-    slots below that start stay 0 throughout, and every stored row with a
-    smaller pivot would take c = 0.  On the shift scan of a generic matrix the
-    columns are faces in lex order and each compound row vanishes on the
-    faces lex-before its own row face, so this skips most of the basis.
+    On the shift scan of a generic matrix the columns are faces in lex order
+    and each compound row vanishes on the faces lex-before its own row face,
+    so the walk skips most of the basis.
     """
 
     __slots__ = ("p", "width", "_bytes", "_rows")
@@ -332,32 +346,51 @@ class RowEchelonAccumulator:
         return len(self._rows)
 
     def insert(self, vec: Sequence[int]) -> bool:
-        """Reduce ``vec`` and keep it if independent.
+        """Reduce ``vec``, ``width`` residues in ``0..p-1``, and keep it if
+        independent.
 
         Returns:
             True when the vector extended the span, False when it was
             already dependent (in particular for the zero vector).
         """
-        if len(vec) != self.width:
+        width, p, nb = self.width, self.p, self._bytes
+        if len(vec) != width:
             raise ValueError("vector width mismatch")
-        p, nb = self.p, self._bytes
-        bits, mask = 8 * nb, (1 << 8 * nb) - 1
-        v = int.from_bytes(b"".join((x % p).to_bytes(nb, "little") for x in vec), "little")
+        if vec and (min(vec) < 0 or max(vec) >= p):
+            raise ValueError(f"vector entries must be residues in 0..{p - 1}")
+        v = int.from_bytes(b"".join(map(int.to_bytes, vec, repeat(nb), repeat("little"))), "little")
         if not v:
             return False
+        bits, mask = 8 * nb, (1 << 8 * nb) - 1
+        off = ((v & -v).bit_length() - 1) // bits
+        v >>= off * bits
         rows = self._rows
-        low = ((v & -v).bit_length() - 1) // bits
-        for i in range(bisect.bisect_left(rows, (low,)), len(rows)):
-            pivot, row = rows[i]
-            c = ((v >> pivot * bits) & mask) % p
+        for q, tail in chain(islice(rows, bisect.bisect_left(rows, (off,)), None), ((width, 0),)):
+            if q > off:  # slots off..q-1 are free columns
+                live = _first_live(v & ((1 << (q - off) * bits) - 1), q - off, nb, p)
+                if live is not None:
+                    break
+                v >>= (q - off) * bits
+                off = q
+            if not v:
+                return False
+            c = (v & mask) % p
             if c:
-                v += c * row
-        buf = v.to_bytes(nb * self.width, "little")
-        slots = [int.from_bytes(buf[i : i + nb], "little") % p for i in range(0, len(buf), nb)]
-        pivot = next((j for j, x in enumerate(slots) if x), None)
-        if pivot is None:
-            return False
-        neg = p - pow(slots[pivot], -1, p)
-        row = b"".join((x * neg % p).to_bytes(nb, "little") for x in slots)
-        bisect.insort(self._rows, (pivot, int.from_bytes(row, "little")))
+                v += c * tail
+            v >>= bits
+            off += 1
+        pivot = off + live
+        n = width - pivot
+        buf = (v >> live * bits).to_bytes(n * nb, "little")
+        neg = p - pow(int.from_bytes(buf[:nb], "little"), -1, p)
+        slots = [int.from_bytes(buf[i : i + nb], "little") * neg % p for i in range(0, n * nb, nb)]
+        tail = b"".join(map(int.to_bytes, slots, repeat(nb), repeat("little")))
+        bisect.insort(rows, (pivot, int.from_bytes(tail, "little")))
         return True
+
+
+def _first_live(chunk: int, n: int, nb: int, p: int) -> int | None:
+    """Index of the first of the ``n`` slots of ``chunk`` not 0 mod p, or None."""
+    buf = chunk.to_bytes(n * nb, "little") if chunk else b""
+    slots = range(0, len(buf), nb)
+    return next((i // nb for i in slots if int.from_bytes(buf[i : i + nb], "little") % p), None)

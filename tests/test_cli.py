@@ -120,6 +120,30 @@ def test_parse_errors_exit_one(tmp_path, capsys):
         assert "error:" in err, name
 
 
+def test_out_of_range_labels_name_the_line(tmp_path, capsys):
+    cases = {
+        "high.cx": ("1 2\n1 70\n", ":2: label 70 outside 1..64"),
+        "wide.cx": ("n=100\n1 2\n", ":1: n=100 outside 0..64"),
+        "neg.cx": ("# below zero\nn=-2\n1 2\n", ":2: n=-2 outside 0..64"),
+        "low.cx": ("1 2\nn=1\n", ":2: n=1 is below the largest label 2"),
+    }
+    for name, (text, message) in cases.items():
+        src = write(tmp_path, name, text)
+        code, out, err = run(capsys, "shift", src)
+        assert (code, out) == (1, ""), name
+        assert err == f"error: {src}{message}\n", name
+    assert parse_complex_text("n=64\n1 64\n").n == 64
+    assert parse_complex_text("n=0\nempty\n").n == 0
+
+
+def test_bad_block_spec_names_the_problem(tmp_path, capsys):
+    src = write(tmp_path, "b.cx", TWO_EDGES)
+    for spec in ("block:1,x", "block:2", "block:1,2,1", "block:"):
+        code, out, err = run(capsys, "shift", src, "--matrix", spec)
+        assert (code, out) == (1, ""), spec
+        assert err == "error: block spec must be block:<k>,<l> with integer sizes\n", spec
+
+
 def test_huge_facet_line_is_refused_before_expansion(tmp_path, capsys):
     # 18 labels would expand to 262,144 faces (seconds, 100+ MB)
     src = write(tmp_path, "big.cx", "1 2\n" + " ".join(map(str, range(1, 19))) + "\n")

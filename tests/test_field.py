@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftkit.complexes import Face, SimplicialComplex
@@ -336,3 +336,58 @@ def test_accumulator_worst_case_slot_sums():
         rows.append([rng.randrange(p) for _ in range(k)] + [p - 1] * (width - k))
         rows.append(_combination(rng, rows, width, p))
     _check_verdicts(rows, width, p)
+
+
+@st.composite
+def _walk_sequences(draw):
+    """An insert sequence aimed at the bottom-up walk, with its prime.
+
+    Basis rows go in first, in drawn order, their leading columns a proper
+    subset of the width, so free columns lie between the stored pivots.
+    The probes after them are zero vectors, combinations of the basis rows
+    (dependent, and after the reduction their free slots hold multiples of
+    p that are nonzero before the mod), and such combinations plus a
+    nonzero entry at a free column, below some stored pivots or past all
+    of them (kept, the walk stopping at that column).
+    """
+    p = draw(st.sampled_from([3, P, DEFAULT_PRIME]))
+    width = draw(st.integers(2, 12))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    leads = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=width - 1, unique=True))
+    basis = [
+        [0] * q + [draw(st.integers(1, p - 1))] + [draw(entry) for _ in range(width - q - 1)]
+        for q in leads
+    ]
+    free = [j for j in range(width) if j not in leads]
+    rows = list(basis)
+    kinds = st.lists(st.sampled_from(["zero", "dependent", "kept"]), min_size=1, max_size=8)
+    for kind in draw(kinds):
+        if kind == "zero":
+            rows.append([0] * width)
+            continue
+        cs = [draw(st.integers(1, p - 1)) for _ in basis]
+        row = [sum(c * b[j] for c, b in zip(cs, basis)) % p for j in range(width)]
+        if kind == "kept":
+            j = draw(st.sampled_from(free))
+            row[j] = (row[j] + draw(st.integers(1, p - 1))) % p
+        rows.append(row)
+    return p, width, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walk_sequences())
+def test_accumulator_walk_matches_mod_p_oracle(case):
+    p, width, rows = case
+    _check_verdicts(rows, width, p)
+
+
+def test_accumulator_refuses_entries_that_are_not_residues():
+    for p in (3, P, DEFAULT_PRIME):
+        acc = RowEchelonAccumulator(3, p)
+        for bad in (-1, p):
+            with pytest.raises(ValueError, match="residues"):
+                acc.insert([0, bad, 1])
+        assert acc.rank == 0
+        assert acc.insert([0, p - 1, 0]) and acc.insert([p - 1, 0, p - 1])
+        assert not acc.insert([0, 0, 0])
+        assert acc.rank == 2
