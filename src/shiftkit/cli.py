@@ -142,7 +142,11 @@ def _face_lists(K: SimplicialComplex) -> list:
 
 
 def _parse_face(text: str) -> Face:
-    return Face.from_vertices(int(tok) for tok in text.replace(",", " ").split())
+    try:
+        labels = [int(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise ValueError(f"--face must list vertex labels, got {text!r}") from None
+    return Face.from_vertices(labels)
 
 
 def _parse_matrix(text: str, seed: int):

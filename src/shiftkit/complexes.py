@@ -156,13 +156,7 @@ def interval(s: int, i: int, n: int) -> list:
         raise ValueError("interval height must be positive")
     s = int(s)
     lo = s.bit_length() + 1  # max(S) + 1, or 1 for the empty face
-    out = []
-    for extra in itertools.combinations(range(lo, n + 1), i):
-        m = s
-        for v in extra:
-            m |= 1 << (v - 1)
-        out.append(Face(m))
-    return out
+    return [Face(s | m << (lo - 1)) for m in iter_k_subsets(n - lo + 1, i)]
 
 
 def _remap(faces: Iterable[int], image: Mapping[int, int]) -> list:
@@ -239,7 +233,7 @@ class SimplicialComplex:
         faces: set[int] = set()
         for facet in facets:
             m = int(facet) if isinstance(facet, int) else int(Face.from_vertices(facet))
-            if m >= (1 << n):
+            if not 0 <= m < 1 << n:
                 raise ValueError("vertex label out of 1..n")
             if m in faces:
                 continue

@@ -17,7 +17,7 @@ import bisect
 import functools
 import random
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .complexes import iter_vertices
@@ -302,19 +302,17 @@ class RowEchelonAccumulator:
 
     Entry i of a packed vector is the slot of bits [8Bi, 8B(i + 1)), with
     B = ceil((2 bitlen(p) + bitlen(width + 1) + 2) / 8) bytes.  A kept row
-    with pivot q is stored, sorted by pivot, as (q, tail): the tail packs
+    with pivot q is stored in a table keyed by q as its tail: the tail packs
     its slots q..width-1 as residues, the pivot scaled to read -1 (p - 1).
     ``insert`` takes residues only: an entry in p..2^(8B)-1 would silently
     break the no-carry bound below.
 
-    ``insert`` consumes v from the bottom, walking the stored rows from the
-    first pivot at or past v's lowest nonzero slot (rows below would take
-    c = 0).  The slots below the next stored pivot q are free columns: all
-    0 mod p (at once if literally 0), they are dropped; else the first one
-    nonzero mod p is v's pivot and the walk stops.  Then v += c * tail with
-    c = slot q mod p, which clears slot q mod p, and slot q is dropped.
-    After the last row the first slot nonzero mod p, if any, is the pivot.
-    A kept v is unpacked from its pivot on, scaled and packed once.
+    ``insert`` consumes v from the bottom, one slot at a time, jumping over
+    a run of literally zero slots at once.  Slot q with c = slot q mod p is
+    dropped if c = 0; else, if a row with pivot q is stored, v += c * tail,
+    which clears slot q mod p, and slot q is dropped; else q is v's pivot
+    and the loop stops.  If v runs out first it was dependent.  A kept v is
+    unpacked from its pivot on, scaled and packed once.
 
     The early stop is exact.  An echelon basis needs distinct pivots, each
     row zero left of its pivot, not rows reduced against larger pivots.  If
@@ -330,7 +328,7 @@ class RowEchelonAccumulator:
     < 2^(2 bitlen(p) + bitlen(width + 1)) <= 2^(8B), and nothing subtracts.
     On the shift scan of a generic matrix the columns are faces in lex order
     and each compound row vanishes on the faces lex-before its own row face,
-    so the walk skips most of the basis.
+    so the loop jumps over most of the basis.
     """
 
     __slots__ = ("p", "width", "_bytes", "_rows")
@@ -339,7 +337,7 @@ class RowEchelonAccumulator:
         self.p = p
         self.width = width
         self._bytes = (2 * p.bit_length() + (width + 1).bit_length() + 9) // 8
-        self._rows: list[tuple[int, int]] = []
+        self._rows: dict[int, int] = {}  # pivot -> tail
 
     @property
     def rank(self) -> int:
@@ -359,38 +357,29 @@ class RowEchelonAccumulator:
         if vec and (min(vec) < 0 or max(vec) >= p):
             raise ValueError(f"vector entries must be residues in 0..{p - 1}")
         v = int.from_bytes(b"".join(map(int.to_bytes, vec, repeat(nb), repeat("little"))), "little")
-        if not v:
-            return False
         bits, mask = 8 * nb, (1 << 8 * nb) - 1
-        off = ((v & -v).bit_length() - 1) // bits
-        v >>= off * bits
         rows = self._rows
-        for q, tail in chain(islice(rows, bisect.bisect_left(rows, (off,)), None), ((width, 0),)):
-            if q > off:  # slots off..q-1 are free columns
-                live = _first_live(v & ((1 << (q - off) * bits) - 1), q - off, nb, p)
-                if live is not None:
-                    break
-                v >>= (q - off) * bits
-                off = q
-            if not v:
-                return False
+        off = 0  # v holds slots off..width-1
+        while v:
+            if not v & mask:
+                run = ((v & -v).bit_length() - 1) // bits
+                v >>= run * bits
+                off += run
+                continue
             c = (v & mask) % p
             if c:
+                tail = rows.get(off)
+                if tail is None:
+                    break
                 v += c * tail
             v >>= bits
             off += 1
-        pivot = off + live
-        n = width - pivot
-        buf = (v >> live * bits).to_bytes(n * nb, "little")
+        else:
+            return False
+        n = width - off
+        buf = v.to_bytes(n * nb, "little")
         neg = p - pow(int.from_bytes(buf[:nb], "little"), -1, p)
         slots = [int.from_bytes(buf[i : i + nb], "little") * neg % p for i in range(0, n * nb, nb)]
         tail = b"".join(map(int.to_bytes, slots, repeat(nb), repeat("little")))
-        bisect.insort(rows, (pivot, int.from_bytes(tail, "little")))
+        rows[off] = int.from_bytes(tail, "little")
         return True
-
-
-def _first_live(chunk: int, n: int, nb: int, p: int) -> int | None:
-    """Index of the first of the ``n`` slots of ``chunk`` not 0 mod p, or None."""
-    buf = chunk.to_bytes(n * nb, "little") if chunk else b""
-    slots = range(0, len(buf), nb)
-    return next((i // nb for i in slots if int.from_bytes(buf[i : i + nb], "little") % p), None)

@@ -18,11 +18,7 @@ def interior_sign(t: int, s: int) -> int:
     ``(-1)**a`` with ``a`` the number of pairs ``(x, y)``, ``x`` in ``S - T``,
     ``y`` in ``T``, ``y < x``."""
     t, s = int(t), int(s)
-    rest = s & ~t
-    a = 0
-    for y in iter_vertices(t):
-        a += (rest >> y).bit_count()
-    return -1 if a & 1 else 1
+    return wedge_sign(s & ~t, t)
 
 
 def interior_product(t: int, s: int):

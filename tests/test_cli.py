@@ -144,6 +144,16 @@ def test_bad_block_spec_names_the_problem(tmp_path, capsys):
         assert err == "error: block spec must be block:<k>,<l> with integer sizes\n", spec
 
 
+def test_bad_face_token_names_the_flag(tmp_path, capsys):
+    src = write(tmp_path, "b.cx", TWO_EDGES)
+    for cmd in ("link", "antistar"):
+        code, out, err = run(capsys, "op", cmd, src, "--face", "a")
+        assert (code, out) == (1, ""), cmd
+        assert err == "error: --face must list vertex labels, got 'a'\n", cmd
+    code, _, err = run(capsys, "op", "link", src, "--face", "0")
+    assert (code, err) == (1, "error: vertex 0 outside 1..64\n")
+
+
 def test_huge_facet_line_is_refused_before_expansion(tmp_path, capsys):
     # 18 labels would expand to 262,144 faces (seconds, 100+ MB)
     src = write(tmp_path, "big.cx", "1 2\n" + " ".join(map(str, range(1, 19))) + "\n")

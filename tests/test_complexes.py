@@ -108,6 +108,13 @@ def test_interval_enumerates_extensions_above_max():
     assert interval(Face.of(4), 2, 5) == []  # no room above 4 within [5]
     with pytest.raises(ValueError):
         interval(Face.of(1), 0, 4)
+    for n in range(9):
+        for s in range(1 << n):
+            above = range(s.bit_length() + 1, n + 1)
+            for i in range(1, 5):
+                want = [Face.from_vertices(Face(s).vertices + extra)
+                        for extra in combinations(above, i)]
+                assert interval(s, i, n) == want, (s, i, n)
 
 
 def test_dominates_componentwise():
@@ -136,6 +143,9 @@ def test_constructor_validates_closure_and_labels():
         SimplicialComplex(3, [0b011, 0b001, 0])  # missing {2}
     with pytest.raises(ValueError, match="out of 1"):
         SimplicialComplex(2, [0b100, 0])
+    for m in (-1, -8):  # a negative mask's submask walk never ends
+        with pytest.raises(ValueError, match="out of 1"):
+            SimplicialComplex.from_facets(3, [m])
     with pytest.raises(ValueError):
         SimplicialComplex(-1, [])
     with pytest.raises(ValueError):
