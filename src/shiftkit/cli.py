@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 
 from .complexes import MAX_VERTICES, Face, SimplicialComplex, vertex_tuple
 from .engine import ValidationFailure, exterior_shift
@@ -52,23 +53,22 @@ SAFE_N = 16
 # sum past this many are refused before anything is expanded
 MAX_FACET_FACES = 1 << 16
 
-# op kinds that build a complex, and the function each one calls
-_BUILDERS = {
-    "antistar": antistar,
-    "clique-sum": clique_sum_shift,
-    "cone": cone,
-    "disjoint-union": disjoint_union,
-    "dushift": disjoint_union_shift,
-    "intersection": intersection,
-    "join": join,
-    "link": link,
-    "sqcup": shifted_union_recursive,
-    "suspension": suspension,
-    "union": union,
+# op kind -> (function, operand count, flag it needs)
+_OPS = {
+    "antistar": (antistar, 1, "face"),
+    "betti": (betti_direct, 1, None),
+    "clique-sum": (clique_sum_shift, 2, "dim"),
+    "compare": (lex_compare, 2, None),
+    "cone": (cone, 1, None),
+    "disjoint-union": (disjoint_union, 2, None),
+    "dushift": (disjoint_union_shift, 2, None),
+    "intersection": (intersection, 2, None),
+    "join": (join, 2, None),
+    "link": (link, 1, "face"),
+    "sqcup": (shifted_union_recursive, 2, None),
+    "suspension": (suspension, 1, None),
+    "union": (union, 2, None),
 }
-_REPORT_OPS = ("betti", "compare")
-_ONE_COMPLEX_OPS = ("antistar", "betti", "cone", "link", "suspension")
-_CENTERED_OPS = ("antistar", "link")
 
 
 # ----------------------------------------------------------------------
@@ -220,10 +220,7 @@ def _cmd_shift(args: argparse.Namespace) -> int:
             facets=_face_lists(D),
             f_vector=list(D.f_vector),
             betti=None if betti is None else list(betti),
-            validated={
-                "is_shifted": res.validated.is_shifted,
-                "f_vector_preserved": res.validated.f_vector_preserved,
-            },
+            validated=asdict(res.validated),
             retries=res.retries,
         )
     else:
@@ -241,19 +238,27 @@ def _cmd_shift(args: argparse.Namespace) -> int:
 def _cmd_op(args: argparse.Namespace) -> int:
     p = check_prime(args.prime)
     kind = args.kind
-    if len(args.inputs) > 2:
-        raise ValueError("op takes at most two complexes")
+    func, arity, flag = _OPS[kind]
+    if len(args.inputs) != arity:
+        raise ValueError(f"{kind} takes {'one complex' if arity == 1 else 'two complexes'}")
     if args.inputs.count("-") > 1:
         raise ValueError("stdin can be read once: give - for at most one operand")
+    for name in ("face", "dim"):
+        given = getattr(args, name) is not None
+        if given and name != flag:
+            raise ValueError(f"{kind} takes no --{name}")
+        if name == flag and not given:
+            raise ValueError(f"{kind} needs --{name}")
+    extra = ()
+    if flag == "face":
+        extra = (_parse_face(args.face),)
+    elif flag == "dim":
+        extra = (args.dim,)
     complexes = [read_complex(path) for path in args.inputs]
-    if kind in _ONE_COMPLEX_OPS and len(complexes) > 1:
-        raise ValueError(f"{kind} takes one complex")
-    if kind not in _ONE_COMPLEX_OPS and len(complexes) < 2:
-        raise ValueError(f"{kind} needs two complexes")
 
     if kind == "betti":
         K = complexes[0]
-        betti = betti_direct(K, p)
+        betti = func(K, p)
         if args.json:
             _emit_report(
                 args, kind=kind, prime=p, n=K.n, f_vector=list(K.f_vector), betti=list(betti)
@@ -262,24 +267,14 @@ def _cmd_op(args: argparse.Namespace) -> int:
             _emit(args, f"f_vector: {K.f_vector}\nbetti: {betti}\n")
         return 0
     if kind == "compare":
-        rel = lex_compare(*complexes)
+        rel = func(*complexes)
         if args.json:
             _emit_report(args, kind=kind, relation=rel)
         else:
             _emit(args, f"relation: {rel}\n")
         return 0
 
-    extra = ()
-    if kind in _CENTERED_OPS:
-        if args.face is None:
-            raise ValueError(f"{kind} needs --face")
-        extra = (_parse_face(args.face),)
-    elif kind == "clique-sum":
-        if args.dim is None:
-            raise ValueError("clique-sum needs --dim")
-        extra = (args.dim,)
-    R = _BUILDERS[kind](*complexes, *extra)
-
+    R = func(*complexes, *extra)
     if args.json:
         _emit_report(
             args, kind=kind, n=R.n, facets=_face_lists(R), f_vector=list(R.f_vector)
@@ -310,10 +305,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     "ok": ok,
                     "passed": passed,
                     "total": len(checks),
-                    "checks": [
-                        {"label": c.label, "ok": c.ok, "detail": c.detail}
-                        for c in checks
-                    ],
+                    "checks": [asdict(c) for c in checks],
                 }
             )
         else:
@@ -381,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     op = sub.add_parser("op", help="constructions and shift rules")
     op.add_argument(
         "kind",
-        choices=sorted([*_BUILDERS, *_REPORT_OPS]),
+        choices=sorted(_OPS),
     )
     op.add_argument("inputs", nargs="+", help="one or two complex files")
     op.add_argument("--face", help="center face for link/antistar, e.g. '1 3'")

@@ -96,15 +96,10 @@ def compound_row(A: FieldMatrix, S: int, columns) -> tuple[int, ...]:
 
     Args:
         S: row face of cardinality k.
-        columns: iterable of column faces, each of cardinality k.
+        columns: iterable of column faces, each of cardinality k; ``minor``
+            raises ``ValueError`` on one of another size.
     """
-    k = int(S).bit_count()
-    out = []
-    for T in columns:
-        if int(T).bit_count() != k:
-            raise ValueError("column face size mismatch")
-        out.append(A.minor(S, T))
-    return tuple(out)
+    return tuple(A.minor(S, T) for T in columns)
 
 
 class _WedgeTables:
@@ -193,17 +188,15 @@ def _shift_family(K: SimplicialComplex, A: FieldMatrix, p: int) -> SimplicialCom
     M = A.lower_reduced()
     if M is None:
         raise ValueError("cannot shift with a singular matrix")
-    faces: set[int] = set() if K.is_void else {0}
+    faces = {0}
     tables = _WedgeTables(K, M)
     for k in range(1, len(K.f_vector)):
         target = len(K.faces_of_size(k))
         acc = RowEchelonAccumulator(target, p)
-        kept = 0
         for mask in iter_k_subsets(K.n, k):
             if acc.insert(tables.row(mask)):
                 faces.add(mask)
-                kept += 1
-                if kept == target:
+                if acc.rank == target:
                     break
     return SimplicialComplex(K.n, faces)
 

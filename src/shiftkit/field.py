@@ -5,6 +5,11 @@ Elements are plain Python ints reduced into ``0..p-1``; products of two
 usable here and all arithmetic stays in native big ints.  The default
 modulus is the Mersenne prime 2^61 - 1; any odd prime below 2^62 is accepted.
 
+Square matrices go through ``_lower_reduce``: nonsingularity, the
+lower-reduced matrix the shift scans, every determinant and minor.  Row
+spaces go through ``RowEchelonAccumulator``: ranks and the scan's
+independence test.
+
 Matrices are immutable once built.  ``RowEchelonAccumulator`` is the one
 mutable object and supports a single writer.  It packs each vector of
 residues into one int and keeps each row from its pivot on, so reducing by
@@ -65,29 +70,6 @@ def check_prime(p: int) -> int:
     return p
 
 
-def _det_in_place(rows: list[list[int]], p: int) -> int:
-    """Determinant by elimination; destroys ``rows``."""
-    m = len(rows)
-    det = 1
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if rows[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = p - det
-        a = rows[col][col]
-        det = det * a % p
-        inv = pow(a, -1, p)
-        base = rows[col]
-        for r in range(col + 1, m):
-            c = rows[r][col]
-            if c:
-                factor = c * inv % p
-                rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], base)]
-    return det
-
-
 def _lower_reduce(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, ...]] | None:
     """Rows of M = L^-1 A, or None when A is singular.
 
@@ -114,6 +96,28 @@ def _lower_reduce(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, ...]
         bisect.insort(echelon, (q, pow(v[q], -1, p), v))
         out.append(v)
     return out
+
+
+def _det(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Determinant of a square matrix A, read off its lower reduction M.
+
+    M = L^-1 A with L unit lower triangular, so det A = det M.  Row i of M
+    is zero at the pivots q_0, ..., q_(i-1) of the rows above it, so M with
+    its columns put in pivot order (column q_j moved to position j) is upper
+    triangular: its entry (i, j) is M[i][q_j] = 0 for j < i.  Moving the
+    columns multiplies the determinant by the sign of the permutation
+    i -> q_i, so det M = sign(q) * prod M[i][q_i].  A singular A has no
+    reduction and determinant 0; the empty matrix has determinant 1.
+    """
+    lower = _lower_reduce(rows, p)
+    if lower is None:
+        return 0
+    pivots = [next(j for j, x in enumerate(row) if x) for row in lower]
+    det = 1
+    for row, q in zip(lower, pivots):
+        det = det * row[q] % p
+    inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1 :])
+    return p - det if inversions & 1 else det
 
 
 _UNSET = object()
@@ -165,17 +169,12 @@ class FieldMatrix:
         ci = [v - 1 for v in iter_vertices(col_face)]
         if len(ri) != len(ci):
             raise ValueError("minor requires equally many rows and columns")
-        if not ri:
-            return 1
-        sub = [[self.rows[i][j] for j in ci] for i in ri]
-        return _det_in_place(sub, self.p)
+        return _det([[self.rows[i][j] for j in ci] for i in ri], self.p)
 
     def det(self) -> int:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        if self.nrows == 0:
-            return 1
-        return _det_in_place([list(r) for r in self.rows], self.p)
+        return _det(self.rows, self.p)
 
     def rank(self) -> int:
         acc = RowEchelonAccumulator(self.ncols, self.p)

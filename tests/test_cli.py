@@ -264,6 +264,20 @@ def test_op_usage_errors(tmp_path, capsys):
     assert code == 1 and "error:" in err
 
 
+def test_op_checks_operands_and_flags_before_reading(tmp_path, capsys, monkeypatch):
+    e = write(tmp_path, "e.cx", "1 2\n")
+    code, out, err = run(capsys, "op", "cone", e, "--face", "1")
+    assert code == 1 and out == ""
+    assert err == "error: cone takes no --face\n"
+    assert run(capsys, "op", "link", e, "--face", "1", "--dim", "1")[0] == 1
+    stdin = io.StringIO(TWO_EDGES)
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "op", "cone", "-", e)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cone takes one complex")
+    assert stdin.tell() == 0  # refused before anything was read
+
+
 def test_stdin_is_refused_for_two_operands(tmp_path, capsys, monkeypatch):
     stdin = io.StringIO(TWO_EDGES)
     monkeypatch.setattr("sys.stdin", stdin)

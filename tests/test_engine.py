@@ -150,6 +150,9 @@ def test_compound_rows_match_reference_path():
             for mask in masks:
                 cols = K.faces_of_size(mask.bit_count())
                 assert tuple(sparse.row(mask)) == compound_row(C, mask, cols)
+        # a column face of another size is refused, by ``minor``
+        with pytest.raises(ValueError):
+            compound_row(A, 0b11, [0b11, 0b1])
 
 
 def _reference_shift(K, A, p):

@@ -119,6 +119,18 @@ def test_det_against_rational_oracle():
         n = rng.randint(1, 5)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         assert FieldMatrix(rows, P).det() == frac_mod(rational_det(rows), P)
+    # permutation matrices, a zero (0, 0) entry, sparse rows: the lower
+    # reduction's pivots come out of order, so the determinant needs the
+    # sign of the pivot permutation
+    out_of_order = 0
+    for _ in range(200):
+        rows = _random_square(rng, rng.randint(1, 6), P)
+        A = FieldMatrix(rows, P)
+        assert A.det() == frac_mod(rational_det(rows), P)
+        if A.is_nonsingular():
+            pivots = [next(j for j, x in enumerate(r) if x) for r in A.lower_reduced().rows]
+            out_of_order += pivots != sorted(pivots)
+    assert out_of_order >= 40
 
 
 def test_rank_against_rational_oracle():
@@ -153,6 +165,10 @@ def test_minor_by_faces():
     assert m.minor(Face.of(1, 2), Face.of(1, 3)) == (1 * 6 - 3 * 4) % P
     assert m.minor(Face.of(1, 2, 3), Face.of(1, 2, 3)) == m.det()
     assert m.minor(0, 0) == 1  # empty minor is the empty product
+    # rows 1..3 and columns 2..4 hold the 3 x 3 anti-diagonal: pivots in
+    # reverse order, an odd permutation
+    a = FieldMatrix([[5, 0, 0, 1], [6, 0, 1, 0], [7, 1, 0, 0], [8, 9, 9, 9]], P)
+    assert a.minor(Face.of(1, 2, 3), Face.of(2, 3, 4)) == P - 1
     with pytest.raises(ValueError):
         m.minor(Face.of(1), Face.of(1, 2))
 
