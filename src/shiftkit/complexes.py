@@ -215,8 +215,15 @@ class SimplicialComplex:
         for m in face_set:
             groups.setdefault(m.bit_count(), []).append(m)
         size_max = max(groups) if groups else -1
+
+        def reversal(m: int) -> int:
+            # the n-bit reversal of m: the smallest vertex where two masks
+            # differ becomes the top bit where their reversals differ, so
+            # same-size masks are in lex order exactly when these descend
+            return int(bin(m)[:1:-1], 2) << (n - m.bit_length())
+
         self._by_size = tuple(
-            tuple(Face(m) for m in sorted(groups.get(k, ()), key=vertex_tuple))
+            tuple(map(Face, sorted(groups.get(k, ()), key=reversal, reverse=True)))
             for k in range(size_max + 1)
         )
 

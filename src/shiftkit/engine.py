@@ -26,6 +26,29 @@ vertex, most of each compound row is zero, and the wedge tables skip the
 zero entries of M while the echelon insert skips the stored rows below a
 row's first nonzero slot.
 
+The rejected sets are closed under supersets, for every A, so a kept
+k-face has only vertices kept at size 1.  Write f_i = sum_j A[i, j] e_j,
+and f_S for the wedge of the f_i, i in S, ascending, in the exterior
+algebra E on e_1, ..., e_n.  Let J be the ideal of E spanned by the e_T
+with T not a face.  The size-k part of E/J has the basis e_T, T a size-k
+face, and f_S = sum_T det A[S, T] e_T maps to S's compound row in that
+basis.  The scan rejects S exactly when the row lies in the span of the
+rows lex-before S, that is when J holds some g = f_S - sum c_T f_T over
+T <lex S.  For a nonsingular A the f_T are a basis, f_S is the leading
+term of g when lex-earlier counts as larger, and the rejected sets are the
+monomials of that initial ideal; the closure needs only the form of g.
+Let v not be in S.  J is an ideal, so it holds f_v g.  f_v f_T is 0 when
+v is in T and +-f_(T + v) otherwise, and T <lex S gives T + v <lex S + v
+when v is in neither, the symmetric difference being the same.  So f_v g
+is +-f_(S + v) plus a combination of f_U with U <lex S + v, and S + v is
+rejected too.  Hence a kept S has only kept vertices, with no genericity
+and no shiftedness assumed, and the scan at size k >= 2 visits only the
+k-subsets of the vertices kept at size 1, in lex order.  A skipped set is
+rejected and adds no row, and every kept set lex-before a visited one was
+visited, so the accumulator holds the same rows at every visited set and
+keeps the same family.  For block and explicit matrices the kept vertices
+need not be 1..m.
+
 The rows are built one vertex at a time: the wedge of S's rows is its
 smallest vertex's row wedged with the next, and so on, each partial
 restricted to the faces of the complex of that size.  Lex neighbours
@@ -50,6 +73,7 @@ and never touch the wedge tables the scan uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .complexes import (
     SimplicialComplex,
@@ -188,16 +212,22 @@ def _shift_family(K: SimplicialComplex, A: FieldMatrix, p: int) -> SimplicialCom
     M = A.lower_reduced()
     if M is None:
         raise ValueError("cannot shift with a singular matrix")
-    faces = {0}
+    faces = [0]
     tables = _WedgeTables(K, M)
+    bits = [1 << i for i in range(K.n)]
     for k in range(1, len(K.f_vector)):
         target = len(K.faces_of_size(k))
         acc = RowEchelonAccumulator(target, p)
-        for mask in iter_k_subsets(K.n, k):
+        kept = []
+        for mask in map(sum, combinations(bits, k)):  # lex order: bits ascend
             if acc.insert(tables.row(mask)):
-                faces.add(mask)
+                kept.append(mask)
                 if acc.rank == target:
                     break
+        if k == 1:
+            # a rejected vertex rejects every face through it (module docstring)
+            bits = kept
+        faces += kept
     return SimplicialComplex(K.n, faces)
 
 

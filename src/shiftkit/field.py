@@ -137,6 +137,16 @@ class FieldMatrix:
             if any(len(r) != width for r in self.rows):
                 raise ValueError("ragged rows")
 
+    @classmethod
+    def _from_residues(cls, rows: Iterable[Sequence[int]], p: int) -> "FieldMatrix":
+        """A matrix of rows the caller guarantees are equally long and hold
+        residues in 0..p-1; they are stored as given, not reduced again."""
+        m = cls.__new__(cls)
+        m.p = p
+        m.rows = tuple(map(tuple, rows))
+        m._lower = _UNSET
+        return m
+
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -188,7 +198,7 @@ class FieldMatrix:
         if self._lower is _UNSET:
             square = self.nrows == self.ncols
             lower = _lower_reduce(self.rows, self.p) if square else None
-            self._lower = None if lower is None else FieldMatrix(lower, self.p)
+            self._lower = None if lower is None else FieldMatrix._from_residues(lower, self.p)
         return self._lower is not None
 
     def lower_reduced(self) -> "FieldMatrix | None":
@@ -207,7 +217,7 @@ class FieldMatrix:
             raise ValueError("shape or modulus mismatch")
         p = self.p
         cols = list(zip(*other.rows)) if other.rows else []
-        return FieldMatrix(
+        return FieldMatrix._from_residues(
             ([sum(a * b for a, b in zip(row, col)) % p for col in cols] for row in self.rows),
             p,
         )
@@ -288,7 +298,7 @@ def realize(spec: MatrixSpec, n: int, p: int = DEFAULT_PRIME) -> FieldMatrix:
             [rng.randrange(p) if (i < k) == (j < k) else 0 for j in range(n)]
             for i in range(n)
         ]
-        m = FieldMatrix(rows, p)
+        m = FieldMatrix._from_residues(rows, p)
         if m.is_nonsingular():
             return m
     raise ValueError(

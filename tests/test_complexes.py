@@ -20,7 +20,7 @@ from shiftkit.complexes import (
     lex_sorted,
     vertex_tuple,
 )
-from shiftkit.sampling import random_complex, random_shifted
+from shiftkit.sampling import random_complex, random_permutation, random_shifted
 
 
 def test_face_construction_and_views():
@@ -285,3 +285,13 @@ def test_face_enumeration_matches_combinations():
             want.update(frozenset(c) for c in combinations(fac, k))
     got = {frozenset(f.vertices) for f in K.all_faces()}
     assert got == want
+    # each size class is in lex order, wrapped as Face, at every ambient size
+    for n in (0, 1, 5, 9, 14, 64):
+        for _ in range(5):
+            K = random_complex(rng, n) if n else SimplicialComplex(0, [0])
+            if n == 64:
+                K = K.permuted(random_permutation(rng, 64))
+            for k in range(len(K.f_vector)):
+                group = K.faces_of_size(k)
+                assert all(type(f) is Face for f in group)
+                assert list(group) == sorted(group, key=vertex_tuple)

@@ -26,7 +26,7 @@ from shiftkit.engine import (
     lex_tail_count,
 )
 from shiftkit.field import FieldMatrix, RowEchelonAccumulator, realize
-from shiftkit.sampling import random_complex
+from shiftkit.sampling import random_complex, random_permutation
 
 P = 10007
 
@@ -208,6 +208,46 @@ def test_fast_and_reference_shifts_agree():
             res = exterior_shift(K, ExplicitSpec(A.rows), p=p)
             assert res.shifted == _reference_shift(K, A, p)
     assert out_of_order >= 30
+    # supports that are a proper subset of [n], placed at random: sizes
+    # k >= 2 scan only subsets of the vertices kept at size 1, and for block
+    # and explicit matrices those need not be 1..m
+    non_initial = 0
+    for p in (3, 5, 7, P):
+        for kind in ("generic", "block", "noisy permutation") * 5:
+            n = rng.randint(3, 7)
+            K = random_complex(rng, rng.randint(1, n - 1)).with_ambient(n)
+            K = K.permuted(random_permutation(rng, n))
+            if kind == "generic":
+                A = realize(GenericSpec(rng.randrange(2**16)), n, p)
+            elif kind == "block":
+                a = rng.randint(1, n - 1)
+                A = realize(BlockGenericSpec(a, n - a, rng.randrange(2**16)), n, p)
+            else:
+                A = _explicit_matrix(rng, kind, n, p)
+            D = _shift_family(K, A, p)
+            assert D == _reference_shift(K, A, p)
+            kept = int(D.support)
+            non_initial += kept & (kept + 1) != 0
+    assert non_initial >= 20
+
+
+def test_scan_builds_rows_only_over_kept_vertices(monkeypatch):
+    # a tetrahedron boundary on four far-apart labels of [64]: the 60 other
+    # vertices are rejected at size 1, so sizes 2 and 3 build rows only for
+    # the C(4, 2) + C(4, 3) subsets of the four kept ones
+    calls = 0
+    row = _WedgeTables.row
+
+    def counted(self, S):
+        nonlocal calls
+        calls += 1
+        return row(self, S)
+
+    monkeypatch.setattr(_WedgeTables, "row", counted)
+    K = SimplicialComplex.from_facets(64, [[1, 20, 40], [20, 40, 64], [1, 40, 64], [1, 20, 64]])
+    D = exterior_shift(K).shifted
+    assert D.f_vector == (1, 4, 6, 4)
+    assert calls <= 64 + 6 + 4
 
 
 def _explicit_matrix(rng, kind, n, p):
@@ -215,7 +255,13 @@ def _explicit_matrix(rng, kind, n, p):
         perm = rng.sample(range(n), n)
         return FieldMatrix([[int(j == perm[i]) for j in range(n)] for i in range(n)], p)
     for _ in range(500):
-        if kind == "zero corner":
+        if kind == "noisy permutation":
+            perm = rng.sample(range(n), n)
+            rows = [
+                [rng.randrange(1, p) if rng.random() < 0.3 else int(j == perm[i]) for j in range(n)]
+                for i in range(n)
+            ]
+        elif kind == "zero corner":
             rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
             rows[0][0] = 0
         else:

@@ -111,6 +111,7 @@ def test_is_prime_small_table():
 def test_entries_reduced_mod_p():
     m = FieldMatrix([[-1, P + 3]], P)
     assert m.entry(0, 0) == P - 1 and m.entry(0, 1) == 3
+    assert FieldMatrix([[P + 1, -1]], P).rows == ((1, P - 1),)
 
 
 def test_det_against_rational_oracle():
@@ -246,6 +247,11 @@ def test_realize_generic_is_deterministic_and_nonsingular():
     assert a == b
     assert a != c
     assert a.is_nonsingular()
+    # realize stores its draws as given, so they must already be residues
+    for p in (3, P, DEFAULT_PRIME):
+        for spec in (GenericSpec(seed=5), BlockGenericSpec(2, 3, seed=5)):
+            rows = realize(spec, 5, p).rows
+            assert all(type(x) is int and 0 <= x < p for row in rows for x in row)
 
 
 def test_realize_block_structure():
