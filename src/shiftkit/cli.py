@@ -343,7 +343,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="base RNG seed")
     sub.add_argument(
         "--prime", type=int, default=DEFAULT_PRIME, help="field modulus (odd prime < 2^62)"
     )
@@ -397,6 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--force", action="store_true", help="allow --max-n beyond 16")
     ex.set_defaults(func=_cmd_explore)
     _add_common(ex)
+    # no construction or rule draws anything, so op takes no --seed
+    for seeded in (sh, ve, ex):
+        seeded.add_argument("--seed", type=int, default=0, help="base RNG seed")
 
     return parser
 

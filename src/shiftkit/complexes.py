@@ -172,11 +172,8 @@ def _remap(faces: Iterable[int], image: Mapping[int, int]) -> list:
 
 def iter_k_subsets(n: int, k: int) -> Iterator[int]:
     """Masks of all k-subsets of [n] in lex order."""
-    for bits in itertools.combinations(range(n), k):
-        m = 0
-        for b in bits:
-            m |= 1 << b
-        yield m
+    # lex order: bits ascend
+    return map(sum, itertools.combinations([1 << b for b in range(n)], k))
 
 
 class SimplicialComplex:
@@ -200,6 +197,7 @@ class SimplicialComplex:
         if face_set:
             face_set.add(0)
         top = 1 << n
+        groups: dict[int, list] = {}
         for m in face_set:
             if m < 0 or m >= top:
                 raise ValueError("vertex label out of 1..n")
@@ -209,12 +207,9 @@ class SimplicialComplex:
                 if (m ^ low) not in face_set:
                     raise ValueError("face family is not downward closed")
                 probe ^= low
+            groups.setdefault(m.bit_count(), []).append(m)
         self.n = n
         self._faces = frozenset(face_set)
-        groups: dict[int, list] = {}
-        for m in face_set:
-            groups.setdefault(m.bit_count(), []).append(m)
-        size_max = max(groups) if groups else -1
 
         def reversal(m: int) -> int:
             # the n-bit reversal of m: the smallest vertex where two masks
@@ -222,9 +217,10 @@ class SimplicialComplex:
             # same-size masks are in lex order exactly when these descend
             return int(bin(m)[:1:-1], 2) << (n - m.bit_length())
 
+        # a downward-closed family has faces of every size up to its largest
         self._by_size = tuple(
-            tuple(map(Face, sorted(groups.get(k, ()), key=reversal, reverse=True)))
-            for k in range(size_max + 1)
+            tuple(map(Face, sorted(groups[k], key=reversal, reverse=True)))
+            for k in range(len(groups))
         )
 
     # ------------------------------------------------------------------

@@ -7,10 +7,9 @@ the caller, so every run is reproducible from its seed.
 from __future__ import annotations
 
 import random
-from itertools import combinations
 from typing import Iterator
 
-from .complexes import Face, SimplicialComplex, _remap, vertex_tuple
+from .complexes import Face, SimplicialComplex, _remap, iter_k_subsets, iter_vertices, vertex_tuple
 from .engine import shifted
 from .field import DEFAULT_PRIME
 
@@ -70,11 +69,11 @@ def random_near_cone(rng: random.Random, n: int) -> SimplicialComplex:
     base_faces = base.face_set()
     candidates = []
     for size in range(1, n):
-        for comb in combinations(range(2, n + 1), size):
-            m = Face.from_vertices(comb)
+        for m in iter_k_subsets(n - 1, size):
+            m <<= 1  # a subset of {2..n}, in lex order
             if m in base_faces:
                 continue
-            if all((int(m) & ~(1 << (v - 1))) in base_faces for v in comb):
+            if all(m & ~(1 << (v - 1)) in base_faces for v in iter_vertices(m)):
                 candidates.append(m)
     extras = rng.randint(0, 3)
     faces.update(rng.sample(candidates, min(extras, len(candidates))))

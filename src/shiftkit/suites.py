@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 
-from .complexes import Face, SimplicialComplex, interval, vertex_tuple
+from .complexes import Face, SimplicialComplex, interval, iter_k_subsets, vertex_tuple
 from .engine import (
     exterior_shift,
     image_dim_complete,
@@ -122,8 +121,7 @@ def suite_union_eq1(
         bad = ""
         bases = 0
         for size in range(4):
-            for comb in combinations(range(1, n + 1), size):
-                A = Face.from_vertices(comb)
+            for A in iter_k_subsets(n, size):
                 window = interval(A, depth, n)
                 if not window:
                     continue
@@ -132,7 +130,7 @@ def suite_union_eq1(
                 rhs = sum(1 for S in window if S in DK)
                 rhs += sum(1 for S in window if S in DL)
                 if lhs != rhs:
-                    bad = f"A={comb} {lhs}!={rhs}"
+                    bad = f"A={vertex_tuple(A)} {lhs}!={rhs}"
                     break
             if bad:
                 break
@@ -447,11 +445,10 @@ def suite_kernel_dims(
         cells = 0
         bad = ""
         for size in range(1, n + 1):
-            for comb in combinations(range(1, n + 1), size):
-                S = Face.from_vertices(comb)
+            for S in iter_k_subsets(n, size):
                 cells += 1
                 if image_dim_complete(h, n, S) != image_dim_complete_direct(h, n, S, A):
-                    bad = f"S={comb}"
+                    bad = f"S={vertex_tuple(S)}"
                     break
             if bad:
                 break

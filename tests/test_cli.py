@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from shiftkit import Face, SimplicialComplex
 from shiftkit import cli, engine
 from shiftkit.cli import format_complex, main, parse_complex_text
+from shiftkit.suites import SUITES
 
 TWO_EDGES = "1 2\n3 4\n"
 
@@ -270,6 +271,10 @@ def test_op_checks_operands_and_flags_before_reading(tmp_path, capsys, monkeypat
     assert code == 1 and out == ""
     assert err == "error: cone takes no --face\n"
     assert run(capsys, "op", "link", e, "--face", "1", "--dim", "1")[0] == 1
+    # no construction or rule draws anything, so a seed is refused too
+    code, out, err = run(capsys, "op", "cone", e, "--seed", "9")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --seed" in err
     stdin = io.StringIO(TWO_EDGES)
     monkeypatch.setattr("sys.stdin", stdin)
     code, out, err = run(capsys, "op", "cone", "-", e)
@@ -306,6 +311,14 @@ def test_changed_face_counts_exit_two(tmp_path, capsys, monkeypatch):
     assert "GenericSpec(seed=5)" in err and "p=101" in err
 
 
+def test_exhausted_reseeds_exit_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(SimplicialComplex, "is_shifted", lambda self: False)
+    src = write(tmp_path, "e.cx", "1 2\n")
+    code, out, err = run(capsys, "shift", src, "--seed", "5", "--retries", "2")
+    assert code == 2 and out == ""
+    assert err == "error: output not shifted after 2 reseeds of GenericSpec(seed=5)\n"
+
+
 def test_verify_named_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "counterexample", "--trials", "2")
     assert code == 0
@@ -321,6 +334,13 @@ def test_verify_json_aggregate(capsys):
     assert report["ok"] is True
     assert report["suites"][0]["suite"] == "betti"
     assert report["suites"][0]["passed"] == report["suites"][0]["total"]
+    # every suite runs its body: join-top has no other caller in the tests
+    code, out, _ = run(capsys, "verify", "all", "--trials", "2", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert [s["suite"] for s in report["suites"]] == sorted(SUITES)
+    assert all(s["passed"] == s["total"] > 0 for s in report["suites"])
 
 
 def test_verify_guards(tmp_path, capsys):

@@ -11,11 +11,13 @@ from shiftkit import (
     Face,
     GenericSpec,
     SimplicialComplex,
+    ValidationFailure,
     exterior_shift,
     kernel_intersection_dim,
     membership_via_kernels,
     shifted,
 )
+from shiftkit import engine
 from shiftkit.complexes import iter_k_subsets
 from shiftkit.engine import (
     _WedgeTables,
@@ -97,6 +99,29 @@ def test_void_complex_rejected():
 def test_negative_retries_rejected():
     with pytest.raises(ValueError, match="max_retries"):
         exterior_shift(SimplicialComplex.point(1), max_retries=-1)
+
+
+def test_reseeds_run_out_on_unshifted_outputs(monkeypatch):
+    # every output reads as unshifted: a generic spec draws 1 + max_retries
+    # seeds and then gives up; a block spec returns its one draw as computed
+    monkeypatch.setattr(SimplicialComplex, "is_shifted", lambda self: False)
+    drawn = []
+
+    def recording(spec, n, p):
+        drawn.append(spec)
+        return realize(spec, n, p)
+
+    monkeypatch.setattr(engine, "realize", recording)
+    K = SimplicialComplex.from_facets(5, [[1, 2], [3, 4, 5]])
+    with pytest.raises(
+        ValidationFailure, match=r"^output not shifted after 2 reseeds of GenericSpec\(seed=5\)$"
+    ):
+        exterior_shift(K, GenericSpec(5), max_retries=2)
+    assert drawn == [GenericSpec(5), GenericSpec(6), GenericSpec(7)]
+    drawn.clear()
+    res = exterior_shift(K, BlockGenericSpec(2, 3, 5), max_retries=2)
+    assert drawn == [BlockGenericSpec(2, 3, 5)]
+    assert res.validated.is_shifted is False and res.retries == 0
 
 
 def test_trivial_fixed_points():
