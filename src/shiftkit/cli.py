@@ -236,7 +236,6 @@ def _cmd_shift(args: argparse.Namespace) -> int:
 
 
 def _cmd_op(args: argparse.Namespace) -> int:
-    p = check_prime(args.prime)
     kind = args.kind
     func, arity, flag = _OPS[kind]
     if len(args.inputs) != arity:
@@ -249,6 +248,10 @@ def _cmd_op(args: argparse.Namespace) -> int:
             raise ValueError(f"{kind} takes no --{name}")
         if name == flag and not given:
             raise ValueError(f"{kind} needs --{name}")
+    # only betti computes anything mod p
+    if args.prime is not None and kind != "betti":
+        raise ValueError(f"{kind} takes no --prime")
+    p = check_prime(DEFAULT_PRIME if args.prime is None else args.prime)
     extra = ()
     if flag == "face":
         extra = (_parse_face(args.face),)
@@ -380,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--out", help="write here instead of stdout")
     op.set_defaults(func=_cmd_op)
     _add_common(op)
+    op.set_defaults(prime=None)  # so _cmd_op can tell a given --prime from the default
 
     ve = sub.add_parser("verify", help="run a named property suite")
     ve.add_argument("suite", help="suite name or 'all': " + ", ".join(sorted(SUITES)))

@@ -7,19 +7,20 @@ the rows of A indexed by S, restricted to the chain space of the complex.
 Scanning the S in lex order and keeping those whose compound row extends
 the span yields the shifted family, one cardinality at a time.
 
-The scan runs on M = L^-1 A instead of A, where L is the unit
-lower-triangular matrix of ``FieldMatrix.lower_reduced``: each row of A
-cleared against the reduced rows above it, no swaps, no scaling.  This
-keeps or rejects every candidate exactly as A would, for every nonsingular
-A.  By Cauchy-Binet, wedge^k A = wedge^k L . wedge^k M, so row S of A's
-compound is the sum over T of det L[S, T] times row T of M's.  L is unit
-lower triangular, so det L[S, T] = 0 unless T <= S vertex by vertex (the
-i-th smallest of T at most the i-th smallest of S), which implies T <=_lex
-S, and det L[S, S] = 1.  Row S of A's compound is therefore row S of M's
-plus a combination of M's rows lex-before S, and by induction along the lex
-order the two compounds span the same space over every lex prefix.  The
-greedy scan keeps S exactly when S's row leaves its prefix's span, so it
-keeps the same family.  Nothing here needs M's pivots in order, so block
+The scan runs on M = L^-1 A instead of A, where L is the lower-triangular
+matrix with nonzero diagonal of ``FieldMatrix.lower_reduced``: each row of
+A cleared, fraction-free, against the reduced rows above it, no swaps.
+This keeps or rejects every candidate exactly as A would, for every
+nonsingular A.  By Cauchy-Binet, wedge^k A = wedge^k L . wedge^k M, so row
+S of A's compound is the sum over T of det L[S, T] times row T of M's.  L
+is lower triangular, so det L[S, T] = 0 unless T <= S vertex by vertex
+(the i-th smallest of T at most the i-th smallest of S), which implies
+T <=_lex S, and det L[S, S], the product of L's diagonal entries in S, is
+not 0.  Row S of A's compound is therefore a nonzero multiple of row S of
+M's plus a combination of M's rows lex-before S, and by induction along
+the lex order the two compounds span the same space over every lex prefix.
+The greedy scan keeps S exactly when S's row leaves its prefix's span, so
+it keeps the same family.  Nothing here needs M's pivots in order, so block
 and explicit matrices are covered too.  For a generic A they are in order
 and M is upper triangular; then det M[S, T] = 0 unless T >= S vertex by
 vertex, most of each compound row is zero, and the wedge tables skip the

@@ -14,6 +14,11 @@ Matrices are immutable once built.  ``RowEchelonAccumulator`` is the one
 mutable object and supports a single writer.  It packs each vector of
 residues into one int and keeps each row from its pivot on, so reducing by
 a stored row is one big-int multiply-add on a vector consumed from the bottom.
+
+Modular inverses cost microseconds each at 61 bits, so neither hot path
+takes one per row.  ``_lower_reduce`` is fraction-free, and only ``_det``
+divides, once, by the product of its scale factors.  The accumulator scales
+a kept row to pivot -1 on its first use, so a row never used costs none.
 """
 
 from __future__ import annotations
@@ -70,52 +75,66 @@ def check_prime(p: int) -> int:
     return p
 
 
-def _lower_reduce(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, ...]] | None:
-    """Rows of M = L^-1 A, or None when A is singular.
+def _lower_reduce(
+    rows: Sequence[Sequence[int]], p: int
+) -> tuple[list[tuple[int, ...]], int] | None:
+    """Rows of M = L^-1 A and det L^-1, or None when A is singular.
 
-    Row i of M is row i of A minus the multiples of the reduced rows above
-    it that clear its entries at their pivots (first nonzero columns): no
-    swaps and no scaling, so L is unit lower triangular.  The reduced rows
-    are applied in pivot order; each is zero left of its pivot, so clearing
-    one pivot never refills a smaller one.  A row that reduces to zero
-    depends on the rows above it, which happens exactly when A is singular.
+    Row i of M is row i of A cleared, fraction-free, against the reduced
+    rows above it at their pivots (first nonzero columns): a stored row r
+    with pivot value a clears v's entry c at its pivot by v <- a v - c r.
+    No swaps and no inverses, so L^-1 is lower triangular, its diagonal
+    entry i being the product s_i of the pivot values that cleared row i;
+    row i of M is s_i times the row a unit lower-triangular reduction
+    gives.  The whole of v is scaled, not only v from the pivot on: v may
+    be nonzero left of the pivot, at columns no row above pivots on.  The
+    reduced rows are applied in pivot order; each is zero left of its
+    pivot, so clearing one pivot never refills a smaller one.  A row that
+    reduces to zero depends on the rows above it, which happens exactly
+    when A is singular.
     """
-    echelon: list[tuple[int, int, tuple[int, ...]]] = []  # (pivot, inverse, row)
+    echelon: list[tuple[int, int, tuple[int, ...]]] = []  # (pivot, pivot value, row)
     out = []
+    scale = 1
     for row in rows:
-        v = list(row)
-        for q, inv, r in echelon:
+        v = row
+        for q, a, r in echelon:
             c = v[q]
             if c:
-                f = c * inv % p
-                v[q:] = [(x - f * y) % p for x, y in zip(v[q:], r[q:])]
+                v = [(a * x - c * y) % p for x, y in zip(v, r)]
+                scale = scale * a % p
         q = next((j for j, x in enumerate(v) if x), None)
         if q is None:
             return None
         v = tuple(v)
-        bisect.insort(echelon, (q, pow(v[q], -1, p), v))
+        bisect.insort(echelon, (q, v[q], v))
         out.append(v)
-    return out
+    return out, scale
 
 
 def _det(rows: Sequence[Sequence[int]], p: int) -> int:
     """Determinant of a square matrix A, read off its lower reduction M.
 
-    M = L^-1 A with L unit lower triangular, so det A = det M.  Row i of M
-    is zero at the pivots q_0, ..., q_(i-1) of the rows above it, so M with
-    its columns put in pivot order (column q_j moved to position j) is upper
-    triangular: its entry (i, j) is M[i][q_j] = 0 for j < i.  Moving the
-    columns multiplies the determinant by the sign of the permutation
+    M = L^-1 A with L lower triangular and det L^-1 = s, the product of the
+    scale factors ``_lower_reduce`` returns, so det A = det M / s.  Row i of
+    M is zero at the pivots q_0, ..., q_(i-1) of the rows above it, so M
+    with its columns put in pivot order (column q_j moved to position j) is
+    upper triangular: its entry (i, j) is M[i][q_j] = 0 for j < i.  Moving
+    the columns multiplies the determinant by the sign of the permutation
     i -> q_i, so det M = sign(q) * prod M[i][q_i].  A singular A has no
-    reduction and determinant 0; the empty matrix has determinant 1.
+    reduction and determinant 0; the empty matrix has determinant 1.  The
+    one inverse taken is of s, and only when s is not 1.
     """
-    lower = _lower_reduce(rows, p)
-    if lower is None:
+    reduced = _lower_reduce(rows, p)
+    if reduced is None:
         return 0
+    lower, scale = reduced
     pivots = [next(j for j, x in enumerate(row) if x) for row in lower]
     det = 1
     for row, q in zip(lower, pivots):
         det = det * row[q] % p
+    if scale != 1:
+        det = det * pow(scale, -1, p) % p
     inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1 :])
     return p - det if inversions & 1 else det
 
@@ -197,17 +216,23 @@ class FieldMatrix:
         downward reduction of ``lower_reduced``, which is kept."""
         if self._lower is _UNSET:
             square = self.nrows == self.ncols
-            lower = _lower_reduce(self.rows, self.p) if square else None
-            self._lower = None if lower is None else FieldMatrix._from_residues(lower, self.p)
+            reduced = _lower_reduce(self.rows, self.p) if square else None
+            if reduced is None:
+                self._lower = None
+            else:
+                self._lower = FieldMatrix._from_residues(reduced[0], self.p)
         return self._lower is not None
 
     def lower_reduced(self) -> "FieldMatrix | None":
-        """M = L^-1 A for the unit lower-triangular L that clears each row
-        against the reduced rows above it; None when A is singular.
+        """M = L^-1 A for the lower-triangular L^-1 that clears each row,
+        fraction-free, against the reduced rows above it; None when A is
+        singular.
 
-        The pivots of M are distinct and row i of M is zero at the pivots of
-        the rows above it.  For a generic A the pivots are in order and M is
-        upper triangular.  Computed once, by ``is_nonsingular``.
+        L has a nonzero diagonal: row i of M is a nonzero multiple of the
+        row a unit lower-triangular reduction gives.  The pivots of M are
+        distinct and row i of M is zero at the pivots of the rows above it.
+        For a generic A the pivots are in order and M is upper triangular.
+        Computed once, by ``is_nonsingular``.
         """
         self.is_nonsingular()
         return self._lower
@@ -311,8 +336,9 @@ class RowEchelonAccumulator:
 
     Entry i of a packed vector is the slot of bits [8Bi, 8B(i + 1)), with
     B = ceil((2 bitlen(p) + bitlen(width + 1) + 2) / 8) bytes.  A kept row
-    with pivot q is stored in a table keyed by q as its tail: the tail packs
-    its slots q..width-1 as residues, the pivot scaled to read -1 (p - 1).
+    with pivot q reduces other vectors as its tail, held in a table keyed by
+    q: the tail packs its slots q..width-1 as residues, the pivot scaled to
+    read -1 (p - 1).
     ``insert`` takes residues only: an entry in p..2^(8B)-1 would silently
     break the no-carry bound below.
 
@@ -321,7 +347,10 @@ class RowEchelonAccumulator:
     dropped if c = 0; else, if a row with pivot q is stored, v += c * tail,
     which clears slot q mod p, and slot q is dropped; else q is v's pivot
     and the loop stops.  If v runs out first it was dependent.  A kept v is
-    unpacked from its pivot on, scaled and packed once.
+    stored raw, keyed by its pivot, and stays raw until a later vector first
+    needs it to clear its pivot slot: on that first use it is unpacked from
+    its pivot on, scaled and packed, once.  A row never used costs no
+    inverse.  ``rank`` counts the raw rows and the scaled ones.
 
     The early stop is exact.  An echelon basis needs distinct pivots, each
     row zero left of its pivot, not rows reduced against larger pivots.  If
@@ -340,17 +369,18 @@ class RowEchelonAccumulator:
     so the loop jumps over most of the basis.
     """
 
-    __slots__ = ("p", "width", "_bytes", "_rows")
+    __slots__ = ("p", "width", "_bytes", "_rows", "_raw")
 
     def __init__(self, width: int, p: int = DEFAULT_PRIME):
         self.p = p
         self.width = width
         self._bytes = (2 * p.bit_length() + (width + 1).bit_length() + 9) // 8
         self._rows: dict[int, int] = {}  # pivot -> tail
+        self._raw: dict[int, int] = {}  # pivot -> kept v, not yet scaled
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._rows) + len(self._raw)
 
     def insert(self, vec: Sequence[int]) -> bool:
         """Reduce ``vec``, ``width`` residues in ``0..p-1``, and keep it if
@@ -367,7 +397,7 @@ class RowEchelonAccumulator:
             raise ValueError(f"vector entries must be residues in 0..{p - 1}")
         v = int.from_bytes(b"".join(map(int.to_bytes, vec, repeat(nb), repeat("little"))), "little")
         bits, mask = 8 * nb, (1 << 8 * nb) - 1
-        rows = self._rows
+        rows, raw = self._rows, self._raw
         off = 0  # v holds slots off..width-1
         while v:
             if not v & mask:
@@ -379,16 +409,25 @@ class RowEchelonAccumulator:
             if c:
                 tail = rows.get(off)
                 if tail is None:
-                    break
+                    kept = raw.pop(off, None)
+                    if kept is None:
+                        break
+                    tail = rows[off] = self._scaled(kept, off)
                 v += c * tail
             v >>= bits
             off += 1
         else:
             return False
-        n = width - off
-        buf = v.to_bytes(n * nb, "little")
+        raw[off] = v
+        return True
+
+    def _scaled(self, kept: int, off: int) -> int:
+        """The tail of a raw row with pivot ``off``: its slots reduced mod p
+        and scaled so the pivot reads -1."""
+        p, nb = self.p, self._bytes
+        n = self.width - off
+        buf = kept.to_bytes(n * nb, "little")
         neg = p - pow(int.from_bytes(buf[:nb], "little"), -1, p)
         slots = [int.from_bytes(buf[i : i + nb], "little") * neg % p for i in range(0, n * nb, nb)]
         tail = b"".join(map(int.to_bytes, slots, repeat(nb), repeat("little")))
-        rows[off] = int.from_bytes(tail, "little")
-        return True
+        return int.from_bytes(tail, "little")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from shiftkit import Face, SimplicialComplex
 from shiftkit import cli, engine
 from shiftkit.cli import format_complex, main, parse_complex_text
+from shiftkit.field import DEFAULT_PRIME
 from shiftkit.suites import SUITES
 
 TWO_EDGES = "1 2\n3 4\n"
@@ -275,12 +276,23 @@ def test_op_checks_operands_and_flags_before_reading(tmp_path, capsys, monkeypat
     code, out, err = run(capsys, "op", "cone", e, "--seed", "9")
     assert code == 1 and out == ""
     assert "unrecognized arguments: --seed" in err
+    # only betti computes mod p, so every other kind refuses a prime
+    for prime in ("7", str(DEFAULT_PRIME)):
+        code, out, err = run(capsys, "op", "cone", e, "--prime", prime)
+        assert code == 1 and out == ""
+        assert err == "error: cone takes no --prime\n"
+    code, out, _ = run(capsys, "op", "betti", e, "--prime", "7", "--json")
+    assert code == 0 and json.loads(out)["prime"] == 7
     stdin = io.StringIO(TWO_EDGES)
     monkeypatch.setattr("sys.stdin", stdin)
     code, out, err = run(capsys, "op", "cone", "-", e)
     assert code == 1 and out == ""
     assert err.startswith("error: cone takes one complex")
     assert stdin.tell() == 0  # refused before anything was read
+    code, out, err = run(capsys, "op", "cone", "-", "--prime", "7")
+    assert code == 1 and out == ""
+    assert err == "error: cone takes no --prime\n"
+    assert stdin.tell() == 0
 
 
 def test_stdin_is_refused_for_two_operands(tmp_path, capsys, monkeypatch):

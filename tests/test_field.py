@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftkit import field
 from shiftkit.complexes import Face, SimplicialComplex
 from shiftkit.field import (
     DEFAULT_PRIME,
@@ -202,7 +203,7 @@ def _random_square(rng, n, p):
 
 
 @pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME])
-def test_lower_reduced_is_a_unit_lower_triangular_reduction(p):
+def test_lower_reduced_is_a_lower_triangular_reduction(p):
     rng = random.Random(p)
     checked = 0
     for _ in range(120):
@@ -217,13 +218,82 @@ def test_lower_reduced_is_a_unit_lower_triangular_reduction(p):
         assert len(set(pivots)) == n
         for i, row in enumerate(M.rows):
             assert all(row[q] == 0 for q in pivots[:i])
-        # row i of M is row i of A minus a combination of the rows above
+        # row i of M is a nonzero multiple of row i of A minus a combination
+        # of the rows above
         for i in range(1, n + 1):
             a, m = list(A.rows[:i]), list(M.rows[:i])
             rank = len(mod_p_pivot_rows(a, p))
             assert len(mod_p_pivot_rows(m, p)) == rank
             assert len(mod_p_pivot_rows(a + m, p)) == rank
     assert checked >= 40
+
+
+def unit_lower_reduce(rows, p):
+    """Rows of L^-1 A for the unit lower-triangular L: each row cleared
+    against the reduced rows above it, in pivot order, by subtracting
+    multiples of them.  The reference for ``lower_reduced`` up to scale."""
+    done, out = [], []
+    for row in rows:
+        v = list(row)
+        for q, r in sorted(done):
+            if v[q]:
+                f = v[q] * pow(r[q], -1, p) % p
+                v = [(x - f * y) % p for x, y in zip(v, r)]
+        q = next(j for j, x in enumerate(v) if x)
+        done.append((q, v))
+        out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME])
+def test_lower_reduced_rows_are_multiples_of_a_unit_reduction(p):
+    rng = random.Random(p + 1)
+    checked = 0
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        A = FieldMatrix(_random_square(rng, n, p), p)
+        M = A.lower_reduced()
+        if M is None:
+            continue
+        checked += 1
+        for m, u in zip(M.rows, unit_lower_reduce(A.rows, p)):
+            q = next(j for j, x in enumerate(u) if x)
+            assert next(j for j, x in enumerate(m) if x) == q  # same pivot
+            # m = s u with s = m[q] / u[q], which is not 0
+            assert all(x * u[q] % p == y * m[q] % p for x, y in zip(m, u))
+    assert checked >= 60
+
+
+@pytest.fixture
+def inverses(monkeypatch):
+    """Count the modular inverses ``shiftkit.field`` takes with ``pow``."""
+    calls = []
+
+    def counting_pow(base, exp, mod=None):
+        if exp < 0:
+            calls.append(base)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(field, "pow", counting_pow, raising=False)
+    return calls
+
+
+def test_hot_paths_take_no_modular_inverse(inverses):
+    A = realize(GenericSpec(0), 8, P)
+    assert A.lower_reduced() is not None and inverses == []
+    assert A.det() == frac_mod(rational_det(A.rows), P)
+    assert len(inverses) <= 1
+    width = 9
+    acc = RowEchelonAccumulator(width, P)
+    del inverses[:]
+    for i in range(width):
+        assert acc.insert([int(j == i) for j in range(width)])
+    assert inverses == [] and acc.rank == width
+    # the all-ones vector is cleared by every unit row, each scaled on first use
+    assert not acc.insert([1] * width)
+    assert len(inverses) == width
+    assert not acc.insert([1] * width)
+    assert len(inverses) == width
 
 
 def test_is_nonsingular_agrees_with_det():
@@ -358,6 +428,43 @@ def test_accumulator_worst_case_slot_sums():
         rows.append([rng.randrange(p) for _ in range(k)] + [p - 1] * (width - k))
         rows.append(_combination(rng, rows, width, p))
     _check_verdicts(rows, width, p)
+
+
+@pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME])
+def test_accumulator_scales_a_raw_row_on_first_use(p, inverses):
+    # a row kept with pivot q stays raw while later vectors stop below q,
+    # clear to zero before it, or jump over it in a zero run; a probe that
+    # reaches q only through a zero run then uses it for the first time
+    rng = random.Random(p)
+    width, q = 14, 8
+
+    def row(lead):
+        tail = [rng.randrange(p) for _ in range(width - lead - 1)]
+        return [0] * lead + [rng.randrange(1, p)] + tail
+
+    rows = [row(q)]
+    low = [row(j) for j in range(q)]
+    rows += low
+    for _ in range(10):
+        rows.append(_combination(rng, rng.sample(low, rng.randint(1, q)), width, p))
+    rows += [row(j) for j in range(q + 1, width - 1)]
+    rows.append([0] * width)
+    acc = RowEchelonAccumulator(width, p)
+    verdicts = [acc.insert(r) for r in rows]
+    pivots = mod_p_pivot_rows(rows, p)
+    assert verdicts == [i in pivots for i in range(len(rows))]
+    assert acc.rank == len(pivots) == width - 1
+    assert q in acc._raw and q not in acc._rows
+    used = len(inverses)
+    assert used < acc.rank  # the raw rows count towards the rank too
+    probe = row(q)
+    rows += [probe, probe]  # the second time it is dependent
+    verdicts += [acc.insert(probe), acc.insert(probe)]
+    pivots = mod_p_pivot_rows(rows, p)
+    assert verdicts == [i in pivots for i in range(len(rows))]
+    assert acc.rank == len(pivots)
+    assert q in acc._rows and q not in acc._raw
+    assert len(inverses) > used
 
 
 @st.composite
