@@ -84,6 +84,10 @@ def parse_complex_text(text: str, name: str = "<input>") -> SimplicialComplex:
         if not line or line.startswith("#"):
             continue
         if line.startswith("n="):
+            if ambient is not None:
+                raise ValueError(
+                    f"{name}:{lineno}: repeated n= line (first at line {ambient_line})"
+                )
             try:
                 ambient = int(line[2:])
             except ValueError:

@@ -42,12 +42,18 @@ Let v not be in S.  J is an ideal, so it holds f_v g.  f_v f_T is 0 when
 v is in T and +-f_(T + v) otherwise, and T <lex S gives T + v <lex S + v
 when v is in neither, the symmetric difference being the same.  So f_v g
 is +-f_(S + v) plus a combination of f_U with U <lex S + v, and S + v is
-rejected too.  Hence a kept S has only kept vertices, with no genericity
-and no shiftedness assumed, and the scan at size k >= 2 visits only the
-k-subsets of the vertices kept at size 1, in lex order.  A skipped set is
-rejected and adds no row, and every kept set lex-before a visited one was
-visited, so the accumulator holds the same rows at every visited set and
-keeps the same family.  For block and explicit matrices the kept vertices
+rejected too, with no genericity and no shiftedness assumed.  Now let v
+be in no kept (k - 1)-face, k >= 2, and S a k-set holding v.  S has a
+vertex u other than v; the (k - 1)-set S - u holds v, so it is not kept,
+hence rejected, and so is its superset S.  The scan at size k therefore
+visits only the k-subsets of the vertices of the faces kept at size k - 1
+(at size 1, every vertex), in lex order.  A skipped set is rejected and
+adds no row, and every kept set lex-before a visited one was visited, so
+the accumulator holds the same rows at every visited set and keeps the
+same family.  By induction on k, a set the scan does not keep is rejected
+at every size, which is what the step to size k used.  A kept k-face has
+only vertices of the size-k list, so each level's vertex list is contained
+in the one below it.  For block and explicit matrices the kept vertices
 need not be 1..m.
 
 The rows are built one vertex at a time: the wedge of S's rows is its
@@ -220,14 +226,15 @@ def _shift_family(K: SimplicialComplex, A: FieldMatrix, p: int) -> SimplicialCom
         target = len(K.faces_of_size(k))
         acc = RowEchelonAccumulator(target, p)
         kept = []
+        covered = 0
         for mask in map(sum, combinations(bits, k)):  # lex order: bits ascend
             if acc.insert(tables.row(mask)):
                 kept.append(mask)
+                covered |= mask
                 if acc.rank == target:
                     break
-        if k == 1:
-            # a rejected vertex rejects every face through it (module docstring)
-            bits = kept
+        # a vertex in no kept k-face is in no kept (k + 1)-face (module docstring)
+        bits = [b for b in bits if b & covered]
         faces += kept
     return SimplicialComplex(K.n, faces)
 

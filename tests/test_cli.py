@@ -128,6 +128,7 @@ def test_out_of_range_labels_name_the_line(tmp_path, capsys):
         "wide.cx": ("n=100\n1 2\n", ":1: n=100 outside 0..64"),
         "neg.cx": ("# below zero\nn=-2\n1 2\n", ":2: n=-2 outside 0..64"),
         "low.cx": ("1 2\nn=1\n", ":2: n=1 is below the largest label 2"),
+        "twice.cx": ("n=1\n# again\nn=3\n1 2\n", ":3: repeated n= line (first at line 1)"),
     }
     for name, (text, message) in cases.items():
         src = write(tmp_path, name, text)

@@ -242,13 +242,7 @@ def test_fast_and_reference_shifts_agree():
             n = rng.randint(3, 7)
             K = random_complex(rng, rng.randint(1, n - 1)).with_ambient(n)
             K = K.permuted(random_permutation(rng, n))
-            if kind == "generic":
-                A = realize(GenericSpec(rng.randrange(2**16)), n, p)
-            elif kind == "block":
-                a = rng.randint(1, n - 1)
-                A = realize(BlockGenericSpec(a, n - a, rng.randrange(2**16)), n, p)
-            else:
-                A = _explicit_matrix(rng, kind, n, p)
+            A = _draw_matrix(rng, kind, n, p)
             D = _shift_family(K, A, p)
             assert D == _reference_shift(K, A, p)
             kept = int(D.support)
@@ -256,10 +250,46 @@ def test_fast_and_reference_shifts_agree():
     assert non_initial >= 20
 
 
+def _vertices_of(D, k):
+    # the vertices of D's size-k faces, as a mask
+    m = 0
+    for f in D.faces_of_size(k):
+        m |= int(f)
+    return m
+
+
+def test_scan_over_shrinking_vertex_lists_matches_reference():
+    # size k scans subsets of the vertices of the faces kept at size k - 1;
+    # a core with faces of size >= 3, plus isolated vertices and edges on
+    # the other labels, relabelled at random, makes that list shorter than
+    # the vertices kept at size 1 before some size k >= 3 is scanned
+    rng = random.Random(1517)
+    shrinking = draws = 0
+    for p in (3, 5, 7, 2**61 - 1):
+        for kind in ("generic", "block", "noisy permutation") * 5:
+            n = rng.randint(6, 9)
+            m = rng.randint(3, 5)
+            core = range(1, m + 1)
+            facets = [rng.sample(core, rng.randint(3, m)) for _ in range(rng.randint(1, 3))]
+            v = m + 1
+            while v <= n:
+                size = rng.randint(1, min(2, n - v + 1))
+                facets.append(list(range(v, v + size)))
+                v += size
+            K = SimplicialComplex.from_facets(n, facets).permuted(random_permutation(rng, n))
+            A = _draw_matrix(rng, kind, n, p)
+            D = _shift_family(K, A, p)
+            assert D == _reference_shift(K, A, p)
+            draws += 1
+            ones = _vertices_of(D, 1)
+            shrinking += any(_vertices_of(D, k) != ones for k in range(2, len(D.f_vector) - 1))
+    assert draws == 60
+    assert shrinking >= 50
+
+
 def test_scan_builds_rows_only_over_kept_vertices(monkeypatch):
-    # a tetrahedron boundary on four far-apart labels of [64]: the 60 other
-    # vertices are rejected at size 1, so sizes 2 and 3 build rows only for
-    # the C(4, 2) + C(4, 3) subsets of the four kept ones
+    # size k builds rows only for the k-subsets of the vertices of the faces
+    # kept at size k - 1
     calls = 0
     row = _WedgeTables.row
 
@@ -269,10 +299,34 @@ def test_scan_builds_rows_only_over_kept_vertices(monkeypatch):
         return row(self, S)
 
     monkeypatch.setattr(_WedgeTables, "row", counted)
+    # a tetrahedron boundary on four far-apart labels of [64]: the shift
+    # keeps vertices 1..4, where the rank is full, and the 60 others are
+    # rejected, so sizes 2 and 3 build rows only for the C(4, 2) + C(4, 3)
+    # subsets of the four kept ones
     K = SimplicialComplex.from_facets(64, [[1, 20, 40], [20, 40, 64], [1, 40, 64], [1, 20, 64]])
     D = exterior_shift(K).shifted
     assert D.f_vector == (1, 4, 6, 4)
-    assert calls <= 64 + 6 + 4
+    assert calls == 4 + 6 + 4
+    # a tetrahedron boundary on 1..4 plus 20 isolated vertices: all 24 are
+    # kept at size 1, but the six kept edges 12, ..., 34 cover only 1..4, so
+    # size 2 builds the 23 + 22 + 1 edge rows up to 34, where the rank is
+    # full, and size 3 only the C(4, 3) triangles of 1..4, not the
+    # C(23, 2) + 1 triangles up to 234 of all 24 kept vertices
+    calls = 0
+    tetra = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]
+    K = SimplicialComplex.from_facets(24, tetra + [[v] for v in range(5, 25)])
+    D = exterior_shift(K).shifted
+    assert D.f_vector == (1, 24, 6, 4)
+    assert calls == 24 + 46 + 4
+
+
+def _draw_matrix(rng, kind, n, p):
+    if kind == "generic":
+        return realize(GenericSpec(rng.randrange(2**16)), n, p)
+    if kind == "block":
+        a = rng.randint(1, n - 1)
+        return realize(BlockGenericSpec(a, n - a, rng.randrange(2**16)), n, p)
+    return _explicit_matrix(rng, kind, n, p)
 
 
 def _explicit_matrix(rng, kind, n, p):
