@@ -61,8 +61,11 @@ smallest vertex's row wedged with the next, and so on, each partial
 restricted to the faces of the complex of that size.  Lex neighbours
 share their leading vertices and so their leading partials, and
 ``_WedgeTables.row`` rebuilds only the levels past the prefix it shares
-with the previous S.  The partials are exact residues mod p, so a reused
-one is the list a fresh sweep would build and the rows are bit-identical.
+with the previous S.  The partials below the top are exact residues mod p,
+so a reused one is the list a fresh sweep would build.  The top level is
+not reduced: its sums, each at most |S| (p - 1)^2, go to the accumulator
+packed in its slot layout, which reads every slot mod p, so the verdicts
+are those of the reduced rows.
 
 For a uniformly random A the kept family is the canonical shift with
 failure probability bounded by total-degree/p per determinant comparison
@@ -96,7 +99,9 @@ from .field import (
     GenericSpec,
     MatrixSpec,
     RowEchelonAccumulator,
+    pack_slots,
     realize,
+    slot_bytes,
 )
 from .homology import interior_matrix
 
@@ -146,21 +151,21 @@ class _WedgeTables:
     passes in, row v of a generic matrix is zero left of column v.  The
     final coordinate at a face T only ever consults subfaces of T, so
     keeping just the faces of the complex is exact, and this path agrees
-    bit for bit with the per-minor reference.
+    with the per-minor reference mod p.
 
     Lex neighbours share prefix partials.  The level-j partial of S is the
     wedge of the rows of its j smallest vertices restricted to the size-j
-    faces, so it depends on those vertices only.  ``row`` keeps the vertex
-    list of the last S and its partials ``w_0 = [1], w_1, ..., w_k``, and
-    for a new S sweeps only the levels past the common prefix; a lex step
-    that changes the top vertex costs one level instead of k.  Every
+    faces, so it depends on those vertices only.  ``row`` keeps the partials
+    ``w_0 = [1], w_1, ..., w_(k-1)`` of the last S, of size k, below its top
+    level, and the vertices they depend on; for a new S it sweeps only the
+    levels past the common prefix, and always the top one.  A lex step that
+    changes the top vertex costs one level instead of k.  Every kept
     partial is reduced mod p, so a reused one is the same list of ints a
-    fresh sweep would build and the rows stay bit-identical.  The matrix
-    is bound at construction, so the cache cannot outlive it, and it holds
-    at most one vector per face size.
+    fresh sweep would build.  The matrix is bound at construction, so the
+    cache cannot outlive it, and it holds at most one vector per face size.
     """
 
-    __slots__ = ("p", "nonzero", "sizes", "terms", "_verts", "_partials")
+    __slots__ = ("p", "nonzero", "sizes", "terms", "_bytes", "_verts", "_partials")
 
     def __init__(self, K: SimplicialComplex, A: FieldMatrix):
         self.p = A.p
@@ -178,19 +183,26 @@ class _WedgeTables:
                     above = (m >> v).bit_count()
                     level[v - 1][above & 1].append((i, sub[m ^ (1 << (v - 1))]))
             self.terms.append(level)
+        self._bytes = [slot_bytes(self.p, size, k) for k, size in enumerate(self.sizes)]
         self._verts: list[int] = []
         self._partials: list[list[int]] = [[1]]
 
-    def row(self, S: int) -> list[int]:
-        """The compound row of S; the returned list must not be mutated."""
+    def row(self, S: int) -> int:
+        """The compound row of a nonempty S of size k, packed unreduced for
+        ``RowEchelonAccumulator(width, p, k)``: slot i holds the sum of at
+        most k products of two residues, one for each vertex of the i-th
+        size-k face, so it lies in 0..k (p - 1)^2 and is the row's entry i
+        mod p."""
         p = self.p
         verts = list(iter_vertices(S))
-        prev = self._verts
+        k = len(verts)
         j = 0
-        for u, v in zip(verts, prev):
+        for u, v in zip(verts, self._verts):
             if u != v:
                 break
             j += 1
+        if j == k:  # S is a cached prefix: its top level is swept again
+            j -= 1
         partials = self._partials
         del partials[j + 1 :]
         w = partials[j]
@@ -209,10 +221,11 @@ class _WedgeTables:
                     c = w[sub]
                     if c:
                         out[i] += c * a
-            w = [x % p for x in out]
-            partials.append(w)
-        self._verts = verts
-        return w
+            if j < k:
+                w = [x % p for x in out]
+                partials.append(w)
+        self._verts = verts[:-1]
+        return pack_slots(out, self._bytes[k])
 
 
 def _shift_family(K: SimplicialComplex, A: FieldMatrix, p: int) -> SimplicialComplex:
@@ -224,7 +237,7 @@ def _shift_family(K: SimplicialComplex, A: FieldMatrix, p: int) -> SimplicialCom
     bits = [1 << i for i in range(K.n)]
     for k in range(1, len(K.f_vector)):
         target = len(K.faces_of_size(k))
-        acc = RowEchelonAccumulator(target, p)
+        acc = RowEchelonAccumulator(target, p, k)
         kept = []
         covered = 0
         for mask in map(sum, combinations(bits, k)):  # lex order: bits ascend

@@ -11,9 +11,12 @@ spaces go through ``RowEchelonAccumulator``: ranks and the scan's
 independence test.
 
 Matrices are immutable once built.  ``RowEchelonAccumulator`` is the one
-mutable object and supports a single writer.  It packs each vector of
-residues into one int and keeps each row from its pivot on, so reducing by
-a stored row is one big-int multiply-add on a vector consumed from the bottom.
+mutable object and supports a single writer.  It works on vectors packed
+into one int, a fixed number of bytes per entry, and keeps each row from its
+pivot on, so reducing by a stored row is one big-int multiply-add on a
+vector consumed from the bottom.  ``slot_bytes`` and ``pack_slots`` define
+that layout; the shift scan builds its rows in it directly, unreduced, and
+callers with a sequence of residues have it packed by ``insert``.
 
 Modular inverses cost microseconds each at 61 bits, so neither hot path
 takes one per row.  ``_lower_reduce`` is fraction-free, and only ``_det``
@@ -331,16 +334,36 @@ def realize(spec: MatrixSpec, n: int, p: int = DEFAULT_PRIME) -> FieldMatrix:
     )
 
 
+def slot_bytes(p: int, width: int, k: int = 1) -> int:
+    """Bytes per entry of a packed vector of ``width`` entries over Z/p
+    whose entries start in 0..k (p - 1)^2; k = 1 covers residues.
+
+    ``RowEchelonAccumulator`` adds at most ``width`` products of two residues
+    to an entry, so an entry never exceeds (k + width)(p - 1)^2, which is
+    below 2^(2 bitlen(p) + bitlen(k + width)): this many bytes hold it.
+    """
+    return (2 * p.bit_length() + (k + width).bit_length() + 7) // 8
+
+
+def pack_slots(slots: Iterable[int], nb: int) -> int:
+    """One int holding ``slots``, each in 0..2^(8 nb) - 1, slot i in bits
+    [8 nb i, 8 nb (i + 1)).  A slot too large raises ``OverflowError``."""
+    return int.from_bytes(b"".join(map(int.to_bytes, slots, repeat(nb), repeat("little"))), "little")
+
+
 class RowEchelonAccumulator:
     """Incremental row echelon basis over Z/p, one packed int per row.
 
     Entry i of a packed vector is the slot of bits [8Bi, 8B(i + 1)), with
-    B = ceil((2 bitlen(p) + bitlen(width + 1) + 2) / 8) bytes.  A kept row
-    with pivot q reduces other vectors as its tail, held in a table keyed by
-    q: the tail packs its slots q..width-1 as residues, the pivot scaled to
-    read -1 (p - 1).
-    ``insert`` takes residues only: an entry in p..2^(8B)-1 would silently
-    break the no-carry bound below.
+    B = ``slot_bytes(p, width, k)`` for the k given at construction, 1 by
+    default.  ``insert`` takes a vector packed so, each slot in
+    0..k (p - 1)^2 and read mod p, or a sequence of ``width`` residues,
+    which it checks and packs.  A slot past that bound would silently break
+    the no-carry bound below, and only the caller can rule it out: of an int
+    ``insert`` checks just that it is nonnegative and holds at most
+    ``width`` slots.  A kept row with pivot q reduces other vectors as its
+    tail, held in a table keyed by q: the tail packs its slots q..width-1
+    as residues, the pivot scaled to read -1 (p - 1).
 
     ``insert`` consumes v from the bottom, one slot at a time, jumping over
     a run of literally zero slots at once.  Slot q with c = slot q mod p is
@@ -349,8 +372,8 @@ class RowEchelonAccumulator:
     and the loop stops.  If v runs out first it was dependent.  A kept v is
     stored raw, keyed by its pivot, and stays raw until a later vector first
     needs it to clear its pivot slot: on that first use it is unpacked from
-    its pivot on, scaled and packed, once.  A row never used costs no
-    inverse.  ``rank`` counts the raw rows and the scaled ones.
+    its pivot on, reduced, scaled and packed, once.  A row never used costs
+    no inverse.  ``rank`` counts the raw rows and the scaled ones.
 
     The early stop is exact.  An echelon basis needs distinct pivots, each
     row zero left of its pivot, not rows reduced against larger pivots.  If
@@ -360,10 +383,12 @@ class RowEchelonAccumulator:
     at r.  So verdicts and rank are those of a reduced form, though the
     stored rows may differ.
 
-    No slot carries into the next: v's slots start in 0..p-1, and so do c
-    and every tail slot, so after at most rank <= width additions a slot
-    holds at most (p - 1) + width (p - 1)^2 <= (width + 1)(p - 1)^2
-    < 2^(2 bitlen(p) + bitlen(width + 1)) <= 2^(8B), and nothing subtracts.
+    No slot carries into the next: v's slots start in 0..k (p - 1)^2 (a
+    residue is at most (p - 1)^2, so k = 1 covers sequences), and c and
+    every tail slot are residues.  The loop adds at most rank <= width
+    tails, and nothing subtracts, so a slot holds at most
+    k (p - 1)^2 + width (p - 1)^2 = (k + width)(p - 1)^2
+    < 2^(2 bitlen(p) + bitlen(k + width)) <= 2^(8B).
     On the shift scan of a generic matrix the columns are faces in lex order
     and each compound row vanishes on the faces lex-before its own row face,
     so the loop jumps over most of the basis.
@@ -371,10 +396,10 @@ class RowEchelonAccumulator:
 
     __slots__ = ("p", "width", "_bytes", "_rows", "_raw")
 
-    def __init__(self, width: int, p: int = DEFAULT_PRIME):
+    def __init__(self, width: int, p: int = DEFAULT_PRIME, k: int = 1):
         self.p = p
         self.width = width
-        self._bytes = (2 * p.bit_length() + (width + 1).bit_length() + 9) // 8
+        self._bytes = slot_bytes(p, width, k)
         self._rows: dict[int, int] = {}  # pivot -> tail
         self._raw: dict[int, int] = {}  # pivot -> kept v, not yet scaled
 
@@ -382,30 +407,40 @@ class RowEchelonAccumulator:
     def rank(self) -> int:
         return len(self._rows) + len(self._raw)
 
-    def insert(self, vec: Sequence[int]) -> bool:
-        """Reduce ``vec``, ``width`` residues in ``0..p-1``, and keep it if
-        independent.
+    def insert(self, vec: int | Sequence[int]) -> bool:
+        """Reduce ``vec`` and keep it if independent.
+
+        Args:
+            vec: a vector packed as the class docstring says, each slot in
+                0..k (p - 1)^2, or a sequence of ``width`` residues in
+                ``0..p-1``.
 
         Returns:
             True when the vector extended the span, False when it was
             already dependent (in particular for the zero vector).
         """
         width, p, nb = self.width, self.p, self._bytes
-        if len(vec) != width:
-            raise ValueError("vector width mismatch")
-        if vec and (min(vec) < 0 or max(vec) >= p):
-            raise ValueError(f"vector entries must be residues in 0..{p - 1}")
-        v = int.from_bytes(b"".join(map(int.to_bytes, vec, repeat(nb), repeat("little"))), "little")
         bits, mask = 8 * nb, (1 << 8 * nb) - 1
+        if isinstance(vec, int):
+            if vec < 0 or vec.bit_length() > width * bits:
+                raise ValueError(f"packed vector must be a nonnegative int of {width} slots")
+            v = vec
+        else:
+            if len(vec) != width:
+                raise ValueError("vector width mismatch")
+            if vec and (min(vec) < 0 or max(vec) >= p):
+                raise ValueError(f"vector entries must be residues in 0..{p - 1}")
+            v = pack_slots(vec, nb)
         rows, raw = self._rows, self._raw
         off = 0  # v holds slots off..width-1
         while v:
-            if not v & mask:
+            c = v & mask
+            if not c:
                 run = ((v & -v).bit_length() - 1) // bits
                 v >>= run * bits
                 off += run
                 continue
-            c = (v & mask) % p
+            c %= p
             if c:
                 tail = rows.get(off)
                 if tail is None:
@@ -429,5 +464,4 @@ class RowEchelonAccumulator:
         buf = kept.to_bytes(n * nb, "little")
         neg = p - pow(int.from_bytes(buf[:nb], "little"), -1, p)
         slots = [int.from_bytes(buf[i : i + nb], "little") * neg % p for i in range(0, n * nb, nb)]
-        tail = b"".join(map(int.to_bytes, slots, repeat(nb), repeat("little")))
-        return int.from_bytes(tail, "little")
+        return pack_slots(slots, nb)

@@ -27,8 +27,13 @@ from shiftkit.engine import (
     image_dim_complete_direct,
     lex_tail_count,
 )
-from shiftkit.field import FieldMatrix, RowEchelonAccumulator, realize
-from shiftkit.sampling import random_complex, random_permutation
+from shiftkit.field import FieldMatrix, RowEchelonAccumulator, realize, slot_bytes
+from shiftkit.sampling import (
+    all_shifted_complexes,
+    random_complex,
+    random_permutation,
+    random_shifted,
+)
 
 P = 10007
 
@@ -143,6 +148,44 @@ def test_identity_matrix_returns_input_family():
     assert res.validated.f_vector_preserved
 
 
+def test_upper_triangular_matrix_fixes_a_shifted_complex():
+    # For K shifted and M upper triangular with a nonzero diagonal the scan
+    # returns K at every p.  A set S not in K is dominated vertex by vertex
+    # by no face of K, and det M[S, T] = 0 unless T dominates S, so S's row
+    # is 0 on K's faces.  The row of a face S of K is 0 on the faces
+    # lex-before S and the product of M's diagonal entries in S at S, so the
+    # rows of K's faces are triangular, hence independent.  M is its own
+    # lower reduction.  At p = 3 the packed slots of small levels are one
+    # byte wide.
+    rng = random.Random(1601)
+    complexes = [K for n in range(1, 5) for K in all_shifted_complexes(n)]
+    complexes += [random_shifted(rng, rng.randint(3, 10)) for _ in range(109)]
+    assert len(complexes) == 150 and all(K.is_shifted() for K in complexes)
+    for p in (3, 5, 7, 2**61 - 1, 2**62 - 57):
+        for K in complexes:
+            n = K.n
+            M = FieldMatrix(
+                [[0] * i + [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n - i - 1)]
+                 for i in range(n)],
+                p,
+            )
+            assert M.lower_reduced() == M
+            assert _shift_family(K, M, p) == K
+
+
+def _unpacked_row(tables, mask, p):
+    # the packed, unreduced row of ``mask``, slot by slot: each raw slot is a
+    # sum of at most k products of two residues, read mod p by the accumulator
+    k = mask.bit_count()
+    width = tables.sizes[k]
+    bits = 8 * slot_bytes(p, width, k)
+    packed = tables.row(mask)
+    assert 0 <= packed and packed >> (bits * width) == 0
+    raw = [packed >> (bits * i) & ((1 << bits) - 1) for i in range(width)]
+    assert all(x <= k * (p - 1) ** 2 for x in raw)
+    return tuple(x % p for x in raw)
+
+
 def test_compound_rows_match_reference_path():
     rng = random.Random(4021)
     for _ in range(25):
@@ -153,7 +196,7 @@ def test_compound_rows_match_reference_path():
         for k in range(1, len(K.f_vector)):
             cols = K.faces_of_size(k)
             for mask in iter_k_subsets(K.n, k):
-                assert tuple(tables.row(mask)) == compound_row(A, mask, cols)
+                assert _unpacked_row(tables, mask, P) == compound_row(A, mask, cols)
                 masks.append(mask)
         # the prefix cache must not depend on lex order: the same masks
         # shuffled, sizes mixed, some asked twice in a row, and a second
@@ -164,8 +207,8 @@ def test_compound_rows_match_reference_path():
         other = _WedgeTables(K, B)
         for mask in order:
             cols = K.faces_of_size(mask.bit_count())
-            assert tuple(tables.row(mask)) == compound_row(A, mask, cols)
-            assert tuple(other.row(mask)) == compound_row(B, mask, cols)
+            assert _unpacked_row(tables, mask, P) == compound_row(A, mask, cols)
+            assert _unpacked_row(other, mask, P) == compound_row(B, mask, cols)
         # sparse matrices: the lower-reduced A the scan uses, and a block
         # matrix at p = 3; the sweep skips their zero entries
         a = rng.randint(1, K.n - 1)
@@ -174,7 +217,7 @@ def test_compound_rows_match_reference_path():
             sparse = _WedgeTables(K, C)
             for mask in masks:
                 cols = K.faces_of_size(mask.bit_count())
-                assert tuple(sparse.row(mask)) == compound_row(C, mask, cols)
+                assert _unpacked_row(sparse, mask, C.p) == compound_row(C, mask, cols)
         # a column face of another size is refused, by ``minor``
         with pytest.raises(ValueError):
             compound_row(A, 0b11, [0b11, 0b1])

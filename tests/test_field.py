@@ -18,7 +18,9 @@ from shiftkit.field import (
     RowEchelonAccumulator,
     check_prime,
     is_prime,
+    pack_slots,
     realize,
+    slot_bytes,
 )
 from shiftkit.suites import _explicit_apex_check
 
@@ -389,6 +391,19 @@ def _check_verdicts(rows, width, p):
     assert acc.rank == len(pivots)
 
 
+def _check_packed_verdicts(rows, width, p, k, lift):
+    """``_check_verdicts`` with each row packed for an accumulator built
+    with k: a residue x goes in as x + m p, with m = lift(x, most) and
+    most the largest m that keeps it at most k (p - 1)^2."""
+    top = k * (p - 1) ** 2
+    nb = slot_bytes(p, width, k)
+    acc = RowEchelonAccumulator(width, p, k)
+    verdicts = [acc.insert(pack_slots([x + lift(x, (top - x) // p) * p for x in row], nb)) for row in rows]
+    pivots = mod_p_pivot_rows(rows, p)
+    assert verdicts == [i in pivots for i in range(len(rows))]
+    assert acc.rank == len(pivots)
+
+
 @pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME])
 def test_accumulator_matches_mod_p_oracle(p):
     # at p = 3 the rank mod p differs from the rank over Q, so this oracle
@@ -428,6 +443,19 @@ def test_accumulator_worst_case_slot_sums():
         rows.append([rng.randrange(p) for _ in range(k)] + [p - 1] * (width - k))
         rows.append(_combination(rng, rows, width, p))
     _check_verdicts(rows, width, p)
+    # Packed vectors whose slots start as high as k (p - 1)^2, as the shift
+    # scan's unreduced rows of size-k faces may: one reduction step adds up
+    # to (p - 1)^2 more.  At p = 2^62 - 57 a slot of width + k <= 16 such
+    # products fits 16 bytes and one of 17 does not, so a layout sized
+    # without k, 16 bytes here, fails this check from k = 15 or 16 on.
+    p = (1 << 62) - 57
+    for width in (1, 2, 3):
+        for k in range(1, 21):
+            basis = [[0] * i + [p - 1] * (width - i) for i in range(width)]
+            rows = [[rng.randrange(p) for _ in range(width)]] + basis
+            rows += [[p - 1] * width, _combination(rng, basis, width, p)]
+            rows += [[rng.randrange(p) for _ in range(width)] for _ in range(2)]
+            _check_packed_verdicts(rows, width, p, k, lambda x, most: most)
 
 
 @pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME])
@@ -504,10 +532,12 @@ def _walk_sequences(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_walk_sequences())
-def test_accumulator_walk_matches_mod_p_oracle(case):
+@given(_walk_sequences(), st.integers(1, 8), st.randoms(use_true_random=False))
+def test_accumulator_walk_matches_mod_p_oracle(case, k, rnd):
     p, width, rows = case
     _check_verdicts(rows, width, p)
+    # the same rows packed, as the shift scan hands its rows over
+    _check_packed_verdicts(rows, width, p, k, lambda x, most: rnd.randint(0, most))
 
 
 def test_accumulator_refuses_entries_that_are_not_residues():
@@ -520,3 +550,21 @@ def test_accumulator_refuses_entries_that_are_not_residues():
         assert acc.insert([0, p - 1, 0]) and acc.insert([p - 1, 0, p - 1])
         assert not acc.insert([0, 0, 0])
         assert acc.rank == 2
+
+
+def test_accumulator_refuses_packed_vectors_out_of_range():
+    for p in (3, P, DEFAULT_PRIME):
+        for k in (1, 4):
+            acc = RowEchelonAccumulator(3, p, k)
+            nb = slot_bytes(p, 3, k)
+            top = k * (p - 1) ** 2
+            for bad in (-1, 1 << 3 * 8 * nb):
+                with pytest.raises(ValueError, match="packed vector"):
+                    acc.insert(bad)
+            assert acc.rank == 0
+            # slots read mod p: top is k mod p, which is not 0 here
+            assert acc.insert(pack_slots([top, 0, 0], nb))
+            assert acc.insert(pack_slots([0, p, top], nb))
+            assert not acc.insert(pack_slots([top, p, 0], nb))
+            assert not acc.insert(0)
+            assert acc.rank == 2
