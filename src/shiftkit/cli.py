@@ -266,28 +266,20 @@ def _cmd_op(args: argparse.Namespace) -> int:
     if kind == "betti":
         K = complexes[0]
         betti = func(K, p)
-        if args.json:
-            _emit_report(
-                args, kind=kind, prime=p, n=K.n, f_vector=list(K.f_vector), betti=list(betti)
-            )
-        else:
-            _emit(args, f"f_vector: {K.f_vector}\nbetti: {betti}\n")
-        return 0
-    if kind == "compare":
+        fields = dict(prime=p, n=K.n, f_vector=list(K.f_vector), betti=list(betti))
+        text = f"f_vector: {K.f_vector}\nbetti: {betti}\n"
+    elif kind == "compare":
         rel = func(*complexes)
-        if args.json:
-            _emit_report(args, kind=kind, relation=rel)
-        else:
-            _emit(args, f"relation: {rel}\n")
-        return 0
-
-    R = func(*complexes, *extra)
-    if args.json:
-        _emit_report(
-            args, kind=kind, n=R.n, facets=_face_lists(R), f_vector=list(R.f_vector)
-        )
+        fields = dict(relation=rel)
+        text = f"relation: {rel}\n"
     else:
-        _emit(args, format_complex(R, [f"{kind} result", f"f_vector={R.f_vector}"]))
+        R = func(*complexes, *extra)
+        fields = dict(n=R.n, facets=_face_lists(R), f_vector=list(R.f_vector))
+        text = format_complex(R, [f"{kind} result", f"f_vector={R.f_vector}"])
+    if args.json:
+        _emit_report(args, kind=kind, **fields)
+    else:
+        _emit(args, text)
     return 0
 
 

@@ -228,7 +228,7 @@ class _WedgeTables:
         return pack_slots(out, self._bytes[k])
 
 
-def _shift_family(K: SimplicialComplex, A: FieldMatrix, p: int) -> SimplicialComplex:
+def _shift_family(K: SimplicialComplex, A: FieldMatrix) -> SimplicialComplex:
     M = A.lower_reduced()
     if M is None:
         raise ValueError("cannot shift with a singular matrix")
@@ -237,7 +237,7 @@ def _shift_family(K: SimplicialComplex, A: FieldMatrix, p: int) -> SimplicialCom
     bits = [1 << i for i in range(K.n)]
     for k in range(1, len(K.f_vector)):
         target = len(K.faces_of_size(k))
-        acc = RowEchelonAccumulator(target, p, k)
+        acc = RowEchelonAccumulator(target, A.p, k)
         kept = []
         covered = 0
         for mask in map(sum, combinations(bits, k)):  # lex order: bits ascend
@@ -287,7 +287,7 @@ def exterior_shift(
         cur = GenericSpec(spec.seed + attempt) if generic else spec
         seed = getattr(cur, "seed", None)
         A = realize(cur, K.n, p)
-        out = _shift_family(K, A, p)
+        out = _shift_family(K, A)
         flags = ValidationFlags(
             is_shifted=out.is_shifted(),
             f_vector_preserved=out.f_vector == K.f_vector,

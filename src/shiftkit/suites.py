@@ -3,6 +3,10 @@
 Each suite draws its instances from a seed, checks one named property per
 instance, and returns :class:`Check` records.  Nothing in here asserts;
 callers decide how to surface failures.
+
+A suite is registered once, with :func:`_suite`, under its ``verify`` name
+in :data:`SUITES`.  That name also seeds the suite's random stream, so
+``verify <name>`` reproduces that suite's part of ``verify all``.
 """
 
 from __future__ import annotations
@@ -74,42 +78,75 @@ def _fmt(faces) -> str:
     return " ".join("".join(map(str, vertex_tuple(f))) for f in sorted(faces))
 
 
+SUITES: dict = {}
+
+
+def _suite(name: str):
+    """Register a suite body under its ``verify`` name.
+
+    The body takes ``(rng, trials, max_n, seed, p)``, draws from ``rng`` and
+    yields :class:`Check` records.  The registered function takes keywords,
+    hands the body ``_stream(seed, name)`` and returns the checks as a list.
+    """
+
+    def register(body):
+        def run(*, trials: int = 10, max_n: int = 8, seed: int = 0, p: int = DEFAULT_PRIME):
+            return list(body(_stream(seed, name), trials, max_n, seed, p))
+
+        # not functools.wraps: its __wrapped__ would show the body's signature
+        run.__name__ = run.__qualname__ = body.__name__
+        run.__doc__ = body.__doc__
+        SUITES[name] = run
+        return run
+
+    return register
+
+
 # ----------------------------------------------------------------------
 # fixed counterexample
 
 
-def suite_counterexample(
-    *, trials: int = 1, max_n: int = 6, seed: int = 0, p: int = DEFAULT_PRIME
-) -> list:
+def _suspension_pair(K: SimplicialComplex, seed: int, p: int):
+    """The shift of the suspension of ``K`` and the suspension of the shift
+    of ``K``, every shift at one seed."""
+    left = shifted(suspension(K), seed=seed, p=p)
+    right = shifted(suspension(shifted(K, seed=seed, p=p)), seed=seed, p=p)
+    return left, right
+
+
+@_suite("counterexample")
+def suite_counterexample(rng, trials, max_n, seed, p):
     """Two disjoint edges: shifting the suspension and suspending the
     shift disagree, by exactly one triangle each way, and the former is
     lexicographically smaller."""
     B = SimplicialComplex.from_facets(4, [Face.of(1, 2), Face.of(3, 4)])
-    left = shifted(suspension(B), seed=seed, p=p)
-    right = shifted(suspension(shifted(B, seed=seed, p=p)), seed=seed, p=p)
+    left, right = _suspension_pair(B, seed, p)
     only_left = set(left.all_faces()) - set(right.all_faces())
     only_right = set(right.all_faces()) - set(left.all_faces())
     rel = lex_compare(left, right)
-    return [
-        Check("shift-of-suspension-extra", only_left == {Face.of(1, 2, 6)}, _fmt(only_left)),
-        Check("suspension-of-shift-extra", only_right == {Face.of(1, 3, 4)}, _fmt(only_right)),
-        Check("f-vectors-agree", left.f_vector == right.f_vector, str(left.f_vector)),
-        Check("strictly-lex-smaller", rel == "less", rel),
-    ]
+    yield Check("shift-of-suspension-extra", only_left == {Face.of(1, 2, 6)}, _fmt(only_left))
+    yield Check("suspension-of-shift-extra", only_right == {Face.of(1, 3, 4)}, _fmt(only_right))
+    yield Check("f-vectors-agree", left.f_vector == right.f_vector, str(left.f_vector))
+    yield Check("strictly-lex-smaller", rel == "less", rel)
 
 
 # ----------------------------------------------------------------------
 # unions and sums
 
 
-def suite_union_eq1(
-    *, trials: int = 10, max_n: int = 9, seed: int = 0, p: int = DEFAULT_PRIME
-) -> list:
+def _window_counts(window, DM, DK, DL) -> tuple[int, int]:
+    """Faces of ``window`` in the union's shift ``DM`` against the sum of
+    those in the parts' shifts ``DK`` and ``DL``."""
+    lhs = sum(1 for S in window if S in DM)
+    rhs = sum(1 for S in window if S in DK) + sum(1 for S in window if S in DL)
+    return lhs, rhs
+
+
+@_suite("union-eq1")
+def suite_union_eq1(rng, trials, max_n, seed, p):
     """Interval counts over every small base: one window above the
     overlap's dimension, the union's shift splits additively into the
     operands' shifts."""
-    rng = _stream(seed, "union-eq1")
-    out = []
     for t in range(trials):
         n = rng.randint(2, max_n)
         K = random_complex(rng, n)
@@ -126,26 +163,19 @@ def suite_union_eq1(
                 if not window:
                     continue
                 bases += 1
-                lhs = sum(1 for S in window if S in DM)
-                rhs = sum(1 for S in window if S in DK)
-                rhs += sum(1 for S in window if S in DL)
+                lhs, rhs = _window_counts(window, DM, DK, DL)
                 if lhs != rhs:
                     bad = f"A={vertex_tuple(A)} {lhs}!={rhs}"
                     break
             if bad:
                 break
-        detail = bad or f"n={n} depth={depth} bases={bases}"
-        out.append(Check(f"pair-{t:02d}", not bad, detail))
-    return out
+        yield Check(f"pair-{t:02d}", not bad, bad or f"n={n} depth={depth} bases={bases}")
 
 
-def suite_disjoint_union(
-    *, trials: int = 10, max_n: int = 9, seed: int = 0, p: int = DEFAULT_PRIME
-) -> list:
+@_suite("disjoint-union")
+def suite_disjoint_union(rng, trials, max_n, seed, p):
     """The gap rule applied to the parts' shifts reproduces the shift of
     the disjoint union."""
-    rng = _stream(seed, "disjoint-union")
-    out = []
     for t in range(trials):
         na = rng.randint(1, max(1, max_n // 2))
         nb = rng.randint(1, max(1, max_n - na))
@@ -155,10 +185,7 @@ def suite_disjoint_union(
         DK = shifted(K, seed=_seed32(rng), p=p)
         DL = shifted(L, seed=_seed32(rng), p=p)
         rule = disjoint_union_shift(DK, DL)
-        out.append(
-            Check(f"pair-{t:02d}", direct == rule, f"n={na}+{nb} f={direct.f_vector}")
-        )
-    return out
+        yield Check(f"pair-{t:02d}", direct == rule, f"n={na}+{nb} f={direct.f_vector}")
 
 
 def sqcup_agree(
@@ -188,42 +215,31 @@ def union_interval_check(
     Returns the pair (union count, sum of part counts); equality is the
     property under test.  ``K`` and ``L`` live on shared labels.
     """
-    n = max(K.n, L.n)
-    d = intersection(K, L).dim
-    if d < -1:
-        d = -1
-    window = interval(A, d + 2, n)
-    du = shifted(union(K, L), seed=seed, p=p)
-    dk = shifted(K, seed=seed, p=p)
-    dl = shifted(L, seed=seed, p=p)
-    lhs = sum(1 for T in window if T in du)
-    rhs = sum(1 for T in window if T in dk) + sum(1 for T in window if T in dl)
-    return lhs, rhs
+    window = interval(A, max(intersection(K, L).dim, -1) + 2, max(K.n, L.n))
+    return _window_counts(
+        window,
+        shifted(union(K, L), seed=seed, p=p),
+        shifted(K, seed=seed, p=p),
+        shifted(L, seed=seed, p=p),
+    )
 
 
-def suite_sqcup(
-    *, trials: int = 10, max_n: int = 10, seed: int = 0, p: int = DEFAULT_PRIME
-) -> list:
+@_suite("sqcup")
+def suite_sqcup(rng, trials, max_n, seed, p):
     """Three routes to the shift of a disjoint union of shifted complexes."""
-    rng = _stream(seed, "sqcup")
-    out = []
     for t in range(trials):
         na = rng.randint(1, max(1, max_n // 2))
         nb = rng.randint(1, max(1, max_n - na))
         DA = random_shifted(rng, na, p=p)
         DB = random_shifted(rng, nb, p=p)
         ok = sqcup_agree(DA, DB, seed=_seed32(rng), p=p)
-        out.append(Check(f"pair-{t:02d}", ok, f"n={na}+{nb}"))
-    return out
+        yield Check(f"pair-{t:02d}", ok, f"n={na}+{nb}")
 
 
-def suite_clique_sum(
-    *, trials: int = 10, max_n: int = 9, seed: int = 0, p: int = DEFAULT_PRIME
-) -> list:
+@_suite("clique-sum")
+def suite_clique_sum(rng, trials, max_n, seed, p):
     """Gluing along a shared full simplex: the gap rule with the shared
     simplex's counts subtracted matches the direct shift."""
-    rng = _stream(seed, "clique-sum")
-    out = []
     for t in range(trials):
         na = rng.randint(1, max(2, max_n - 2))
         A = random_complex(rng, na)
@@ -242,27 +258,18 @@ def suite_clique_sum(
             shifted(B, seed=_seed32(rng), p=p),
             d,
         )
-        out.append(
-            Check(
-                f"glue-{t:02d}",
-                direct == rule,
-                f"d={d} sigma={vertex_tuple(sigma)} n={glued.n}",
-            )
-        )
-    return out
+        detail = f"d={d} sigma={vertex_tuple(sigma)} n={glued.n}"
+        yield Check(f"glue-{t:02d}", direct == rule, detail)
 
 
 # ----------------------------------------------------------------------
 # cones and near cones
 
 
-def suite_cone(
-    *, trials: int = 10, max_n: int = 9, seed: int = 0, p: int = DEFAULT_PRIME
-) -> list:
+@_suite("cone")
+def suite_cone(rng, trials, max_n, seed, p):
     """Shifting commutes with coning; cones decompose along the apex and
     carry no reduced homology."""
-    rng = _stream(seed, "cone")
-    out = []
     for t in range(trials):
         n = rng.randint(1, max(1, max_n - 1))
         K = random_complex(rng, n)
@@ -272,8 +279,7 @@ def suite_cone(
         ok = DC == cone(DK)
         ok = ok and near_cone_decomposition_check(C, 1, seed=_seed32(rng), p=p)
         ok = ok and not any(betti_from_shifted(DC))
-        out.append(Check(f"cone-{t:02d}", ok, f"n={n + 1} f={DC.f_vector}"))
-    return out
+        yield Check(f"cone-{t:02d}", ok, f"n={n + 1} f={DC.f_vector}")
 
 
 def _apex_level_matches(D: SimplicialComplex, j: int, dlk: SimplicialComplex) -> bool:
@@ -335,13 +341,10 @@ def _explicit_apex_check(rng: random.Random, K: SimplicialComplex, p: int) -> bo
     return _apex_level_matches(res.shifted, 1, res_sub.shifted)
 
 
-def suite_near_cone(
-    *, trials: int = 10, max_n: int = 9, seed: int = 0, p: int = DEFAULT_PRIME
-) -> list:
+@_suite("near-cone")
+def suite_near_cone(rng, trials, max_n, seed, p):
     """Near cones: apex decomposition of the shift, the iterated version
     along a greedy certificate, and the explicit-matrix variant."""
-    rng = _stream(seed, "near-cone")
-    out = []
     for t in range(trials):
         n = rng.randint(2, max_n)
         K = random_near_cone(rng, n)
@@ -350,27 +353,23 @@ def suite_near_cone(
         ok = ok and near_cone_decomposition_check(K, 1, seed=_seed32(rng), p=p)
         ok = ok and near_cone_iterated_check(K, cert, seed=_seed32(rng), p=p)
         ok = ok and _explicit_apex_check(rng, K, p)
-        out.append(Check(f"nc-{t:02d}", ok, f"n={n} depth={cert.depth}"))
+        yield Check(f"nc-{t:02d}", ok, f"n={n} depth={cert.depth}")
     # shifted complexes admit a full apex chain, one apex per vertex
     for t in range(max(1, trials // 5)):
         D = random_shifted(rng, rng.randint(2, max_n), p=p)
         cert = near_cone_analyze(D)
         ok = cert.depth == D.num_vertices
         ok = ok and near_cone_iterated_check(D, cert, seed=_seed32(rng), p=p)
-        out.append(Check(f"full-chain-{t:02d}", ok, f"depth={cert.depth}"))
-    return out
+        yield Check(f"full-chain-{t:02d}", ok, f"depth={cert.depth}")
 
 
 # ----------------------------------------------------------------------
 # invariants of the shift itself
 
 
-def suite_idempotence(
-    *, trials: int = 10, max_n: int = 9, seed: int = 0, p: int = DEFAULT_PRIME
-) -> list:
+@_suite("idempotence")
+def suite_idempotence(rng, trials, max_n, seed, p):
     """Shifting is idempotent, seed-independent, and blind to relabeling."""
-    rng = _stream(seed, "idempotence")
-    out = []
     for t in range(trials):
         n = rng.randint(1, max_n)
         K = random_complex(rng, n)
@@ -384,39 +383,31 @@ def suite_idempotence(
             if shifted(K.permuted(pi), seed=_seed32(rng), p=p) != D:
                 ok = False
                 break
-        out.append(Check(f"inst-{t:02d}", ok, f"n={n} f={D.f_vector}"))
-    return out
+        yield Check(f"inst-{t:02d}", ok, f"n={n} f={D.f_vector}")
 
 
-def suite_betti(
-    *, trials: int = 10, max_n: int = 9, seed: int = 0, p: int = DEFAULT_PRIME
-) -> list:
+@_suite("betti")
+def suite_betti(rng, trials, max_n, seed, p):
     """The shift preserves the face-count vector and every reduced rank,
     and the combinatorial count on the output matches the rank route."""
-    rng = _stream(seed, "betti")
-    out = []
     for t in range(trials):
         n = rng.randint(1, max_n)
         K = random_complex(rng, n)
         D = shifted(K, seed=_seed32(rng), p=p)
         ok = D.f_vector == K.f_vector
         ok = ok and betti_direct(K, p) == betti_from_shifted(D) == betti_direct(D, p)
-        out.append(Check(f"inst-{t:02d}", ok, f"n={n} betti={betti_from_shifted(D)}"))
-    return out
+        yield Check(f"inst-{t:02d}", ok, f"n={n} betti={betti_from_shifted(D)}")
 
 
 # ----------------------------------------------------------------------
 # kernel oracles
 
 
-def suite_kernel_dims(
-    *, trials: int = 10, max_n: int = 8, seed: int = 0, p: int = DEFAULT_PRIME
-) -> list:
+@_suite("kernel-dims")
+def suite_kernel_dims(rng, trials, max_n, seed, p):
     """Membership and interval counts read off joint kernels of stacked
     contraction maps, never the greedy scan; plus the closed form for the
     stacked image on a full simplex."""
-    rng = _stream(seed, "kernel-dims")
-    out = []
     for t in range(trials):
         n = rng.randint(2, max_n)
         K = random_complex(rng, n, max_size=4)
@@ -438,7 +429,7 @@ def suite_kernel_dims(
         hi = kernel_intersection_dim(K, A, S, strict=False, extra=i)
         count = sum(1 for T in interval(S, i, n) if T in D)
         ok = ok and lo - hi == count
-        out.append(Check(f"inst-{t:02d}", ok, f"n={n} S={vertex_tuple(S)} i={i}"))
+        yield Check(f"inst-{t:02d}", ok, f"n={n} S={vertex_tuple(S)} i={i}")
     for h in range(1, 6):
         n = h + 2
         A = realize(GenericSpec(seed + h), n, p)
@@ -452,8 +443,7 @@ def suite_kernel_dims(
                     break
             if bad:
                 break
-        out.append(Check(f"complete-image-h{h}", not bad, bad or f"{cells} cells"))
-    return out
+        yield Check(f"complete-image-h{h}", not bad, bad or f"{cells} cells")
 
 
 # ----------------------------------------------------------------------
@@ -492,14 +482,11 @@ def _wedge_multiplicative(
     return True
 
 
-def suite_sarkaria(
-    *, trials: int = 10, max_n: int = 8, seed: int = 0, p: int = DEFAULT_PRIME
-) -> list:
+@_suite("sarkaria")
+def suite_sarkaria(rng, trials, max_n, seed, p):
     """The two change-of-basis maps on a near cone interlace the three
     contraction operators degree by degree, and the first one respects
     wedges."""
-    rng = _stream(seed, "sarkaria")
-    out = []
     for t in range(trials):
         n = rng.randint(2, max_n)
         K = random_near_cone(rng, n)
@@ -513,8 +500,7 @@ def suite_sarkaria(
             ok = ok and U[level - 1] @ B == E @ U[level]
             ok = ok and Dm[level - 1] @ E == F @ Dm[level]
         ok = ok and _wedge_multiplicative(rng, K, U, p)
-        out.append(Check(f"nc-{t:02d}", ok, f"n={n} dim={K.dim}"))
-    return out
+        yield Check(f"nc-{t:02d}", ok, f"n={n} dim={K.dim}")
 
 
 # ----------------------------------------------------------------------
@@ -549,13 +535,10 @@ def join_top_count_check(
     return top_avoiding(dj), top_avoiding(dk) * top_avoiding(dl)
 
 
-def suite_join_top(
-    *, trials: int = 10, max_n: int = 10, seed: int = 0, p: int = DEFAULT_PRIME
-) -> list:
+@_suite("join-top")
+def suite_join_top(rng, trials, max_n, seed, p):
     """Top faces of a join's shift avoiding an initial label segment
     factor as a product over the operands."""
-    rng = _stream(seed, "join-top")
-    out = []
     for t in range(trials):
         na = rng.randint(1, max(1, max_n // 2))
         nb = rng.randint(1, max(1, max_n - na))
@@ -563,8 +546,7 @@ def suite_join_top(
         L = random_complex(rng, nb, max_size=2)
         i = rng.randint(0, 3)
         lhs, rhs = join_top_count_check(K, L, i, seed=_seed32(rng), p=p)
-        out.append(Check(f"pair-{t:02d}", lhs == rhs, f"i={i} {lhs}=={rhs}"))
-    return out
+        yield Check(f"pair-{t:02d}", lhs == rhs, f"i={i} {lhs}=={rhs}")
 
 
 # ----------------------------------------------------------------------
@@ -586,10 +568,7 @@ def conjecture_scan(
     for _ in range(trials):
         n = rng.randint(1, max_n)
         K = random_complex(rng, n)
-        s = _seed32(rng)
-        left = shifted(suspension(K), seed=s, p=p)
-        right = shifted(suspension(shifted(K, seed=s, p=p)), seed=s, p=p)
-        rel = lex_compare(left, right)
+        rel = lex_compare(*_suspension_pair(K, _seed32(rng), p))
         tallies[rel] += 1
         if rel in ("greater", "incomparable") and len(witnesses) < 5:
             witnesses.append([list(vertex_tuple(f)) for f in K.facets()])
@@ -601,18 +580,3 @@ def conjecture_scan(
         "witnesses": witnesses,
     }
 
-
-SUITES = {
-    "betti": suite_betti,
-    "clique-sum": suite_clique_sum,
-    "cone": suite_cone,
-    "counterexample": suite_counterexample,
-    "disjoint-union": suite_disjoint_union,
-    "idempotence": suite_idempotence,
-    "join-top": suite_join_top,
-    "kernel-dims": suite_kernel_dims,
-    "near-cone": suite_near_cone,
-    "sarkaria": suite_sarkaria,
-    "sqcup": suite_sqcup,
-    "union-eq1": suite_union_eq1,
-}

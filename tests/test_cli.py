@@ -311,8 +311,8 @@ def test_stdin_is_refused_for_two_operands(tmp_path, capsys, monkeypatch):
 def test_changed_face_counts_exit_two(tmp_path, capsys, monkeypatch):
     real = engine._shift_family
 
-    def drop_top_face(K, A, p):
-        D = real(K, A, p)
+    def drop_top_face(K, A):
+        D = real(K, A)
         top = D.faces_of_size(len(D.f_vector) - 1)
         return SimplicialComplex(D.n, set(D.face_set()) - {top[-1]})
 
@@ -354,6 +354,67 @@ def test_verify_json_aggregate(capsys):
     assert report["ok"] is True
     assert [s["suite"] for s in report["suites"]] == sorted(SUITES)
     assert all(s["passed"] == s["total"] > 0 for s in report["suites"])
+
+
+def test_verify_one_suite_reproduces_its_part_of_all(capsys):
+    # each suite's stream is seeded by its name, so alone it draws what it draws in `all`
+    argv = ("--trials", "3", "--seed", "5", "--json")
+    code, out, _ = run(capsys, "verify", "all", *argv)
+    assert code == 0
+    together = json.loads(out)["suites"]
+    assert [s["suite"] for s in together] == sorted(SUITES)
+    for entry in together:
+        code, out, _ = run(capsys, "verify", entry["suite"], *argv)
+        assert code == 0
+        assert json.loads(out)["suites"] == [entry], entry["suite"]
+
+
+# (suite, label, ok, detail) of `verify all --trials 2 --seed 3`
+VERIFY_ALL_CHECKS = [
+    ("betti", "inst-00", True, "n=5 betti=(0, 0, 0, 0)"),
+    ("betti", "inst-01", True, "n=2 betti=(0, 0, 0)"),
+    ("clique-sum", "glue-00", True, "d=-1 sigma=() n=7"),
+    ("clique-sum", "glue-01", True, "d=1 sigma=(1, 2) n=8"),
+    ("cone", "cone-00", True, "n=4 f=(1, 4, 6, 4, 1)"),
+    ("cone", "cone-01", True, "n=6 f=(1, 6, 12, 11, 5, 1)"),
+    ("counterexample", "shift-of-suspension-extra", True, "126"),
+    ("counterexample", "suspension-of-shift-extra", True, "134"),
+    ("counterexample", "f-vectors-agree", True, "(1, 6, 10, 4)"),
+    ("counterexample", "strictly-lex-smaller", True, "less"),
+    ("disjoint-union", "pair-00", True, "n=4+1 f=(1, 2)"),
+    ("disjoint-union", "pair-01", True, "n=2+3 f=(1, 4, 1)"),
+    ("idempotence", "inst-00", True, "n=8 f=(1, 6, 12, 9, 2)"),
+    ("idempotence", "inst-01", True, "n=5 f=(1, 5, 6, 2)"),
+    ("join-top", "pair-00", True, "i=1 0==0"),
+    ("join-top", "pair-01", True, "i=0 1==1"),
+    ("kernel-dims", "inst-00", True, "n=7 S=(5, 7) i=1"),
+    ("kernel-dims", "inst-01", True, "n=7 S=(5,) i=1"),
+    ("kernel-dims", "complete-image-h1", True, "7 cells"),
+    ("kernel-dims", "complete-image-h2", True, "15 cells"),
+    ("kernel-dims", "complete-image-h3", True, "31 cells"),
+    ("kernel-dims", "complete-image-h4", True, "63 cells"),
+    ("kernel-dims", "complete-image-h5", True, "127 cells"),
+    ("near-cone", "nc-00", True, "n=6 depth=5"),
+    ("near-cone", "nc-01", True, "n=6 depth=1"),
+    ("near-cone", "full-chain-00", True, "depth=6"),
+    ("sarkaria", "nc-00", True, "n=3 dim=1"),
+    ("sarkaria", "nc-01", True, "n=7 dim=4"),
+    ("sqcup", "pair-00", True, "n=1+1"),
+    ("sqcup", "pair-01", True, "n=1+4"),
+    ("union-eq1", "pair-00", True, "n=3 depth=4 bases=0"),
+    ("union-eq1", "pair-01", True, "n=8 depth=3 bases=26"),
+]
+
+
+def test_verify_all_checks_are_golden(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--trials", "2", "--seed", "3", "--json")
+    assert code == 0
+    got = [
+        (s["suite"], c["label"], c["ok"], c["detail"])
+        for s in json.loads(out)["suites"]
+        for c in s["checks"]
+    ]
+    assert got == VERIFY_ALL_CHECKS
 
 
 def test_verify_guards(tmp_path, capsys):

@@ -170,7 +170,7 @@ def test_upper_triangular_matrix_fixes_a_shifted_complex():
                 p,
             )
             assert M.lower_reduced() == M
-            assert _shift_family(K, M, p) == K
+            assert _shift_family(K, M) == K
 
 
 def _unpacked_row(tables, mask, p):
@@ -259,7 +259,7 @@ def test_fast_and_reference_shifts_agree():
             fast = exterior_shift(K, spec, p=p)
             assert fast.shifted == _reference_shift(K, realize(spec, n, p), p)
             A = realize(GenericSpec(rng.randrange(2**16)), n, p)
-            assert _shift_family(K, A, p) == _reference_shift(K, A, p)
+            assert _shift_family(K, A) == _reference_shift(K, A, p)
     # explicit matrices whose downward reduction has out-of-order pivots:
     # the scan runs on L^-1 A, the reference on A itself
     out_of_order = 0
@@ -272,7 +272,7 @@ def test_fast_and_reference_shifts_agree():
             A = _explicit_matrix(rng, kind, n, p)
             pivots = [next(j for j, x in enumerate(r) if x) for r in A.lower_reduced().rows]
             out_of_order += pivots != sorted(pivots)
-            assert _shift_family(K, A, p) == _reference_shift(K, A, p)
+            assert _shift_family(K, A) == _reference_shift(K, A, p)
             res = exterior_shift(K, ExplicitSpec(A.rows), p=p)
             assert res.shifted == _reference_shift(K, A, p)
     assert out_of_order >= 30
@@ -286,7 +286,7 @@ def test_fast_and_reference_shifts_agree():
             K = random_complex(rng, rng.randint(1, n - 1)).with_ambient(n)
             K = K.permuted(random_permutation(rng, n))
             A = _draw_matrix(rng, kind, n, p)
-            D = _shift_family(K, A, p)
+            D = _shift_family(K, A)
             assert D == _reference_shift(K, A, p)
             kept = int(D.support)
             non_initial += kept & (kept + 1) != 0
@@ -321,7 +321,7 @@ def test_scan_over_shrinking_vertex_lists_matches_reference():
                 v += size
             K = SimplicialComplex.from_facets(n, facets).permuted(random_permutation(rng, n))
             A = _draw_matrix(rng, kind, n, p)
-            D = _shift_family(K, A, p)
+            D = _shift_family(K, A)
             assert D == _reference_shift(K, A, p)
             draws += 1
             ones = _vertices_of(D, 1)
