@@ -10,6 +10,7 @@ All values are immutable after construction and safe to share freely.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Iterator, Mapping
 
 MAX_VERTICES = 64
@@ -51,10 +52,10 @@ class Face(int):
     @classmethod
     def from_vertices(cls, vertices: Iterable[int]) -> "Face":
         mask = 0
-        for v in vertices:
-            if not 1 <= int(v) <= MAX_VERTICES:
+        for v in map(operator.index, vertices):
+            if not 1 <= v <= MAX_VERTICES:
                 raise ValueError(f"vertex {v} outside 1..{MAX_VERTICES}")
-            mask |= 1 << (int(v) - 1)
+            mask |= 1 << (v - 1)
         return cls(mask)
 
     @property
@@ -179,13 +180,28 @@ def iter_k_subsets(n: int, k: int) -> Iterator[int]:
 class SimplicialComplex:
     """A downward-closed family of faces with ambient vertex set [n].
 
-    Faces are grouped by cardinality and lex-sorted within each group.
-    The empty face is present exactly when the complex has any face at
-    all; the complex with no faces ("void") is permitted and is distinct
+    Faces are grouped by cardinality, and each size class is kept in lex
+    order.  The empty face is present exactly when the complex has any face
+    at all; the complex with no faces ("void") is permitted and is distinct
     from the complex whose only face is empty.
 
     Instances are immutable, hashable on ``(n, faces)``, and validate
     downward closure on construction.
+
+    The size classes are built in lex order from the one below, with no
+    sort over a whole class.  The head of a nonempty face is the face minus
+    its largest vertex.  Closure makes every head a face, one size smaller.
+    Size k lists, for each (k - 1)-face h in lex order, the k-faces with
+    head h in numeric order, so each k-face is listed once, and the list is
+    in lex order.  Two k-faces with the same head differ only in their
+    largest vertex, and the one whose largest vertex is smaller is both
+    lex-first and numerically smaller.  Let S and T have heads h <lex h',
+    and let v be the smallest vertex where h and h' differ, so v is in h.
+    The heads agree below v and have the same size, so h' has a vertex
+    above v, and T's largest vertex exceeds it; S's largest vertex exceeds
+    max(h) >= v.  So S and T agree below v, and v is in S and not in T:
+    S <lex T.  The classes stop at the first empty one, which follows the
+    largest face, since a closed family has faces of every smaller size.
     """
 
     __slots__ = ("n", "_faces", "_by_size")
@@ -193,11 +209,11 @@ class SimplicialComplex:
     def __init__(self, n: int, faces: Iterable[int] = ()):
         if not 0 <= n <= MAX_VERTICES:
             raise ValueError(f"ambient size must lie in 0..{MAX_VERTICES}")
-        face_set = {int(f) for f in faces}
+        face_set = set(map(operator.index, faces))
         if face_set:
             face_set.add(0)
         top = 1 << n
-        groups: dict[int, list] = {}
+        by_head: dict[int, list] = {}
         for m in face_set:
             if m < 0 or m >= top:
                 raise ValueError("vertex label out of 1..n")
@@ -207,21 +223,22 @@ class SimplicialComplex:
                 if (m ^ low) not in face_set:
                     raise ValueError("face family is not downward closed")
                 probe ^= low
-            groups.setdefault(m.bit_count(), []).append(m)
+            if m:  # keyed by its head: m minus its largest vertex
+                by_head.setdefault(m ^ (1 << (m.bit_length() - 1)), []).append(m)
         self.n = n
         self._faces = frozenset(face_set)
-
-        def reversal(m: int) -> int:
-            # the n-bit reversal of m: the smallest vertex where two masks
-            # differ becomes the top bit where their reversals differ, so
-            # same-size masks are in lex order exactly when these descend
-            return int(bin(m)[:1:-1], 2) << (n - m.bit_length())
-
-        # a downward-closed family has faces of every size up to its largest
-        self._by_size = tuple(
-            tuple(map(Face, sorted(groups[k], key=reversal, reverse=True)))
-            for k in range(len(groups))
-        )
+        by_size = []
+        level = (EMPTY_FACE,) if face_set else ()
+        while level:
+            by_size.append(level)
+            grown = []
+            for h in level:
+                group = by_head.get(h)
+                if group:
+                    group.sort()
+                    grown += group
+            level = tuple(map(Face, grown))
+        self._by_size = tuple(by_size)
 
     # ------------------------------------------------------------------
     # constructors

@@ -141,6 +141,10 @@ def test_from_facets_closes_downward():
 def test_constructor_validates_closure_and_labels():
     with pytest.raises(ValueError, match="not downward closed"):
         SimplicialComplex(3, [0b011, 0b001, 0])  # missing {2}
+    with pytest.raises(ValueError, match="not downward closed"):
+        SimplicialComplex(3, [0, 0b100, 0b110])  # {2, 3} without its head {2}
+    with pytest.raises(ValueError, match="not downward closed"):
+        SimplicialComplex(3, [0, 0b010, 0b110])  # {2, 3} without {3}
     with pytest.raises(ValueError, match="out of 1"):
         SimplicialComplex(2, [0b100, 0])
     for m in (-1, -8):  # a negative mask's submask walk never ends
@@ -150,6 +154,71 @@ def test_constructor_validates_closure_and_labels():
         SimplicialComplex(-1, [])
     with pytest.raises(ValueError):
         SimplicialComplex(65, [])
+
+
+def test_non_integer_faces_and_labels_are_refused():
+    with pytest.raises(TypeError):
+        SimplicialComplex(3, [0.0, 1.0])
+    with pytest.raises(TypeError):
+        SimplicialComplex(3, ["1"])
+    with pytest.raises(TypeError):
+        Face.of(1.5)
+    with pytest.raises(TypeError):
+        Face.of("2")
+    with pytest.raises(TypeError):
+        SimplicialComplex.from_facets(3, [[1.9, 2]])
+    # a Face, a bool and a plain int are faces and labels as before
+    K = SimplicialComplex(3, [Face.of(2), True, 0b101, 0b100])
+    assert K.faces_of_size(1) == (Face.of(1), Face.of(2), Face.of(3))
+    assert K.faces_of_size(2) == (Face.of(1, 3),)
+    assert Face.of(True, 3) == Face.of(1, 3)
+    assert SimplicialComplex.from_facets(3, [[Face.of(2), 3]]).facets() == [Face.of(2, 3)]
+
+
+def _down_closure(masks):
+    out = set()
+    for m in masks:
+        sub = m
+        while True:
+            out.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & m
+    return out
+
+
+@st.composite
+def _mask_families(draw):
+    """A set of masks on [n], n <= 7: as drawn, or the closure of the
+    drawn set with a few masks taken out, which is often closed."""
+    n = draw(st.integers(0, 7))
+    masks = st.integers(0, (1 << n) - 1)
+    family = draw(st.sets(masks, max_size=24))
+    if draw(st.booleans()):
+        family = _down_closure(family) - draw(st.sets(masks, max_size=2))
+    return n, family
+
+
+@given(_mask_families())
+def test_size_classes_are_lex_sorted_and_closure_is_checked(case):
+    n, family = case
+    faces = family | {0} if family else set()
+    closed = all(m & ~(1 << b) in faces for m in faces for b in range(n) if m >> b & 1)
+    if not closed:
+        with pytest.raises(ValueError, match="not downward closed"):
+            SimplicialComplex(n, family)
+        return
+    K = SimplicialComplex(n, family)
+    sizes = 1 + max(m.bit_count() for m in faces) if faces else 0
+    assert len(K.f_vector) == sizes
+    for k in range(sizes):
+        level = [m for m in faces if m.bit_count() == k]
+        group = K.faces_of_size(k)
+        assert type(group) is tuple and all(type(f) is Face for f in group)
+        assert list(group) == sorted(level, key=vertex_tuple)
+    # the order does not depend on how the faces arrive
+    for given_as in (sorted(family, reverse=True), (Face(m) for m in family)):
+        assert SimplicialComplex(n, given_as)._by_size == K._by_size
 
 
 def test_empty_face_added_automatically():
