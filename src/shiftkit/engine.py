@@ -27,34 +27,41 @@ vertex, most of each compound row is zero, and the wedge tables skip the
 zero entries of M while the echelon insert skips the stored rows below a
 row's first nonzero slot.
 
-The rejected sets are closed under supersets, for every A, so a kept
-k-face has only vertices kept at size 1.  Write f_i = sum_j A[i, j] e_j,
-and f_S for the wedge of the f_i, i in S, ascending, in the exterior
-algebra E on e_1, ..., e_n.  Let J be the ideal of E spanned by the e_T
-with T not a face.  The size-k part of E/J has the basis e_T, T a size-k
-face, and f_S = sum_T det A[S, T] e_T maps to S's compound row in that
-basis.  The scan rejects S exactly when the row lies in the span of the
-rows lex-before S, that is when J holds some g = f_S - sum c_T f_T over
-T <lex S.  For a nonsingular A the f_T are a basis, f_S is the leading
-term of g when lex-earlier counts as larger, and the rejected sets are the
-monomials of that initial ideal; the closure needs only the form of g.
-Let v not be in S.  J is an ideal, so it holds f_v g.  f_v f_T is 0 when
-v is in T and +-f_(T + v) otherwise, and T <lex S gives T + v <lex S + v
-when v is in neither, the symmetric difference being the same.  So f_v g
-is +-f_(S + v) plus a combination of f_U with U <lex S + v, and S + v is
-rejected too, with no genericity and no shiftedness assumed.  Now let v
-be in no kept (k - 1)-face, k >= 2, and S a k-set holding v.  S has a
-vertex u other than v; the (k - 1)-set S - u holds v, so it is not kept,
-hence rejected, and so is its superset S.  The scan at size k therefore
-visits only the k-subsets of the vertices of the faces kept at size k - 1
-(at size 1, every vertex), in lex order.  A skipped set is rejected and
-adds no row, and every kept set lex-before a visited one was visited, so
-the accumulator holds the same rows at every visited set and keeps the
-same family.  By induction on k, a set the scan does not keep is rejected
-at every size, which is what the step to size k used.  A kept k-face has
-only vertices of the size-k list, so each level's vertex list is contained
-in the one below it.  For block and explicit matrices the kept vertices
-need not be 1..m.
+The rejected sets are closed under supersets, for every A, so a k-set
+with a rejected (k - 1)-subset is rejected and needs no row.  Write
+f_i = sum_j A[i, j] e_j, and f_S for the wedge of the f_i, i in S,
+ascending, in the exterior algebra E on e_1, ..., e_n.  Let J be the ideal
+of E spanned by the e_T with T not a face.  The size-k part of E/J has the
+basis e_T, T a size-k face, and f_S = sum_T det A[S, T] e_T maps to S's
+compound row in that basis.  The scan rejects S exactly when the row lies
+in the span of the rows lex-before S, that is when J holds some
+g = f_S - sum c_T f_T over T <lex S.  For a nonsingular A the f_T are a
+basis, f_S is the leading term of g when lex-earlier counts as larger, and
+the rejected sets are the monomials of that initial ideal; the closure
+needs only the form of g.  Let v not be in S.  J is an ideal, so it holds
+f_v g.  f_v f_T is 0 when v is in T and +-f_(T + v) otherwise, and
+T <lex S gives T + v <lex S + v when v is in neither, the symmetric
+difference being the same.  So f_v g is +-f_(S + v) plus a combination of
+f_U with U <lex S + v, and S + v is rejected too, with no genericity and
+no shiftedness assumed.
+
+The scan at size k therefore visits the sets S = h + v, h running over the
+faces kept at size k - 1 in the order they were kept (at size 1, h is
+empty) and v over the vertices past max(h), ascending, and builds a row
+for S only when every S - u, u in h, was kept at size k - 1 too (S - v = h
+was).  Each k-set S is generated exactly once, from h = S - max(S), and
+the pairs (h, v) come in the lex order of S, since the kept (k - 1)-faces
+come in lex order and h is S's vertex tuple without its last entry.  By
+induction on k the scan keeps, at size k - 1, exactly the (k - 1)-sets that
+are not rejected; past the set that fills the rank every row is in the
+span.  A k-set that is never generated, because its h was not kept, or
+that the scan skips has a (k - 1)-subset the scan did not keep, which is
+rejected, so the k-set is rejected too, by the closure above, and its row
+lies in the span of the rows lex-before it.  Going along the lex order,
+the accumulator therefore holds at every visited S the span of all the
+rows lex-before S, as a scan over all k-sets would, and the scan keeps
+the same family.  For block and explicit matrices the kept family need
+not be shifted and its vertices need not be 1..m; the rule uses neither.
 
 The rows are built one vertex at a time: the wedge of S's rows is its
 smallest vertex's row wedged with the next, and so on, each partial
@@ -83,7 +90,6 @@ and never touch the wedge tables the scan uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .complexes import (
     SimplicialComplex,
@@ -228,26 +234,36 @@ class _WedgeTables:
         return pack_slots(out, self._bytes[k])
 
 
+def _candidates(below: list[int], n: int):
+    """The k-sets h + v, h in ``below`` (the faces kept at size k - 1, in lex
+    order) and v past max(h) ascending, whose (k - 1)-subsets are all in
+    ``below``; in lex order (module docstring)."""
+    kept = set(below)
+    for h in below:
+        # S - u for S = h + v and u in h is (h - u) + v
+        subs = [h ^ 1 << (u - 1) for u in iter_vertices(h)]
+        for v in range(h.bit_length(), n):
+            bit = 1 << v
+            if all(f | bit in kept for f in subs):
+                yield h | bit
+
+
 def _shift_family(K: SimplicialComplex, A: FieldMatrix) -> SimplicialComplex:
     M = A.lower_reduced()
     if M is None:
         raise ValueError("cannot shift with a singular matrix")
     faces = [0]
     tables = _WedgeTables(K, M)
-    bits = [1 << i for i in range(K.n)]
+    kept = [0]
     for k in range(1, len(K.f_vector)):
         target = len(K.faces_of_size(k))
         acc = RowEchelonAccumulator(target, A.p, k)
-        kept = []
-        covered = 0
-        for mask in map(sum, combinations(bits, k)):  # lex order: bits ascend
-            if acc.insert(tables.row(mask)):
-                kept.append(mask)
-                covered |= mask
+        below, kept = kept, []
+        for S in _candidates(below, K.n):
+            if acc.insert(tables.row(S)):
+                kept.append(S)
                 if acc.rank == target:
                     break
-        # a vertex in no kept k-face is in no kept (k + 1)-face (module docstring)
-        bits = [b for b in bits if b & covered]
         faces += kept
     return SimplicialComplex(K.n, faces)
 

@@ -18,7 +18,7 @@ from shiftkit import (
     shifted,
 )
 from shiftkit import engine
-from shiftkit.complexes import iter_k_subsets
+from shiftkit.complexes import iter_k_subsets, iter_vertices
 from shiftkit.engine import (
     _WedgeTables,
     _shift_family,
@@ -302,10 +302,11 @@ def _vertices_of(D, k):
 
 
 def test_scan_over_shrinking_vertex_lists_matches_reference():
-    # size k scans subsets of the vertices of the faces kept at size k - 1;
-    # a core with faces of size >= 3, plus isolated vertices and edges on
-    # the other labels, relabelled at random, makes that list shorter than
-    # the vertices kept at size 1 before some size k >= 3 is scanned
+    # size k builds rows only for sets whose (k - 1)-subsets were all kept,
+    # so only over the vertices of the faces kept at size k - 1; a core with
+    # faces of size >= 3, plus isolated vertices and edges on the other
+    # labels, relabelled at random, makes those vertices fewer than the ones
+    # kept at size 1 before some size k >= 3 is scanned
     rng = random.Random(1517)
     shrinking = draws = 0
     for p in (3, 5, 7, 2**61 - 1):
@@ -330,37 +331,118 @@ def test_scan_over_shrinking_vertex_lists_matches_reference():
     assert shrinking >= 50
 
 
-def test_scan_builds_rows_only_over_kept_vertices(monkeypatch):
-    # size k builds rows only for the k-subsets of the vertices of the faces
-    # kept at size k - 1
-    calls = 0
+def _row_calls(monkeypatch):
+    # the sets S, in call order, that the scan builds a compound row for
+    calls = []
     row = _WedgeTables.row
 
     def counted(self, S):
-        nonlocal calls
-        calls += 1
+        calls.append(int(S))
         return row(self, S)
 
     monkeypatch.setattr(_WedgeTables, "row", counted)
+    return calls
+
+
+def test_scan_builds_rows_only_over_kept_vertices(monkeypatch):
+    # size k builds a row for h + v, h kept at size k - 1 and v > max(h),
+    # only when every (k - 1)-subset of h + v was kept, so only over the
+    # vertices of the faces kept at size k - 1
+    calls = _row_calls(monkeypatch)
     # a tetrahedron boundary on four far-apart labels of [64]: the shift
     # keeps vertices 1..4, where the rank is full, and the 60 others are
     # rejected, so sizes 2 and 3 build rows only for the C(4, 2) + C(4, 3)
-    # subsets of the four kept ones
+    # sets over the four kept ones
     K = SimplicialComplex.from_facets(64, [[1, 20, 40], [20, 40, 64], [1, 40, 64], [1, 20, 64]])
     D = exterior_shift(K).shifted
     assert D.f_vector == (1, 4, 6, 4)
-    assert calls == 4 + 6 + 4
+    assert len(calls) == 4 + 6 + 4
     # a tetrahedron boundary on 1..4 plus 20 isolated vertices: all 24 are
-    # kept at size 1, but the six kept edges 12, ..., 34 cover only 1..4, so
-    # size 2 builds the 23 + 22 + 1 edge rows up to 34, where the rank is
-    # full, and size 3 only the C(4, 3) triangles of 1..4, not the
-    # C(23, 2) + 1 triangles up to 234 of all 24 kept vertices
-    calls = 0
+    # kept at size 1, so size 2 builds the 23 + 22 + 1 edge rows up to 34,
+    # where the rank is full; the six kept edges 12, ..., 34 are the
+    # (k - 1)-subsets of only the C(4, 3) triangles of 1..4, so size 3
+    # builds those and not the C(23, 2) + 1 triangles up to 234
+    calls.clear()
     tetra = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]
     K = SimplicialComplex.from_facets(24, tetra + [[v] for v in range(5, 25)])
     D = exterior_shift(K).shifted
     assert D.f_vector == (1, 24, 6, 4)
-    assert calls == 24 + 46 + 4
+    assert len(calls) == 24 + 46 + 4
+
+
+def cross_polytope(d):
+    # the boundary of the d-dimensional cross-polytope: a facet takes one
+    # label of each pair {i, i + d}
+    facets = [[i + 1 + d * (bits >> i & 1) for i in range(d)] for bits in range(1 << d)]
+    return SimplicialComplex.from_facets(2 * d, facets)
+
+
+@pytest.mark.parametrize(
+    "d, f_vector",
+    [
+        (4, (1, 8, 24, 32, 16)),
+        (5, (1, 10, 40, 80, 80, 32)),
+        (6, (1, 12, 60, 160, 240, 192, 64)),
+    ],
+)
+def test_cross_polytope_scan_builds_only_rows_it_keeps(monkeypatch, d, f_vector):
+    # the generic shift of a cross-polytope boundary keeps every set whose
+    # (k - 1)-subsets were all kept, up to the last face it keeps at size k,
+    # so the scan builds exactly one row per nonempty face: 80, 242 and 728
+    calls = _row_calls(monkeypatch)
+    D = exterior_shift(cross_polytope(d)).shifted
+    assert D.f_vector == f_vector
+    assert len(calls) == sum(f_vector[1:])
+    assert calls == [int(f) for k in range(1, d + 1) for f in D.faces_of_size(k)]
+
+
+def _subset_rule_rows(D):
+    # the rows the subset rule builds for the family D, found by brute force:
+    # at each size k, the k-sets up to D's last k-face, in lex order, whose
+    # (k - 1)-subsets are all faces of D; and how many of them have a
+    # (k - 1)-subset outside D but every vertex in D's (k - 1)-faces
+    rows, unpruned = [], 0
+    for k in range(1, len(D.f_vector)):
+        below = set(D.faces_of_size(k - 1))
+        vertices = _vertices_of(D, k - 1) if k > 1 else (1 << D.n) - 1
+        last = D.faces_of_size(k)[-1]
+        for S in iter_k_subsets(D.n, k):
+            if all(S ^ u in below for u in map(Face.of, iter_vertices(S))):
+                rows.append(S)
+            elif S & vertices == S:
+                unpruned += 1
+            if S == last:
+                break
+    return rows, unpruned
+
+
+def test_subset_rule_prunes_past_the_kept_vertices(monkeypatch):
+    # block and explicit matrices at small primes: the families need not be
+    # shifted and the kept vertices need not be 1..m; the scan must keep the
+    # reference's family while building exactly the rows the subset rule
+    # allows, which are fewer than the k-sets over the vertices of the kept
+    # (k - 1)-faces
+    calls = _row_calls(monkeypatch)
+    rng = random.Random(2020)
+    draws = pruned = 0
+    for p in (3, 5, 7):
+        for kind in ("block", "noisy permutation", "sparse", "zero corner") * 6:
+            n = rng.randint(4, 7)
+            facets = [
+                rng.sample(range(1, n + 1), rng.randint(2, min(4, n)))
+                for _ in range(rng.randint(2, 6))
+            ]
+            K = SimplicialComplex.from_facets(n, facets)
+            A = _draw_matrix(rng, kind, n, p)
+            calls.clear()
+            D = _shift_family(K, A)
+            assert D == _reference_shift(K, A, p)
+            rows, unpruned = _subset_rule_rows(D)
+            assert calls == rows
+            draws += 1
+            pruned += unpruned > 0
+    assert draws == 72
+    assert pruned >= 30
 
 
 def _draw_matrix(rng, kind, n, p):
