@@ -194,12 +194,18 @@ def _emit_report(args: argparse.Namespace, **fields) -> None:
     _emit(args, json.dumps(report, indent=2) + "\n")
 
 
-def _check_max_n(args: argparse.Namespace, least: int) -> None:
-    # ``least`` is the smallest complex size the command draws
+def _check_max_n(args: argparse.Namespace, least: int, most: int) -> None:
+    # ``least`` is the smallest complex size the command draws, and ``most``
+    # the largest --max-n whose complexes all fit in MAX_VERTICES labels
     if args.trials < 0:
         raise ValueError(f"--trials {args.trials} is negative")
     if args.max_n < least:
         raise ValueError(f"--max-n {args.max_n} is below {least}")
+    if args.max_n > most:
+        raise ValueError(
+            f"--max-n {args.max_n} exceeds {most}, the most {args.cmd} can"
+            f" draw within {MAX_VERTICES} labels"
+        )
     if args.max_n > SAFE_N and not args.force:
         raise ValueError(f"--max-n {args.max_n} exceeds {SAFE_N}; pass --force")
 
@@ -285,7 +291,7 @@ def _cmd_op(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     p = check_prime(args.prime)
-    _check_max_n(args, 2)
+    _check_max_n(args, 2, MAX_VERTICES)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
@@ -323,7 +329,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_explore(args: argparse.Namespace) -> int:
     p = check_prime(args.prime)
-    _check_max_n(args, 1)
+    # each draw is suspended, which adds 2 labels
+    _check_max_n(args, 1, MAX_VERTICES - 2)
     scan = conjecture_scan(trials=args.trials, max_n=args.max_n, seed=args.seed, p=p)
     if args.json:
         _emit_report(args, seed=args.seed, prime=p, **scan)

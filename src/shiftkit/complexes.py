@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_VERTICES = 64
 
@@ -177,6 +177,36 @@ def iter_k_subsets(n: int, k: int) -> Iterator[int]:
     return map(sum, itertools.combinations([1 << b for b in range(n)], k))
 
 
+def extensions(level: Sequence[int], n: int) -> Iterator[int]:
+    """The k-sets a closed family can grow into at size k: the sets
+    S = h + v, h running over ``level`` and v over the vertices of [n] past
+    max(h), ascending, each yielded when all its (k - 1)-subsets lie in
+    ``level``.
+
+    ``level`` lists (k - 1)-sets, as masks, in lex order, each once (for
+    k = 1 it is ``[0]``).  Lemma: the sets yielded are exactly the k-subsets
+    of [n] whose (k - 1)-subsets all lie in ``level``, each once, in lex
+    order.  S arises only from h = its head, S minus its largest vertex,
+    and v = max(S), and its head is one of its (k - 1)-subsets: so S is
+    yielded once if those all lie in ``level``, and never otherwise.  Two
+    sets with the same head differ only in their largest vertex, and the
+    one whose largest vertex is smaller comes first, in lex order too.  Let
+    S and T have heads h <lex h', and let u be the smallest vertex where h
+    and h' differ, so u is in h.  The heads agree below u and have the same
+    size, so h' has a vertex above u, and T's largest vertex exceeds it;
+    S's largest vertex exceeds max(h) >= u.  So S and T agree below u, and
+    u is in S and not in T: S <lex T.
+    """
+    members = set(level)
+    for h in level:
+        # S - u for S = h + v and u in h is (h - u) + v
+        subs = [h ^ 1 << (u - 1) for u in iter_vertices(h)]
+        for v in range(h.bit_length(), n):
+            bit = 1 << v
+            if all(f | bit in members for f in subs):
+                yield h | bit
+
+
 class SimplicialComplex:
     """A downward-closed family of faces with ambient vertex set [n].
 
@@ -192,16 +222,11 @@ class SimplicialComplex:
     sort over a whole class.  The head of a nonempty face is the face minus
     its largest vertex.  Closure makes every head a face, one size smaller.
     Size k lists, for each (k - 1)-face h in lex order, the k-faces with
-    head h in numeric order, so each k-face is listed once, and the list is
-    in lex order.  Two k-faces with the same head differ only in their
-    largest vertex, and the one whose largest vertex is smaller is both
-    lex-first and numerically smaller.  Let S and T have heads h <lex h',
-    and let v be the smallest vertex where h and h' differ, so v is in h.
-    The heads agree below v and have the same size, so h' has a vertex
-    above v, and T's largest vertex exceeds it; S's largest vertex exceeds
-    max(h) >= v.  So S and T agree below v, and v is in S and not in T:
-    S <lex T.  The classes stop at the first empty one, which follows the
-    largest face, since a closed family has faces of every smaller size.
+    head h in numeric order, that is by largest vertex: the order in which
+    ``extensions`` yields them, so by its lemma each k-face is listed once
+    and the list is in lex order.  The classes stop at the first empty one,
+    which follows the largest face, since a closed family has faces of
+    every smaller size.
     """
 
     __slots__ = ("n", "_faces", "_by_size")

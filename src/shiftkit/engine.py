@@ -45,23 +45,19 @@ difference being the same.  So f_v g is +-f_(S + v) plus a combination of
 f_U with U <lex S + v, and S + v is rejected too, with no genericity and
 no shiftedness assumed.
 
-The scan at size k therefore visits the sets S = h + v, h running over the
-faces kept at size k - 1 in the order they were kept (at size 1, h is
-empty) and v over the vertices past max(h), ascending, and builds a row
-for S only when every S - u, u in h, was kept at size k - 1 too (S - v = h
-was).  Each k-set S is generated exactly once, from h = S - max(S), and
-the pairs (h, v) come in the lex order of S, since the kept (k - 1)-faces
-come in lex order and h is S's vertex tuple without its last entry.  By
-induction on k the scan keeps, at size k - 1, exactly the (k - 1)-sets that
-are not rejected; past the set that fills the rank every row is in the
-span.  A k-set that is never generated, because its h was not kept, or
-that the scan skips has a (k - 1)-subset the scan did not keep, which is
-rejected, so the k-set is rejected too, by the closure above, and its row
-lies in the span of the rows lex-before it.  Going along the lex order,
-the accumulator therefore holds at every visited S the span of all the
-rows lex-before S, as a scan over all k-sets would, and the scan keeps
-the same family.  For block and explicit matrices the kept family need
-not be shifted and its vertices need not be 1..m; the rule uses neither.
+The scan at size k therefore builds rows only for
+``complexes.extensions`` of the faces kept at size k - 1, in the lex order
+they were kept in: the k-sets whose (k - 1)-subsets were all kept, each
+once, in lex order (the lemma is in its docstring).  By induction on k the scan
+keeps, at size k - 1, exactly the (k - 1)-sets that are not rejected; past
+the set that fills the rank every row is in the span.  A k-set the scan
+skips has a (k - 1)-subset the scan did not keep, which is rejected, so
+the k-set is rejected too, by the closure above, and its row lies in the
+span of the rows lex-before it.  Going along the lex order, the
+accumulator therefore holds at every visited S the span of all the rows
+lex-before S, as a scan over all k-sets would, and the scan keeps the same
+family.  For block and explicit matrices the kept family need not be
+shifted and its vertices need not be 1..m; the rule uses neither.
 
 The rows are built one vertex at a time: the wedge of S's rows is its
 smallest vertex's row wedged with the next, and so on, each partial
@@ -93,6 +89,7 @@ from dataclasses import dataclass
 
 from .complexes import (
     SimplicialComplex,
+    extensions,
     init_segment,
     iter_k_subsets,
     iter_vertices,
@@ -234,20 +231,6 @@ class _WedgeTables:
         return pack_slots(out, self._bytes[k])
 
 
-def _candidates(below: list[int], n: int):
-    """The k-sets h + v, h in ``below`` (the faces kept at size k - 1, in lex
-    order) and v past max(h) ascending, whose (k - 1)-subsets are all in
-    ``below``; in lex order (module docstring)."""
-    kept = set(below)
-    for h in below:
-        # S - u for S = h + v and u in h is (h - u) + v
-        subs = [h ^ 1 << (u - 1) for u in iter_vertices(h)]
-        for v in range(h.bit_length(), n):
-            bit = 1 << v
-            if all(f | bit in kept for f in subs):
-                yield h | bit
-
-
 def _shift_family(K: SimplicialComplex, A: FieldMatrix) -> SimplicialComplex:
     M = A.lower_reduced()
     if M is None:
@@ -259,7 +242,7 @@ def _shift_family(K: SimplicialComplex, A: FieldMatrix) -> SimplicialComplex:
         target = len(K.faces_of_size(k))
         acc = RowEchelonAccumulator(target, A.p, k)
         below, kept = kept, []
-        for S in _candidates(below, K.n):
+        for S in extensions(below, K.n):
             if acc.insert(tables.row(S)):
                 kept.append(S)
                 if acc.rank == target:

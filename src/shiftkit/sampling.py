@@ -9,9 +9,10 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from .complexes import Face, SimplicialComplex, _remap, iter_k_subsets, iter_vertices, vertex_tuple
+from .complexes import Face, SimplicialComplex, _remap, extensions, vertex_tuple
 from .engine import shifted
 from .field import DEFAULT_PRIME
+from .operators import cone
 
 __all__ = [
     "all_complexes",
@@ -63,36 +64,37 @@ def random_near_cone(rng: random.Random, n: int) -> SimplicialComplex:
     """
     if n < 2:
         raise ValueError("need at least two vertices")
-    base = random_complex(rng, n - 1, max_size=4).relabeled(1)
-    faces = set(base.all_faces())
-    faces.update(Face(int(m) | 1) for m in base.all_faces())
-    base_faces = base.face_set()
-    candidates = []
-    for size in range(1, n):
-        for m in iter_k_subsets(n - 1, size):
-            m <<= 1  # a subset of {2..n}, in lex order
-            if m in base_faces:
-                continue
-            if all(m & ~(1 << (v - 1)) in base_faces for v in iter_vertices(m)):
-                candidates.append(m)
+    base = random_complex(rng, n - 1, max_size=4)
+    candidates = []  # by size, then lex: the order rng.sample draws from
+    for k in range(1, len(base.f_vector) + 1):
+        grown = extensions(base.faces_of_size(k - 1), n - 1)
+        candidates += (m for m in grown if m not in base)
     extras = rng.randint(0, 3)
-    faces.update(rng.sample(candidates, min(extras, len(candidates))))
-    return SimplicialComplex(n, faces)
+    chosen = rng.sample(candidates, min(extras, len(candidates)))
+    # the cone moves the base's labels up by 1, past its apex
+    return SimplicialComplex(n, cone(base).face_set().union(m << 1 for m in chosen))
 
 
 def all_complexes(n: int) -> Iterator[SimplicialComplex]:
     """Every nonempty downward-closed family on ambient ``[n]``, the
-    single-empty-face complex included.  Exponential in ``2**n``: meant
-    for ``n <= 4``.
+    single-empty-face complex included, each once.
+
+    The enumeration is exact.  A family is grown one size class at a time:
+    class k is a nonempty subset of the sets ``extensions`` finds over
+    class k - 1, and the family may stop after any class.  Distinct choices
+    give distinct families, and every closed family arises this way.  It is
+    fine through ``n = 5`` (7,580 families); ``n = 6`` has 7,828,353.
     """
-    masks = list(range(1, 1 << n))
-    for bits in range(1 << len(masks)):
-        chosen = {m for i, m in enumerate(masks) if bits >> i & 1}
-        try:
-            K = SimplicialComplex(n, chosen | {0})
-        except ValueError:  # not downward closed
-            continue
-        yield K
+
+    def grow(faces: list, level: list) -> Iterator[SimplicialComplex]:
+        yield SimplicialComplex(n, faces)
+        grown = list(extensions(level, n))
+        for bits in range(1, 1 << len(grown)):
+            # a sublist of a lex-ordered list stays in lex order
+            chosen = [m for i, m in enumerate(grown) if bits >> i & 1]
+            yield from grow(faces + chosen, chosen)
+
+    return grow([0], [0])
 
 
 def all_shifted_complexes(n: int) -> list:

@@ -438,6 +438,29 @@ def test_verify_guards(tmp_path, capsys):
     assert run(capsys, "explore", "--max-n", "1", "--trials", "2")[0] == 0
 
 
+def test_max_n_past_the_label_cap_is_refused_even_with_force(capsys, monkeypatch):
+    # verify keeps its complexes within --max-n labels, and explore suspends
+    # each draw, adding 2; past those caps a run would fail deep inside, so
+    # it is refused before anything is drawn
+    def never(**kwargs):
+        raise AssertionError("drew past the label cap")
+
+    monkeypatch.setattr(cli, "conjecture_scan", never)
+    monkeypatch.setitem(cli.SUITES, "idempotence", never)
+    for argv in (
+        ("verify", "idempotence", "--trials", "3", "--max-n", "80", "--force"),
+        ("explore", "--trials", "1", "--max-n", "64", "--force", "--seed", "8"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error: --max-n"), (argv, err)
+    monkeypatch.undo()
+    # the caps themselves are accepted
+    argv = ("verify", "idempotence", "--trials", "1", "--max-n", "64", "--force")
+    assert run(capsys, *argv)[0] == 0
+    argv = ("explore", "--trials", "1", "--max-n", "62", "--force", "--seed", "8")
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_explore_runs_clean(capsys):
     code, out, _ = run(capsys, "explore", "--trials", "5", "--max-n", "6")
     assert code == 0

@@ -12,6 +12,7 @@ from shiftkit.complexes import (
     Face,
     SimplicialComplex,
     dominates,
+    extensions,
     init_segment,
     interval,
     iter_k_subsets,
@@ -20,7 +21,7 @@ from shiftkit.complexes import (
     lex_sorted,
     vertex_tuple,
 )
-from shiftkit.sampling import random_complex, random_permutation, random_shifted
+from shiftkit.sampling import all_complexes, random_complex, random_permutation, random_shifted
 
 
 def test_face_construction_and_views():
@@ -364,3 +365,21 @@ def test_face_enumeration_matches_combinations():
                 group = K.faces_of_size(k)
                 assert all(type(f) is Face for f in group)
                 assert list(group) == sorted(group, key=vertex_tuple)
+
+
+def test_extensions_are_the_sets_whose_subsets_all_lie_below():
+    # the lemma that the scan, the near-cone sampler and the census rely on:
+    # each k-set whose (k - 1)-subsets all lie in the class, once, in lex order
+    rng = random.Random(21)
+    cases = list(all_complexes(4))
+    cases += [random_complex(rng, rng.randint(1, 10)) for _ in range(60)]
+    for K in cases:
+        for k in range(1, len(K.f_vector) + 1):
+            level = K.faces_of_size(k - 1)
+            members = set(level)
+            expected = [
+                S
+                for S in iter_k_subsets(K.n, k)
+                if all(S ^ 1 << (v - 1) in members for v in vertex_tuple(S))
+            ]
+            assert list(extensions(level, K.n)) == expected, (K, k)

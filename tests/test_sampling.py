@@ -3,6 +3,7 @@ import random
 import pytest
 
 from shiftkit import Face, SimplicialComplex
+from shiftkit.complexes import iter_k_subsets, iter_vertices
 from shiftkit.homology import is_near_cone
 from shiftkit.sampling import (
     all_complexes,
@@ -38,6 +39,39 @@ def test_random_near_cone_certifies_at_one():
         assert is_near_cone(K, 1)
 
 
+def _near_cone_by_all_subsets(rng, n):
+    """``random_near_cone`` as an oracle: every subset of {2..n} is tried
+    as an extra face."""
+    base = random_complex(rng, n - 1, max_size=4).relabeled(1)
+    faces = set(base.all_faces())
+    faces.update(Face(int(m) | 1) for m in base.all_faces())
+    base_faces = base.face_set()
+    candidates = []
+    for size in range(1, n):
+        for m in iter_k_subsets(n - 1, size):
+            m <<= 1  # a subset of {2..n}, in lex order
+            if m in base_faces:
+                continue
+            if all(m & ~(1 << (v - 1)) in base_faces for v in iter_vertices(m)):
+                candidates.append(m)
+    extras = rng.randint(0, 3)
+    faces.update(rng.sample(candidates, min(extras, len(candidates))))
+    return SimplicialComplex(n, faces)
+
+
+def test_random_near_cone_matches_the_all_subsets_scan():
+    with_extras = 0
+    for s in range(6):
+        for n in range(2, 13):
+            rng, twin = random.Random(s), random.Random(s)
+            K = random_near_cone(rng, n)
+            assert K == _near_cone_by_all_subsets(twin, n), (s, n)
+            assert rng.getstate() == twin.getstate(), (s, n)
+            # an extra face avoids the apex and is not in the cone's base
+            with_extras += any(not f & 1 and f | 1 not in K for f in K.face_set())
+    assert with_extras >= 40
+
+
 def test_random_permutation_is_a_bijection():
     rng = random.Random(3)
     perm = random_permutation(rng, 9)
@@ -51,6 +85,31 @@ def test_exhaustive_counts_small():
     assert sum(1 for _ in all_complexes(2)) == 5
     assert sum(1 for _ in all_complexes(3)) == 19
     assert sum(1 for _ in all_complexes(4)) == 167
+
+
+def _closed_families_by_all_subfamilies(n):
+    """``all_complexes`` as an oracle: every subfamily of the nonempty sets
+    of [n] is tried, and the closed ones kept."""
+    masks = range(1, 1 << n)
+    for bits in range(1 << len(masks)):
+        chosen = {m for i, m in enumerate(masks) if bits >> i & 1}
+        try:
+            yield SimplicialComplex(n, chosen | {0})
+        except ValueError:  # not downward closed
+            continue
+
+
+def test_all_complexes_matches_the_all_subfamilies_scan():
+    for n in range(5):
+        families = [K.face_set() for K in all_complexes(n)]
+        assert len(set(families)) == len(families)
+        assert set(families) == {K.face_set() for K in _closed_families_by_all_subfamilies(n)}
+
+
+def test_exhaustive_count_at_five_is_dedekind_less_void():
+    # M(5) = 7,581 antichains of subsets of [5]; the void family is not yielded
+    families = [K.face_set() for K in all_complexes(5)]
+    assert len(families) == len(set(families)) == 7580
 
 
 def test_all_complexes_yields_closed_families():
