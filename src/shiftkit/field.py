@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import operator
 import random
 from dataclasses import dataclass
 from itertools import repeat
@@ -152,7 +153,7 @@ class FieldMatrix:
 
     def __init__(self, rows: Iterable[Iterable[int]], p: int = DEFAULT_PRIME):
         self.p = p
-        self.rows = tuple(tuple(int(x) % p for x in row) for row in rows)
+        self.rows = tuple(tuple(operator.index(x) % p for x in row) for row in rows)
         self._lower = _UNSET
         if self.rows:
             width = len(self.rows[0])
@@ -290,7 +291,7 @@ class ExplicitSpec:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "ExplicitSpec":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(tuple(tuple(map(operator.index, row)) for row in rows))
 
 
 MatrixSpec = GenericSpec | BlockGenericSpec | ExplicitSpec

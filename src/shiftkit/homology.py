@@ -7,6 +7,7 @@ all homology here is reduced.  Elements are dicts ``mask -> residue``.
 
 from __future__ import annotations
 
+import operator
 from typing import Mapping
 
 from .complexes import Face, SimplicialComplex, iter_vertices
@@ -122,7 +123,7 @@ def boundary_matrix(
     """
     if g is None:
         g = {v: 1 for v in iter_vertices(K.support)}
-    element = {1 << (v - 1): int(c) % p for v, c in g.items()}
+    element = {1 << (v - 1): operator.index(c) % p for v, c in g.items()}
     return interior_matrix(K, element, k, p)
 
 
@@ -205,7 +206,7 @@ def sarkaria_maps(
     """
     if not is_near_cone(K, 1):
         raise ValueError("complex is not a near cone at vertex 1")
-    a = {int(v): int(c) % p for v, c in alphas.items()}
+    a = {operator.index(v): operator.index(c) % p for v, c in alphas.items()}
     for v in iter_vertices(K.support):
         if not a.get(v):
             raise ValueError(f"coefficient for vertex {v} must be nonzero")

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .complexes import Face, SimplicialComplex, iter_vertices, vertex_tuple
+from .complexes import Face, SimplicialComplex, iter_vertices, lex_less, vertex_tuple
 from .homology import is_near_cone
 
 
@@ -223,18 +223,16 @@ def lex_compare(K: SimplicialComplex, L: SimplicialComplex) -> str:
     is won by ``K``.
     """
     k_wins = l_wins = False
-    top = max(len(K.f_vector), len(L.f_vector))
-    for k in range(1, top):
-        ks = set(map(int, K.faces_of_size(k)))
-        ls = set(map(int, L.faces_of_size(k)))
-        diff = ks ^ ls
-        if not diff:
+    for k in range(max(len(K.f_vector), len(L.f_vector))):
+        ks, ls = K.faces_of_size(k), L.faces_of_size(k)
+        # both classes are in lex order: where they first part, or else the
+        # longer class's next face, is the difference's lex-first face
+        i = next((i for i, (s, t) in enumerate(zip(ks, ls)) if s != t), None)
+        if i is None and len(ks) == len(ls):
             continue
-        first = min(diff, key=vertex_tuple)
-        if first in ks:
-            k_wins = True
-        else:
-            l_wins = True
+        won = len(ks) > len(ls) if i is None else lex_less(ks[i], ls[i])
+        k_wins |= won
+        l_wins |= not won
     if k_wins and l_wins:
         return "incomparable"
     if k_wins:

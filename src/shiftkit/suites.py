@@ -11,10 +11,12 @@ in :data:`SUITES`.  That name also seeds the suite's random stream, so
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
-from .complexes import Face, SimplicialComplex, interval, iter_k_subsets, vertex_tuple
+from .complexes import Face, SimplicialComplex, init_segment, iter_k_subsets, vertex_tuple
 from .engine import (
     exterior_shift,
     image_dim_complete,
@@ -134,12 +136,11 @@ def suite_counterexample(rng, trials, max_n, seed, p):
 # unions and sums
 
 
-def _window_counts(window, DM, DK, DL) -> tuple[int, int]:
-    """Faces of ``window`` in the union's shift ``DM`` against the sum of
-    those in the parts' shifts ``DK`` and ``DL``."""
-    lhs = sum(1 for S in window if S in DM)
-    rhs = sum(1 for S in window if S in DK) + sum(1 for S in window if S in DL)
-    return lhs, rhs
+def _interval_counts(D: SimplicialComplex, size: int, height: int) -> Counter:
+    """D's faces with ``size + height`` vertices, counted by their ``size``
+    smallest vertices: entry A is the number of D's faces in
+    ``interval(A, height, n)``."""
+    return Counter(init_segment(f, size) for f in D.faces_of_size(size + height))
 
 
 @_suite("union-eq1")
@@ -156,19 +157,15 @@ def suite_union_eq1(rng, trials, max_n, seed, p):
         DK = shifted(K, seed=_seed32(rng), p=p)
         DL = shifted(L, seed=_seed32(rng), p=p)
         bad = ""
-        bases = 0
         for size in range(4):
-            for A in iter_k_subsets(n, size):
-                window = interval(A, depth, n)
-                if not window:
-                    continue
-                bases += 1
-                lhs, rhs = _window_counts(window, DM, DK, DL)
-                if lhs != rhs:
-                    bad = f"A={vertex_tuple(A)} {lhs}!={rhs}"
-                    break
-            if bad:
+            cm, ck, cl = (_interval_counts(D, size, depth) for D in (DM, DK, DL))
+            miss = [A for A in cm.keys() | ck.keys() | cl.keys() if cm[A] != ck[A] + cl[A]]
+            if miss:
+                A = min(miss, key=vertex_tuple)
+                bad = f"A={vertex_tuple(A)} {cm[A]}!={ck[A] + cl[A]}"
                 break
+        # the bases of size < 4 whose window fits in [n]: max(A) <= n - depth
+        bases = sum(math.comb(n - depth, s) for s in range(4)) if depth <= n else 0
         yield Check(f"pair-{t:02d}", not bad, bad or f"n={n} depth={depth} bases={bases}")
 
 
@@ -215,13 +212,11 @@ def union_interval_check(
     Returns the pair (union count, sum of part counts); equality is the
     property under test.  ``K`` and ``L`` live on shared labels.
     """
-    window = interval(A, max(intersection(K, L).dim, -1) + 2, max(K.n, L.n))
-    return _window_counts(
-        window,
-        shifted(union(K, L), seed=seed, p=p),
-        shifted(K, seed=seed, p=p),
-        shifted(L, seed=seed, p=p),
+    size, height = int(A).bit_count(), max(intersection(K, L).dim, -1) + 2
+    cm, ck, cl = (
+        _interval_counts(shifted(X, seed=seed, p=p), size, height)[A] for X in (union(K, L), K, L)
     )
+    return cm, ck + cl
 
 
 @_suite("sqcup")
@@ -427,7 +422,7 @@ def suite_kernel_dims(rng, trials, max_n, seed, p):
         i = rng.randint(1, max(1, min(2, n - size)))
         lo = kernel_intersection_dim(K, A, S, strict=True, extra=i)
         hi = kernel_intersection_dim(K, A, S, strict=False, extra=i)
-        count = sum(1 for T in interval(S, i, n) if T in D)
+        count = _interval_counts(D, size, i)[S]
         ok = ok and lo - hi == count
         yield Check(f"inst-{t:02d}", ok, f"n={n} S={vertex_tuple(S)} i={i}")
     for h in range(1, 6):

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from shiftkit.complexes import EMPTY_FACE, Face, SimplicialComplex
-from shiftkit.engine import shifted
-from shiftkit.field import FieldMatrix
+from shiftkit.engine import exterior_shift, shifted
+from shiftkit.field import ExplicitSpec, FieldMatrix
 from shiftkit.homology import (
     betti_direct,
     betti_from_shifted,
@@ -170,3 +170,29 @@ def test_sarkaria_maps_shapes_and_guards():
         sarkaria_maps(SimplicialComplex.from_facets(4, [[1, 2], [3, 4]]), {v: 1 for v in range(1, 5)}, P)
     with pytest.raises(ValueError, match="nonzero"):
         sarkaria_maps(K, {1: 1, 2: 0, 3: 1}, P)
+
+
+def test_non_integer_entries_and_coefficients_are_refused():
+    # a float would be truncated to an integer, so 1.7 would read as 1
+    edge = SimplicialComplex.from_facets(2, [[1, 2]])
+    tri = SimplicialComplex.from_facets(3, [[1, 2, 3]])
+    fan = SimplicialComplex.from_facets(3, [[1, 2], [1, 3]])
+    with pytest.raises(TypeError):
+        FieldMatrix([[1.7, 0], [0, 1]], 7)
+    with pytest.raises(TypeError):
+        ExplicitSpec.from_rows([[1.7, 0], [0, 1]])
+    with pytest.raises(TypeError):
+        exterior_shift(edge, ExplicitSpec(((1.9, 0.0), (0.0, 1.2))))
+    with pytest.raises(TypeError):
+        boundary_matrix(tri, {1: 1.5, 2: 2.9, 3: 1}, 2, 7)
+    with pytest.raises(TypeError):
+        sarkaria_maps(fan, {1: 2.7, 2: 1, 3: 1}, P)
+    # ints, bools and faces are read as before
+    assert FieldMatrix([[True, Face.of(2)], [0, -1]], 7).rows == ((1, 2), (0, 6))
+    assert ExplicitSpec.from_rows([[True, Face(0)], [0, 1]]).entries == ((1, 0), (0, 1))
+    assert boundary_matrix(tri, {1: True, 2: 2, 3: Face.of(1)}, 2, 7) == boundary_matrix(
+        tri, {1: 1, 2: 2, 3: 1}, 2, 7
+    )
+    assert sarkaria_maps(fan, {1: True, 2: 2, 3: 3}, P)[1][1] == sarkaria_maps(
+        fan, {1: 1, 2: 2, 3: 3}, P
+    )[1][1]

@@ -1,11 +1,12 @@
 """Constructions, gap rules for unions, lex order, near-cone certificates."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from shiftkit import Face, SimplicialComplex, shifted
-from shiftkit.complexes import iter_k_subsets
+from shiftkit.complexes import iter_k_subsets, vertex_tuple
 from shiftkit.operators import (
     antistar,
     clique_sum_shift,
@@ -244,6 +245,48 @@ def test_lex_compare_cases():
     K = SimplicialComplex.from_facets(2, [[1, 2]])
     L = SimplicialComplex.from_facets(3, [[1, 3], [2]])
     assert lex_compare(K, L) == "incomparable"
+
+
+def lex_compare_by_sets(K, L):
+    """``lex_compare`` by definition: per size, from size 0 up, the lex-first
+    face of the symmetric difference of the two face sets, found as the
+    least vertex tuple."""
+    k_wins = l_wins = False
+    for k in range(max(len(K.f_vector), len(L.f_vector))):
+        ks = set(map(int, K.faces_of_size(k)))
+        ls = set(map(int, L.faces_of_size(k)))
+        diff = ks ^ ls
+        if not diff:
+            continue
+        if min(diff, key=vertex_tuple) in ks:
+            k_wins = True
+        else:
+            l_wins = True
+    wins = {(False, False): "equal", (True, False): "less", (False, True): "greater"}
+    return wins.get((k_wins, l_wins), "incomparable")
+
+
+def test_lex_compare_tells_the_void_complex_from_the_empty_face():
+    void, empty = SimplicialComplex(3), SimplicialComplex(3, [0])
+    assert lex_compare(void, empty) == "greater"
+    assert lex_compare(empty, void) == "less"
+    assert lex_compare(void, void) == lex_compare(empty, empty) == "equal"
+
+
+def test_lex_compare_matches_the_set_definition():
+    rng = random.Random(2203)
+    seen = Counter()
+    for _ in range(300):
+        K = random_complex(rng, rng.randint(1, 8))
+        L = random_complex(rng, rng.randint(1, 8))
+        # void or {∅}: no faces of size 1 or more
+        bare, bare2 = (SimplicialComplex(rng.randint(0, 8), rng.choice([(), [0]])) for _ in "ab")
+        pairs = [(K, L), (K, K), (K, union(K, L)), (intersection(K, L), L), (K, bare), (bare, bare2)]
+        for a, b in pairs:
+            rel = lex_compare(a, b)
+            assert rel == lex_compare_by_sets(a, b), (a, b)
+            seen[rel] += 1
+    assert min(seen[rel] for rel in ("equal", "less", "greater", "incomparable")) >= 50, seen
 
 
 # ---------------------------------------------------------------- near cones

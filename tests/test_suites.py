@@ -1,15 +1,93 @@
-"""Suite failure details name the face where a check broke."""
+"""Suite failure details name the face where a check broke, and the suites'
+window counts agree with enumerating every window."""
 
-from shiftkit import SimplicialComplex, suites
+import random
+import re
+
+from shiftkit import SimplicialComplex, shifted, suites
+from shiftkit.complexes import interval, iter_k_subsets
+from shiftkit.operators import intersection, union
+from shiftkit.sampling import random_complex, random_shifted
 
 
 def test_union_eq1_names_the_failing_base(monkeypatch):
-    # a one-face window that every shift contains: 1 on the left, 1 + 1 on the right
-    monkeypatch.setattr(suites, "interval", lambda A, i, n: [0b1])
+    # two copies of {∅} meet in {∅}, so the window height is 1, and every
+    # shift is the single vertex 1: 1 vertex on the left, 1 + 1 on the right
+    monkeypatch.setattr(suites, "random_complex", lambda rng, n: SimplicialComplex(n, [0]))
     monkeypatch.setattr(suites, "shifted", lambda K, seed, p: SimplicialComplex(K.n, [0, 1]))
     [check] = suites.suite_union_eq1(trials=1, seed=0)
     assert not check.ok
     assert check.detail == "A=() 1!=2"
+
+
+def test_union_eq1_names_the_lex_first_failing_base(monkeypatch):
+    # sizes 0 and 1 agree; at size 2 the bases {2,3} and {1,4} both fail,
+    # and {1,4} is lex-first though its mask is the larger
+    graph = [[1, 4], [1, 5], [4, 5], [2, 3], [2, 5], [3, 5]]
+    shifts = iter(
+        [
+            SimplicialComplex.from_facets(5, graph + [[1, 4, 5], [2, 3, 5]]),
+            SimplicialComplex.from_facets(5, graph),
+            SimplicialComplex(5),
+        ]
+    )
+    monkeypatch.setattr(suites, "random_complex", lambda rng, n: SimplicialComplex(n, [0]))
+    monkeypatch.setattr(suites, "shifted", lambda K, seed, p: next(shifts))
+    [check] = suites.suite_union_eq1(trials=1, seed=0)
+    assert check.detail == "A=(1, 4) 1!=0"
+
+
+def window_count(D, A, height, n):
+    """Faces of ``D`` in the window of ``height`` above ``A``, by enumeration."""
+    return sum(1 for T in interval(A, height, n) if T in D)
+
+
+def test_interval_counts_match_the_window_enumeration():
+    rng = random.Random(4111)
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        K, L = random_complex(rng, n), random_complex(rng, n)
+        depth = max(intersection(K, L).dim, -1) + 2
+        for D in (union(K, L), K, L, shifted(union(K, L))):
+            for size in range(4):
+                counts = suites._interval_counts(D, size, depth)
+                bases = list(iter_k_subsets(n, size))
+                assert set(counts) <= set(bases)
+                for A in bases:
+                    assert counts[A] == window_count(D, A, depth, n), (D, A, depth)
+
+
+def test_union_eq1_counts_every_base_with_a_nonempty_window():
+    checks = suites.suite_union_eq1(trials=30, max_n=12, seed=5)
+    assert all(c.ok for c in checks)
+    for c in checks:
+        n, depth, bases = map(int, re.fullmatch(r"n=(\d+) depth=(\d+) bases=(\d+)", c.detail).groups())
+        windows = sum(
+            1 for size in range(4) for A in iter_k_subsets(n, size) if interval(A, depth, n)
+        )
+        assert bases == windows, c
+
+
+def test_union_interval_check_and_kernel_count_match_the_enumeration():
+    rng = random.Random(4112)
+    for _ in range(20):
+        n = rng.randint(2, 9)
+        K, L = random_complex(rng, n), random_complex(rng, n)
+        depth = max(intersection(K, L).dim, -1) + 2
+        DM, DK, DL = shifted(union(K, L)), shifted(K), shifted(L)
+        for A in iter_k_subsets(n, rng.randint(0, 3)):
+            want = (
+                window_count(DM, A, depth, n),
+                window_count(DK, A, depth, n) + window_count(DL, A, depth, n),
+            )
+            assert suites.union_interval_check(K, L, A) == want
+    # the kernel-dims count: any S, windows that do not fit in [n] included
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        D = random_shifted(rng, n)
+        S = sum(1 << v for v in rng.sample(range(n), rng.randint(1, n - 1)))
+        i = rng.randint(1, 2)
+        assert suites._interval_counts(D, S.bit_count(), i)[S] == window_count(D, S, i, n)
 
 
 def test_kernel_dims_names_the_failing_cell(monkeypatch):
