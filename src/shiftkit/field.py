@@ -17,6 +17,11 @@ pivot on, so reducing by a stored row is one big-int multiply-add on a
 vector consumed from the bottom.  ``slot_bytes`` and ``pack_slots`` define
 that layout; the shift scan builds its rows in it directly, unreduced, and
 callers with a sequence of residues have it packed by ``insert``.
+``slot_reducer`` reduces every slot of such a vector mod p.  For a prime
+p = 2^e - c with c^2 < 2^e, the default 2^61 - 1 (c = 1) and the largest
+accepted prime 2^62 - 57 (c = 57) among them, it folds all slots at once
+with masks, x <- (x mod 2^e) + c floor(x / 2^e), in a few big-int
+operations; any other prime is reduced slot by slot.
 
 Modular inverses cost microseconds each at 61 bits, so neither hot path
 takes one per row.  ``_lower_reduce`` is fraction-free, and only ``_det``
@@ -32,7 +37,7 @@ import operator
 import random
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .complexes import iter_vertices
 
@@ -70,8 +75,14 @@ def is_prime(m: int) -> bool:
     return True
 
 
-@functools.lru_cache
+@functools.lru_cache(typed=True)
 def check_prime(p: int) -> int:
+    """``p`` as an int, if it is an odd prime below 2^62.
+
+    A value that is not an integer (a float such as 7.0, a string) raises
+    ``TypeError``; an integer that is not such a prime, ``ValueError``.
+    """
+    p = operator.index(p)
     if p >= MAX_PRIME:
         raise ValueError(f"modulus must be below 2^62, got {p}")
     if p == 2 or not is_prime(p):
@@ -352,6 +363,57 @@ def pack_slots(slots: Iterable[int], nb: int) -> int:
     return int.from_bytes(b"".join(map(int.to_bytes, slots, repeat(nb), repeat("little"))), "little")
 
 
+def slot_reducer(p: int, width: int, nb: int) -> Callable[[int], int]:
+    """A function that takes a vector of at most ``width`` slots of ``nb``
+    bytes, packed as ``pack_slots`` packs them, to the vector of its slots
+    mod p.
+
+    Write p = 2^e - c with e = bitlen(p).  As 2^e = c mod p, a slot x and
+    its fold (x mod 2^e) + c floor(x / 2^e) agree mod p.  When c^2 < 2^e
+    and 8 nb > e + 1, every slot is folded at once, with masks of ``width``
+    slots: v <- (v & LO) + c ((v >> e) & HI), LO holding the low e bits of
+    each slot and HI the bits above them, until no slot has a bit at e or
+    above.  No fold carries out of a slot: it leaves at most
+    2^e - 1 + c (2^(8 nb - e) - 1) < 2^(8 nb), as c < 2^(e - 1).  A fold
+    keeps a slot below 2^e and shrinks any other, fast as c^2 < 2^e: two
+    folds take a slot below 2^(2e + t) below 2^e + c^2 2^t, so at 2^61 - 1
+    and 2^62 - 57 a third ends the loop on every ``slot_bytes`` layout with
+    k + width below 2^40.  A slot then lies in 0..2^e - 1 = 0..p + c - 1,
+    and is p or more exactly when slot + c reaches bit e, so one masked
+    conditional subtraction, v - (((v + C) >> e) & ONE) p with c and 1 in
+    every slot of C and ONE, leaves the residues.
+
+    The fold takes every Mersenne prime, the default 2^61 - 1 among them
+    (c = 1), and the largest accepted prime 2^62 - 57 (c = 57).  Any other
+    prime, such as 10007 (c = 6377), is reduced slot by slot.  Both paths
+    return the exact residues.
+    """
+    e = p.bit_length()
+    c = (1 << e) - p
+    bits = 8 * nb
+    if c * c < 1 << e and bits > e + 1:
+        lo, hi, cs, ones = (
+            int.from_bytes(x.to_bytes(nb, "little") * width, "little")
+            for x in ((1 << e) - 1, (1 << bits - e) - 1, c, 1)
+        )
+
+        def fold(v: int) -> int:
+            high = (v >> e) & hi
+            while high:
+                v = (v & lo) + (high if c == 1 else c * high)  # c = 1: no multiply
+                high = (v >> e) & hi
+            return v - (((v + cs) >> e) & ones) * p
+
+        return fold
+
+    def per_slot(v: int) -> int:
+        n = -(-v.bit_length() // bits)
+        buf = v.to_bytes(n * nb, "little")
+        return pack_slots([int.from_bytes(buf[i : i + nb], "little") % p for i in range(0, n * nb, nb)], nb)
+
+    return per_slot
+
+
 class RowEchelonAccumulator:
     """Incremental row echelon basis over Z/p, one packed int per row.
 
@@ -372,9 +434,13 @@ class RowEchelonAccumulator:
     which clears slot q mod p, and slot q is dropped; else q is v's pivot
     and the loop stops.  If v runs out first it was dependent.  A kept v is
     stored raw, keyed by its pivot, and stays raw until a later vector first
-    needs it to clear its pivot slot: on that first use it is unpacked from
-    its pivot on, reduced, scaled and packed, once.  A row never used costs
-    no inverse.  ``rank`` counts the raw rows and the scaled ones.
+    needs it to clear its pivot slot: on that first use it becomes its
+    tail, once.  The ``slot_reducer`` built with the accumulator takes its
+    slots mod p; times the residue of -1/pivot each slot is below p^2, and
+    the reducer takes them mod p again.  That is one inverse per row, and
+    for the primes the reducer folds, a few whole-vector operations with no
+    per-slot loop.  A row never used costs no inverse.  ``rank`` counts the
+    raw rows and the scaled ones.
 
     The early stop is exact.  An echelon basis needs distinct pivots, each
     row zero left of its pivot, not rows reduced against larger pivots.  If
@@ -395,12 +461,13 @@ class RowEchelonAccumulator:
     so the loop jumps over most of the basis.
     """
 
-    __slots__ = ("p", "width", "_bytes", "_rows", "_raw")
+    __slots__ = ("p", "width", "_bytes", "_reduce", "_rows", "_raw")
 
     def __init__(self, width: int, p: int = DEFAULT_PRIME, k: int = 1):
         self.p = p
         self.width = width
         self._bytes = slot_bytes(p, width, k)
+        self._reduce = slot_reducer(p, width, self._bytes)
         self._rows: dict[int, int] = {}  # pivot -> tail
         self._raw: dict[int, int] = {}  # pivot -> kept v, not yet scaled
 
@@ -448,7 +515,7 @@ class RowEchelonAccumulator:
                     kept = raw.pop(off, None)
                     if kept is None:
                         break
-                    tail = rows[off] = self._scaled(kept, off)
+                    tail = rows[off] = self._scaled(kept)
                 v += c * tail
             v >>= bits
             off += 1
@@ -457,12 +524,9 @@ class RowEchelonAccumulator:
         raw[off] = v
         return True
 
-    def _scaled(self, kept: int, off: int) -> int:
-        """The tail of a raw row with pivot ``off``: its slots reduced mod p
-        and scaled so the pivot reads -1."""
-        p, nb = self.p, self._bytes
-        n = self.width - off
-        buf = kept.to_bytes(n * nb, "little")
-        neg = p - pow(int.from_bytes(buf[:nb], "little"), -1, p)
-        slots = [int.from_bytes(buf[i : i + nb], "little") * neg % p for i in range(0, n * nb, nb)]
-        return pack_slots(slots, nb)
+    def _scaled(self, kept: int) -> int:
+        """The tail of a raw row: its slots reduced mod p and scaled so the
+        pivot, its lowest slot, reads -1."""
+        p, reduce = self.p, self._reduce
+        neg = p - pow((kept & ((1 << 8 * self._bytes) - 1)) % p, -1, p)
+        return reduce(reduce(kept) * neg)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from shiftkit import field
 from shiftkit.complexes import Face, SimplicialComplex
+from shiftkit.engine import exterior_shift
 from shiftkit.field import (
     DEFAULT_PRIME,
     BlockGenericSpec,
@@ -21,10 +22,12 @@ from shiftkit.field import (
     pack_slots,
     realize,
     slot_bytes,
+    slot_reducer,
 )
 from shiftkit.suites import _explicit_apex_check
 
 P = 10007  # small prime keeps oracle arithmetic readable
+BIG = (1 << 62) - 57  # the largest accepted prime
 
 
 def rational_det(rows):
@@ -103,6 +106,21 @@ def test_check_prime_rejects_bad_moduli():
     for bad in (0, 1, 2, 4, 2**61, 1 << 62, (1 << 62) + 15):
         with pytest.raises(ValueError):
             check_prime(bad)
+
+
+def test_check_prime_refuses_moduli_that_are_not_ints():
+    # a float that reads as a prime, or a string, is refused at the
+    # boundary, not deep inside the shift (p.bit_length, pow)
+    for bad in (7.0, 10007.0, "7"):
+        with pytest.raises(TypeError):
+            check_prime(bad)
+    assert check_prime(7) == 7 and type(check_prime(7)) is int
+    with pytest.raises(TypeError):
+        check_prime(7.0)  # not answered from the cache entry of 7
+    K = SimplicialComplex.from_facets(3, [[1, 2], [2, 3]])
+    for bad in (7.0, 10007.0):
+        with pytest.raises(TypeError):
+            exterior_shift(K, p=bad)
 
 
 def test_is_prime_small_table():
@@ -404,7 +422,7 @@ def _check_packed_verdicts(rows, width, p, k, lift):
     assert acc.rank == len(pivots)
 
 
-@pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME])
+@pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME, BIG])
 def test_accumulator_matches_mod_p_oracle(p):
     # at p = 3 the rank mod p differs from the rank over Q, so this oracle
     # stays in Z/p; dependent combinations of earlier rows are mixed in, and
@@ -458,7 +476,7 @@ def test_accumulator_worst_case_slot_sums():
             _check_packed_verdicts(rows, width, p, k, lambda x, most: most)
 
 
-@pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME])
+@pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME, BIG])
 def test_accumulator_scales_a_raw_row_on_first_use(p, inverses):
     # a row kept with pivot q stays raw while later vectors stop below q,
     # clear to zero before it, or jump over it in a zero run; a probe that
@@ -495,6 +513,35 @@ def test_accumulator_scales_a_raw_row_on_first_use(p, inverses):
     assert len(inverses) > used
 
 
+@pytest.mark.parametrize("p, folds", [(DEFAULT_PRIME, True), (BIG, True), (3, True), (P, False)])
+def test_slot_reducer_matches_per_slot_mod(p, folds, monkeypatch):
+    # slots at the edges of both paths: 0, p - 1 and the multiples of p,
+    # 2^e - 1 and 2^e around the fold's bit e, and the largest slot the
+    # accumulator's layout allows, (k + width)(p - 1)^2, with its multiples
+    # of p below it; vectors as wide as the reducer and shorter, as tails are
+    packs = []
+    monkeypatch.setattr(field, "pack_slots", lambda slots, nb: packs.append(nb) or pack_slots(slots, nb))
+    rng = random.Random(p)
+    e = p.bit_length()
+    for width in (1, 2, 300):
+        for k in range(1, 9):
+            nb = slot_bytes(p, width, k)
+            top = (k + width) * (p - 1) ** 2
+            edges = [0, p - 1, p, 2 * p, (1 << e) - 1, 1 << e, top, top - top % p]
+            edges += [rng.randrange(top // p + 1) * p for _ in range(4)]
+            reduce = slot_reducer(p, width, nb)
+            vectors = [[x] * width for x in edges]
+            for _ in range(6):
+                n = rng.choice((width, rng.randint(1, width)))
+                vectors.append([rng.choice(edges + [rng.randrange(top + 1)]) for _ in range(n)])
+            for slots in vectors:
+                del packs[:]
+                got = reduce(pack_slots(slots, nb))
+                assert got == pack_slots([x % p for x in slots], nb), (width, k)
+                # the fold path reads no slot on its own, so packs nothing
+                assert (packs == []) == folds
+
+
 @st.composite
 def _walk_sequences(draw):
     """An insert sequence aimed at the bottom-up walk, with its prime.
@@ -507,7 +554,7 @@ def _walk_sequences(draw):
     nonzero entry at a free column, below some stored pivots or past all
     of them (kept, the walk stopping at that column).
     """
-    p = draw(st.sampled_from([3, P, DEFAULT_PRIME]))
+    p = draw(st.sampled_from([3, P, DEFAULT_PRIME, BIG]))
     width = draw(st.integers(2, 12))
     entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
     leads = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=width - 1, unique=True))
