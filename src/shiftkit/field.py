@@ -17,11 +17,8 @@ pivot on, so reducing by a stored row is one big-int multiply-add on a
 vector consumed from the bottom.  ``slot_bytes`` and ``pack_slots`` define
 that layout; the shift scan builds its rows in it directly, unreduced, and
 callers with a sequence of residues have it packed by ``insert``.
-``slot_reducer`` reduces every slot of such a vector mod p.  For a prime
-p = 2^e - c with c^2 < 2^e, the default 2^61 - 1 (c = 1) and the largest
-accepted prime 2^62 - 57 (c = 57) among them, it folds all slots at once
-with masks, x <- (x mod 2^e) + c floor(x / 2^e), in a few big-int
-operations; any other prime is reduced slot by slot.
+``slot_reducer`` reduces and scales every slot of such a vector mod p, for
+most primes in a few whole-vector operations.
 
 Modular inverses cost microseconds each at 61 bits, so neither hot path
 takes one per row.  ``_lower_reduce`` is fraction-free, and only ``_det``
@@ -363,55 +360,73 @@ def pack_slots(slots: Iterable[int], nb: int) -> int:
     return int.from_bytes(b"".join(map(int.to_bytes, slots, repeat(nb), repeat("little"))), "little")
 
 
-def slot_reducer(p: int, width: int, nb: int) -> Callable[[int], int]:
-    """A function that takes a vector of at most ``width`` slots of ``nb``
-    bytes, packed as ``pack_slots`` packs them, to the vector of its slots
-    mod p.
+def slot_reducer(p: int, width: int, nb: int) -> Callable[[int, int], int]:
+    """A function taking a vector of at most ``width`` slots of
+    ``nb >= slot_bytes(p, width)`` bytes, packed as ``pack_slots`` packs
+    them, and a residue s to the vector of its slots times s, mod p.
 
-    Write p = 2^e - c with e = bitlen(p).  As 2^e = c mod p, a slot x and
-    its fold (x mod 2^e) + c floor(x / 2^e) agree mod p.  When c^2 < 2^e
-    and 8 nb > e + 1, every slot is folded at once, with masks of ``width``
-    slots: v <- (v & LO) + c ((v >> e) & HI), LO holding the low e bits of
-    each slot and HI the bits above them, until no slot has a bit at e or
-    above.  No fold carries out of a slot: it leaves at most
-    2^e - 1 + c (2^(8 nb - e) - 1) < 2^(8 nb), as c < 2^(e - 1).  A fold
-    keeps a slot below 2^e and shrinks any other, fast as c^2 < 2^e: two
-    folds take a slot below 2^(2e + t) below 2^e + c^2 2^t, so at 2^61 - 1
-    and 2^62 - 57 a third ends the loop on every ``slot_bytes`` layout with
-    k + width below 2^40.  A slot then lies in 0..2^e - 1 = 0..p + c - 1,
-    and is p or more exactly when slot + c reaches bit e, so one masked
-    conditional subtraction, v - (((v + C) >> e) & ONE) p with c and 1 in
-    every slot of C and ONE, leaves the residues.
+    Write p = 2^e - c with e = bitlen(p), so 0 < c < 2^(e - 1).  As
+    2^e = c mod p, a slot x and its fold (x mod 2^e) + c floor(x / 2^e)
+    agree mod p.  The fold path folds every slot at once, with masks of
+    ``width`` slots: v <- (v & LO) + c ((v >> e) & HI), LO holding the low
+    e bits of each slot and HI the bits above them, until no slot has a bit
+    at e or above.  No fold carries out of a slot: it leaves at most
+    2^e - 1 + c (2^(8 nb - e) - 1) < 2^e + 2^(8 nb - 1) <= 2^(8 nb), as
+    ``slot_bytes`` makes 8 nb > 2e.  A fold keeps a slot below 2^e and
+    shrinks any other, so the loop ends with every slot in
+    0..2^e - 1 = 0..p + c - 1.  A slot is then p or more exactly when
+    slot + c reaches bit e, so one masked conditional subtraction,
+    v - (((v + C) >> e) & ONE) p with c and 1 in every slot of C and ONE,
+    leaves the residues.  The path folds v, multiplies it by s, every slot
+    staying below p^2, and folds again.
 
-    The fold takes every Mersenne prime, the default 2^61 - 1 among them
-    (c = 1), and the largest accepted prime 2^62 - 57 (c = 57).  Any other
-    prime, such as 10007 (c = 6377), is reduced slot by slot.  Both paths
-    return the exact residues.
+    The fold is exact for every odd prime, but a fold removes only about
+    e - bitlen(c) bits from a slot.  Its cost grows with the number F of
+    folds the largest slot, 2^(8 nb) - 1, takes, times the nb bytes of a
+    slot; a Python loop over the slots costs about the same per slot at
+    any p.
+    On random vectors of 40 to 672 slots the fold took 0.4 to 0.9 times the
+    loop's time up to F nb = 192, 0.7 to 1.25 times from 208 to 330, and
+    0.9 to 6 times from 378 on.  So the fold path is taken when
+    F nb <= 256, and other layouts take each slot x to x s mod p in the
+    loop.  The default 2^61 - 1 (c = 1) and 2^62 - 57 (c = 57) fold at any
+    width below 2^40 (F nb at most 63), as does every Mersenne prime, and
+    10007 and 10^9 + 7 fold below a million slots; a prime just above a
+    large power of two, 2^30 + 3 or 2^60 + 33, is reduced slot by slot.
+    Both paths return the exact residues.
     """
     e = p.bit_length()
     c = (1 << e) - p
     bits = 8 * nb
-    if c * c < 1 << e and bits > e + 1:
-        lo, hi, cs, ones = (
-            int.from_bytes(x.to_bytes(nb, "little") * width, "little")
-            for x in ((1 << e) - 1, (1 << bits - e) - 1, c, 1)
-        )
+    folds, top = 0, (1 << bits) - 1
+    while top >> e:
+        top = (top & (1 << e) - 1) + c * (top >> e)
+        folds += 1
+    if folds * nb > 256:
 
-        def fold(v: int) -> int:
+        def per_slot(v: int, s: int) -> int:
+            n = -(-v.bit_length() // bits)
+            buf = v.to_bytes(n * nb, "little")
+            return pack_slots([int.from_bytes(buf[i : i + nb], "little") * s % p for i in range(0, n * nb, nb)], nb)
+
+        return per_slot
+
+    lo, hi, cs, ones = (
+        int.from_bytes(x.to_bytes(nb, "little") * width, "little")
+        for x in ((1 << e) - 1, (1 << bits - e) - 1, c, 1)
+    )
+
+    def fold(v: int) -> int:
+        high = (v >> e) & hi
+        while high:
+            v = (v & lo) + (high if c == 1 else c * high)  # c = 1: no multiply
             high = (v >> e) & hi
-            while high:
-                v = (v & lo) + (high if c == 1 else c * high)  # c = 1: no multiply
-                high = (v >> e) & hi
-            return v - (((v + cs) >> e) & ones) * p
+        return v - (((v + cs) >> e) & ones) * p
 
-        return fold
+    def fold_scaled(v: int, s: int) -> int:
+        return fold(fold(v) * s)
 
-    def per_slot(v: int) -> int:
-        n = -(-v.bit_length() // bits)
-        buf = v.to_bytes(n * nb, "little")
-        return pack_slots([int.from_bytes(buf[i : i + nb], "little") % p for i in range(0, n * nb, nb)], nb)
-
-    return per_slot
+    return fold_scaled
 
 
 class RowEchelonAccumulator:
@@ -435,12 +450,10 @@ class RowEchelonAccumulator:
     and the loop stops.  If v runs out first it was dependent.  A kept v is
     stored raw, keyed by its pivot, and stays raw until a later vector first
     needs it to clear its pivot slot: on that first use it becomes its
-    tail, once.  The ``slot_reducer`` built with the accumulator takes its
-    slots mod p; times the residue of -1/pivot each slot is below p^2, and
-    the reducer takes them mod p again.  That is one inverse per row, and
-    for the primes the reducer folds, a few whole-vector operations with no
-    per-slot loop.  A row never used costs no inverse.  ``rank`` counts the
-    raw rows and the scaled ones.
+    tail, once: the ``slot_reducer`` built with the accumulator takes its
+    slots times the residue of -1/pivot mod p.  That is one inverse per
+    row, and a row never used costs none.  ``rank`` counts the raw rows and
+    the scaled ones.
 
     The early stop is exact.  An echelon basis needs distinct pivots, each
     row zero left of its pivot, not rows reduced against larger pivots.  If
@@ -527,6 +540,6 @@ class RowEchelonAccumulator:
     def _scaled(self, kept: int) -> int:
         """The tail of a raw row: its slots reduced mod p and scaled so the
         pivot, its lowest slot, reads -1."""
-        p, reduce = self.p, self._reduce
+        p = self.p
         neg = p - pow((kept & ((1 << 8 * self._bytes) - 1)) % p, -1, p)
-        return reduce(reduce(kept) * neg)
+        return self._reduce(kept, neg)

@@ -28,6 +28,7 @@ from shiftkit.suites import _explicit_apex_check
 
 P = 10007  # small prime keeps oracle arithmetic readable
 BIG = (1 << 62) - 57  # the largest accepted prime
+SLOTWISE = (1 << 60) + 33  # the least prime above 2^60, reduced slot by slot
 
 
 def rational_det(rows):
@@ -422,7 +423,7 @@ def _check_packed_verdicts(rows, width, p, k, lift):
     assert acc.rank == len(pivots)
 
 
-@pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME, BIG])
+@pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME, BIG, SLOTWISE])
 def test_accumulator_matches_mod_p_oracle(p):
     # at p = 3 the rank mod p differs from the rank over Q, so this oracle
     # stays in Z/p; dependent combinations of earlier rows are mixed in, and
@@ -476,7 +477,7 @@ def test_accumulator_worst_case_slot_sums():
             _check_packed_verdicts(rows, width, p, k, lambda x, most: most)
 
 
-@pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME, BIG])
+@pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME, BIG, SLOTWISE])
 def test_accumulator_scales_a_raw_row_on_first_use(p, inverses):
     # a row kept with pivot q stays raw while later vectors stop below q,
     # clear to zero before it, or jump over it in a zero run; a probe that
@@ -513,12 +514,15 @@ def test_accumulator_scales_a_raw_row_on_first_use(p, inverses):
     assert len(inverses) > used
 
 
-@pytest.mark.parametrize("p, folds", [(DEFAULT_PRIME, True), (BIG, True), (3, True), (P, False)])
+@pytest.mark.parametrize(
+    "p, folds", [(DEFAULT_PRIME, True), (BIG, True), (3, True), (P, True), (SLOTWISE, False)]
+)
 def test_slot_reducer_matches_per_slot_mod(p, folds, monkeypatch):
     # slots at the edges of both paths: 0, p - 1 and the multiples of p,
     # 2^e - 1 and 2^e around the fold's bit e, and the largest slot the
     # accumulator's layout allows, (k + width)(p - 1)^2, with its multiples
-    # of p below it; vectors as wide as the reducer and shorter, as tails are
+    # of p below it; vectors as wide as the reducer and shorter, as tails
+    # are; scaled by 1 and by a residue
     packs = []
     monkeypatch.setattr(field, "pack_slots", lambda slots, nb: packs.append(nb) or pack_slots(slots, nb))
     rng = random.Random(p)
@@ -535,11 +539,12 @@ def test_slot_reducer_matches_per_slot_mod(p, folds, monkeypatch):
                 n = rng.choice((width, rng.randint(1, width)))
                 vectors.append([rng.choice(edges + [rng.randrange(top + 1)]) for _ in range(n)])
             for slots in vectors:
-                del packs[:]
-                got = reduce(pack_slots(slots, nb))
-                assert got == pack_slots([x % p for x in slots], nb), (width, k)
-                # the fold path reads no slot on its own, so packs nothing
-                assert (packs == []) == folds
+                for s in (1, p - 1, rng.randrange(p)):
+                    del packs[:]
+                    got = reduce(pack_slots(slots, nb), s)
+                    assert got == pack_slots([x * s % p for x in slots], nb), (width, k, s)
+                    # the fold path reads no slot on its own, so packs nothing
+                    assert (packs == []) == folds
 
 
 @st.composite
@@ -554,7 +559,7 @@ def _walk_sequences(draw):
     nonzero entry at a free column, below some stored pivots or past all
     of them (kept, the walk stopping at that column).
     """
-    p = draw(st.sampled_from([3, P, DEFAULT_PRIME, BIG]))
+    p = draw(st.sampled_from([3, P, DEFAULT_PRIME, BIG, SLOTWISE]))
     width = draw(st.integers(2, 12))
     entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
     leads = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=width - 1, unique=True))
