@@ -104,7 +104,6 @@ from .field import (
     RowEchelonAccumulator,
     pack_slots,
     realize,
-    slot_bytes,
 )
 from .homology import interior_matrix
 
@@ -168,7 +167,7 @@ class _WedgeTables:
     cache cannot outlive it, and it holds at most one vector per face size.
     """
 
-    __slots__ = ("p", "nonzero", "sizes", "terms", "_bytes", "_verts", "_partials")
+    __slots__ = ("p", "nonzero", "sizes", "terms", "_verts", "_partials")
 
     def __init__(self, K: SimplicialComplex, A: FieldMatrix):
         self.p = A.p
@@ -186,16 +185,15 @@ class _WedgeTables:
                     above = (m >> v).bit_count()
                     level[v - 1][above & 1].append((i, sub[m ^ (1 << (v - 1))]))
             self.terms.append(level)
-        self._bytes = [slot_bytes(self.p, size, k) for k, size in enumerate(self.sizes)]
         self._verts: list[int] = []
         self._partials: list[list[int]] = [[1]]
 
-    def row(self, S: int) -> int:
-        """The compound row of a nonempty S of size k, packed unreduced for
-        ``RowEchelonAccumulator(width, p, k)``: slot i holds the sum of at
-        most k products of two residues, one for each vertex of the i-th
-        size-k face, so it lies in 0..k (p - 1)^2 and is the row's entry i
-        mod p."""
+    def row(self, S: int, nb: int) -> int:
+        """The compound row of a nonempty S of size k, packed unreduced to
+        the ``nb`` bytes a slot of ``RowEchelonAccumulator(width, p, k)``:
+        slot i holds the sum of at most k products of two residues, one for
+        each vertex of the i-th size-k face, so it lies in 0..k (p - 1)^2
+        and is the row's entry i mod p."""
         p = self.p
         verts = list(iter_vertices(S))
         k = len(verts)
@@ -228,7 +226,7 @@ class _WedgeTables:
                 w = [x % p for x in out]
                 partials.append(w)
         self._verts = verts[:-1]
-        return pack_slots(out, self._bytes[k])
+        return pack_slots(out, nb)
 
 
 def _shift_family(K: SimplicialComplex, A: FieldMatrix) -> SimplicialComplex:
@@ -243,7 +241,7 @@ def _shift_family(K: SimplicialComplex, A: FieldMatrix) -> SimplicialComplex:
         acc = RowEchelonAccumulator(target, A.p, k)
         below, kept = kept, []
         for S in extensions(below, K.n):
-            if acc.insert(tables.row(S)):
+            if acc.insert(tables.row(S, acc.nb)):
                 kept.append(S)
                 if acc.rank == target:
                     break
@@ -354,7 +352,7 @@ def kernel_intersection_dim(
         element = dict(zip(supports, compound_row(A, mask, supports)))
         block = interior_matrix(K, element, s + extra, p)
         for row in block.rows:
-            if acc.insert(row) and acc.rank == ncols:
+            if acc.insert(pack_slots(row, acc.nb)) and acc.rank == ncols:
                 return 0
     return ncols - acc.rank
 

@@ -10,15 +10,15 @@ lower-reduced matrix the shift scans, every determinant and minor.  Row
 spaces go through ``RowEchelonAccumulator``: ranks and the scan's
 independence test.
 
-Matrices are immutable once built.  ``RowEchelonAccumulator`` is the one
-mutable object and supports a single writer.  It works on vectors packed
-into one int, a fixed number of bytes per entry, and keeps each row from its
-pivot on, so reducing by a stored row is one big-int multiply-add on a
-vector consumed from the bottom.  ``slot_bytes`` and ``pack_slots`` define
-that layout; the shift scan builds its rows in it directly, unreduced, and
-callers with a sequence of residues have it packed by ``insert``.
-``slot_reducer`` reduces and scales every slot of such a vector mod p, for
-most primes in a few whole-vector operations.
+Matrices are immutable once built, and ``FieldMatrix`` is where a modulus
+is checked.  ``RowEchelonAccumulator`` is the one mutable object and
+supports a single writer.  It works on vectors packed into one int, a fixed
+number of bytes per entry, and keeps each row from its pivot on, so
+reducing by a stored row is one big-int multiply-add on a vector consumed
+from the bottom.  ``slot_bytes`` and ``pack_slots`` define that layout;
+every caller packs its rows to the accumulator's ``nb`` bytes a slot, the
+shift scan unreduced.  ``slot_reducer`` reduces and scales every slot of
+such a vector mod p.
 
 Modular inverses cost microseconds each at 61 bits, so neither hot path
 takes one per row.  ``_lower_reduce`` is fraction-free, and only ``_det``
@@ -155,12 +155,13 @@ _UNSET = object()
 
 
 class FieldMatrix:
-    """An immutable matrix over Z/p with 0-indexed entry access."""
+    """An immutable matrix over Z/p, p checked by ``check_prime``, with
+    0-indexed entry access."""
 
     __slots__ = ("p", "rows", "_lower")
 
     def __init__(self, rows: Iterable[Iterable[int]], p: int = DEFAULT_PRIME):
-        self.p = p
+        self.p = p = check_prime(p)
         self.rows = tuple(tuple(operator.index(x) % p for x in row) for row in rows)
         self._lower = _UNSET
         if self.rows:
@@ -171,7 +172,7 @@ class FieldMatrix:
     @classmethod
     def _from_residues(cls, rows: Iterable[Sequence[int]], p: int) -> "FieldMatrix":
         """A matrix of rows the caller guarantees are equally long and hold
-        residues in 0..p-1; they are stored as given, not reduced again."""
+        residues in 0..p-1 for a checked prime p; stored as given."""
         m = cls.__new__(cls)
         m.p = p
         m.rows = tuple(map(tuple, rows))
@@ -220,7 +221,7 @@ class FieldMatrix:
     def rank(self) -> int:
         acc = RowEchelonAccumulator(self.ncols, self.p)
         for row in self.rows:
-            acc.insert(row)
+            acc.insert(pack_slots(row, acc.nb))
         return acc.rank
 
     def is_nonsingular(self) -> bool:
@@ -361,9 +362,9 @@ def pack_slots(slots: Iterable[int], nb: int) -> int:
 
 
 def slot_reducer(p: int, width: int, nb: int) -> Callable[[int, int], int]:
-    """A function taking a vector of at most ``width`` slots of
-    ``nb >= slot_bytes(p, width)`` bytes, packed as ``pack_slots`` packs
-    them, and a residue s to the vector of its slots times s, mod p.
+    """A function taking a vector of at most ``width`` slots of ``nb``
+    bytes, at least ``slot_bytes`` gives for (p, width), packed by
+    ``pack_slots``, and a residue s to the vector of its slots times s, mod p.
 
     Write p = 2^e - c with e = bitlen(p), so 0 < c < 2^(e - 1).  As
     2^e = c mod p, a slot x and its fold (x mod 2^e) + c floor(x / 2^e)
@@ -433,15 +434,15 @@ class RowEchelonAccumulator:
     """Incremental row echelon basis over Z/p, one packed int per row.
 
     Entry i of a packed vector is the slot of bits [8Bi, 8B(i + 1)), with
-    B = ``slot_bytes(p, width, k)`` for the k given at construction, 1 by
-    default.  ``insert`` takes a vector packed so, each slot in
-    0..k (p - 1)^2 and read mod p, or a sequence of ``width`` residues,
-    which it checks and packs.  A slot past that bound would silently break
-    the no-carry bound below, and only the caller can rule it out: of an int
-    ``insert`` checks just that it is nonnegative and holds at most
-    ``width`` slots.  A kept row with pivot q reduces other vectors as its
-    tail, held in a table keyed by q: the tail packs its slots q..width-1
-    as residues, the pivot scaled to read -1 (p - 1).
+    B = ``nb``, the ``slot_bytes`` of (p, width, k) for the k given at
+    construction, 1 by default.  ``insert`` takes only a vector packed so,
+    by ``pack_slots(slots, acc.nb)``, each slot in 0..k (p - 1)^2 and read
+    mod p.  A slot past that bound would silently break the no-carry bound
+    below, and only the caller can rule it out: ``insert`` checks just that
+    the vector is a nonnegative int of at most ``width`` slots.  A kept row
+    with pivot q reduces other vectors as its tail, held in a table keyed
+    by q: the tail packs its slots q..width-1 as residues, the pivot scaled
+    to read -1 (p - 1).
 
     ``insert`` consumes v from the bottom, one slot at a time, jumping over
     a run of literally zero slots at once.  Slot q with c = slot q mod p is
@@ -464,8 +465,8 @@ class RowEchelonAccumulator:
     stored rows may differ.
 
     No slot carries into the next: v's slots start in 0..k (p - 1)^2 (a
-    residue is at most (p - 1)^2, so k = 1 covers sequences), and c and
-    every tail slot are residues.  The loop adds at most rank <= width
+    residue is at most (p - 1)^2, so k = 1 covers packed residues), and c
+    and every tail slot are residues.  The loop adds at most rank <= width
     tails, and nothing subtracts, so a slot holds at most
     k (p - 1)^2 + width (p - 1)^2 = (k + width)(p - 1)^2
     < 2^(2 bitlen(p) + bitlen(k + width)) <= 2^(8B).
@@ -474,44 +475,41 @@ class RowEchelonAccumulator:
     so the loop jumps over most of the basis.
     """
 
-    __slots__ = ("p", "width", "_bytes", "_reduce", "_rows", "_raw")
+    __slots__ = ("p", "width", "_nb", "_reduce", "_rows", "_raw")
 
     def __init__(self, width: int, p: int = DEFAULT_PRIME, k: int = 1):
         self.p = p
         self.width = width
-        self._bytes = slot_bytes(p, width, k)
-        self._reduce = slot_reducer(p, width, self._bytes)
+        self._nb = slot_bytes(p, width, k)
+        self._reduce = slot_reducer(p, width, self._nb)
         self._rows: dict[int, int] = {}  # pivot -> tail
         self._raw: dict[int, int] = {}  # pivot -> kept v, not yet scaled
+
+    @property
+    def nb(self) -> int:
+        """Bytes per slot of the vectors ``insert`` takes."""
+        return self._nb
 
     @property
     def rank(self) -> int:
         return len(self._rows) + len(self._raw)
 
-    def insert(self, vec: int | Sequence[int]) -> bool:
+    def insert(self, vec: int) -> bool:
         """Reduce ``vec`` and keep it if independent.
 
         Args:
-            vec: a vector packed as the class docstring says, each slot in
-                0..k (p - 1)^2, or a sequence of ``width`` residues in
-                ``0..p-1``.
+            vec: a vector packed to ``nb`` bytes a slot, each slot in
+                0..k (p - 1)^2; anything but an int raises ``TypeError``.
 
         Returns:
             True when the vector extended the span, False when it was
             already dependent (in particular for the zero vector).
         """
-        width, p, nb = self.width, self.p, self._bytes
+        width, p, nb = self.width, self.p, self._nb
         bits, mask = 8 * nb, (1 << 8 * nb) - 1
-        if isinstance(vec, int):
-            if vec < 0 or vec.bit_length() > width * bits:
-                raise ValueError(f"packed vector must be a nonnegative int of {width} slots")
-            v = vec
-        else:
-            if len(vec) != width:
-                raise ValueError("vector width mismatch")
-            if vec and (min(vec) < 0 or max(vec) >= p):
-                raise ValueError(f"vector entries must be residues in 0..{p - 1}")
-            v = pack_slots(vec, nb)
+        v = operator.index(vec)
+        if v < 0 or v.bit_length() > width * bits:
+            raise ValueError(f"packed vector must be a nonnegative int of {width} slots")
         rows, raw = self._rows, self._raw
         off = 0  # v holds slots off..width-1
         while v:
@@ -541,5 +539,5 @@ class RowEchelonAccumulator:
         """The tail of a raw row: its slots reduced mod p and scaled so the
         pivot, its lowest slot, reads -1."""
         p = self.p
-        neg = p - pow((kept & ((1 << 8 * self._bytes) - 1)) % p, -1, p)
+        neg = p - pow((kept & ((1 << 8 * self._nb) - 1)) % p, -1, p)
         return self._reduce(kept, neg)

@@ -11,7 +11,7 @@ import operator
 from typing import Mapping
 
 from .complexes import Face, SimplicialComplex, iter_vertices
-from .field import DEFAULT_PRIME, FieldMatrix
+from .field import DEFAULT_PRIME, FieldMatrix, check_prime
 
 
 def interior_sign(t: int, s: int) -> int:
@@ -135,6 +135,7 @@ def betti_direct(K: SimplicialComplex, p: int = DEFAULT_PRIME) -> tuple[int, ...
     Over a prime field these agree with rational Betti numbers unless the
     complex has p-torsion.
     """
+    p = check_prime(p)
     if K.is_void:
         return ()
     fv = K.f_vector

@@ -27,7 +27,14 @@ from shiftkit.engine import (
     image_dim_complete_direct,
     lex_tail_count,
 )
-from shiftkit.field import FieldMatrix, RowEchelonAccumulator, realize, slot_bytes
+from shiftkit.field import (
+    DEFAULT_PRIME,
+    FieldMatrix,
+    RowEchelonAccumulator,
+    pack_slots,
+    realize,
+    slot_bytes,
+)
 from shiftkit.sampling import (
     all_shifted_complexes,
     random_complex,
@@ -178,8 +185,9 @@ def _unpacked_row(tables, mask, p):
     # sum of at most k products of two residues, read mod p by the accumulator
     k = mask.bit_count()
     width = tables.sizes[k]
-    bits = 8 * slot_bytes(p, width, k)
-    packed = tables.row(mask)
+    nb = slot_bytes(p, width, k)
+    bits = 8 * nb
+    packed = tables.row(mask, nb)
     assert 0 <= packed and packed >> (bits * width) == 0
     raw = [packed >> (bits * i) & ((1 << bits) - 1) for i in range(width)]
     assert all(x <= k * (p - 1) ** 2 for x in raw)
@@ -231,7 +239,7 @@ def _reference_shift(K, A, p):
         cols = K.faces_of_size(k)
         acc = RowEchelonAccumulator(len(cols), p)
         for mask in iter_k_subsets(K.n, k):
-            if acc.insert(compound_row(A, mask, cols)):
+            if acc.insert(pack_slots(compound_row(A, mask, cols), acc.nb)):
                 faces.add(mask)
                 if acc.rank == len(cols):
                     break
@@ -336,9 +344,9 @@ def _row_calls(monkeypatch):
     calls = []
     row = _WedgeTables.row
 
-    def counted(self, S):
+    def counted(self, S, nb):
         calls.append(int(S))
-        return row(self, S)
+        return row(self, S, nb)
 
     monkeypatch.setattr(_WedgeTables, "row", counted)
     return calls
@@ -479,16 +487,18 @@ def _explicit_matrix(rng, kind, n, p):
     raise AssertionError(f"no nonsingular {kind} matrix in 500 draws")
 
 
-def test_kernel_route_reconstructs_the_shift():
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 3, (1 << 60) + 33])
+def test_kernel_route_reconstructs_the_shift(p):
     # membership decided purely by kernel dimensions must rebuild the same
-    # family the greedy scan produced, size by size
+    # family the greedy scan produced, size by size; 2^60 + 33 reduces its
+    # rows slot by slot, 3 and the default prime by folds
     rng = random.Random(2718)
     for _ in range(12):
         K = random_complex(rng, rng.randint(2, 6))
         if K.is_void:
             continue
-        res = exterior_shift(K, GenericSpec(rng.randrange(2**20)))
-        A = realize(GenericSpec(res.seed_used), K.n)
+        res = exterior_shift(K, GenericSpec(rng.randrange(2**20)), p=p)
+        A = realize(GenericSpec(res.seed_used), K.n, p)
         for k in range(1, len(K.f_vector)):
             via_kernels = {
                 mask

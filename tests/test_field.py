@@ -93,6 +93,11 @@ def mod_p_pivot_rows(rows, p):
     return {pr for pr, _ in pivots}
 
 
+def _insert(acc, row):
+    """Insert a list of residues, packed to the accumulator's slot size."""
+    return acc.insert(pack_slots(row, acc.nb))
+
+
 def frac_mod(q: Fraction, p: int) -> int:
     return q.numerator * pow(q.denominator, -1, p) % p
 
@@ -223,7 +228,7 @@ def _random_square(rng, n, p):
     return rows
 
 
-@pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME])
+@pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME, SLOTWISE])
 def test_lower_reduced_is_a_lower_triangular_reduction(p):
     rng = random.Random(p)
     checked = 0
@@ -244,6 +249,7 @@ def test_lower_reduced_is_a_lower_triangular_reduction(p):
         for i in range(1, n + 1):
             a, m = list(A.rows[:i]), list(M.rows[:i])
             rank = len(mod_p_pivot_rows(a, p))
+            assert FieldMatrix(a, p).rank() == rank
             assert len(mod_p_pivot_rows(m, p)) == rank
             assert len(mod_p_pivot_rows(a + m, p)) == rank
     assert checked >= 40
@@ -308,12 +314,12 @@ def test_hot_paths_take_no_modular_inverse(inverses):
     acc = RowEchelonAccumulator(width, P)
     del inverses[:]
     for i in range(width):
-        assert acc.insert([int(j == i) for j in range(width)])
+        assert _insert(acc, [int(j == i) for j in range(width)])
     assert inverses == [] and acc.rank == width
     # the all-ones vector is cleared by every unit row, each scaled on first use
-    assert not acc.insert([1] * width)
+    assert not _insert(acc, [1] * width)
     assert len(inverses) == width
-    assert not acc.insert([1] * width)
+    assert not _insert(acc, [1] * width)
     assert len(inverses) == width
 
 
@@ -379,11 +385,11 @@ def test_random_redraws_are_bounded(monkeypatch):
 
 def test_accumulator_tracks_rank_and_rejects_dependents():
     acc = RowEchelonAccumulator(3, P)
-    assert acc.insert([1, 2, 3])
-    assert acc.insert([0, 1, 1])
-    assert not acc.insert([1, 3, 4])  # sum of the first two
+    assert _insert(acc, [1, 2, 3])
+    assert _insert(acc, [0, 1, 1])
+    assert not _insert(acc, [1, 3, 4])  # sum of the first two
     assert acc.rank == 2
-    assert acc.insert([0, 0, 5])
+    assert _insert(acc, [0, 0, 5])
     assert acc.rank == 3
 
 
@@ -393,7 +399,7 @@ def test_accumulator_matches_matrix_rank():
         rows = [[rng.randint(0, 3) for _ in range(4)] for _ in range(rng.randint(1, 6))]
         acc = RowEchelonAccumulator(4, P)
         for row in rows:
-            acc.insert(row)
+            _insert(acc, row)
         assert acc.rank == rational_rank(rows)
 
 
@@ -404,10 +410,10 @@ def _combination(rng, rows, width, p):
 
 def _check_verdicts(rows, width, p):
     acc = RowEchelonAccumulator(width, p)
-    verdicts = [acc.insert(row) for row in rows]
+    verdicts = [_insert(acc, row) for row in rows]
     pivots = mod_p_pivot_rows(rows, p)
     assert verdicts == [i in pivots for i in range(len(rows))]
-    assert acc.rank == len(pivots)
+    assert acc.rank == len(pivots) == FieldMatrix(rows, p).rank()
 
 
 def _check_packed_verdicts(rows, width, p, k, lift):
@@ -497,7 +503,7 @@ def test_accumulator_scales_a_raw_row_on_first_use(p, inverses):
     rows += [row(j) for j in range(q + 1, width - 1)]
     rows.append([0] * width)
     acc = RowEchelonAccumulator(width, p)
-    verdicts = [acc.insert(r) for r in rows]
+    verdicts = [_insert(acc, r) for r in rows]
     pivots = mod_p_pivot_rows(rows, p)
     assert verdicts == [i in pivots for i in range(len(rows))]
     assert acc.rank == len(pivots) == width - 1
@@ -506,7 +512,7 @@ def test_accumulator_scales_a_raw_row_on_first_use(p, inverses):
     assert used < acc.rank  # the raw rows count towards the rank too
     probe = row(q)
     rows += [probe, probe]  # the second time it is dependent
-    verdicts += [acc.insert(probe), acc.insert(probe)]
+    verdicts += [_insert(acc, probe), _insert(acc, probe)]
     pivots = mod_p_pivot_rows(rows, p)
     assert verdicts == [i in pivots for i in range(len(rows))]
     assert acc.rank == len(pivots)
@@ -592,15 +598,17 @@ def test_accumulator_walk_matches_mod_p_oracle(case, k, rnd):
     _check_packed_verdicts(rows, width, p, k, lambda x, most: rnd.randint(0, most))
 
 
-def test_accumulator_refuses_entries_that_are_not_residues():
+def test_accumulator_refuses_vectors_that_are_not_packed():
+    # insert takes a packed int only: a list, even of residues, or a float
+    # is refused, and reducing non-residues is test_entries_reduced_mod_p's
     for p in (3, P, DEFAULT_PRIME):
         acc = RowEchelonAccumulator(3, p)
-        for bad in (-1, p):
-            with pytest.raises(ValueError, match="residues"):
-                acc.insert([0, bad, 1])
+        for bad in ([0, p - 1, 1], (0, 1, 0), [], 1.0, "1"):
+            with pytest.raises(TypeError):
+                acc.insert(bad)
         assert acc.rank == 0
-        assert acc.insert([0, p - 1, 0]) and acc.insert([p - 1, 0, p - 1])
-        assert not acc.insert([0, 0, 0])
+        assert _insert(acc, [0, p - 1, 0]) and _insert(acc, [p - 1, 0, p - 1])
+        assert not _insert(acc, [0, 0, 0])
         assert acc.rank == 2
 
 

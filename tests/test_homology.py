@@ -187,6 +187,16 @@ def test_non_integer_entries_and_coefficients_are_refused():
         boundary_matrix(tri, {1: 1.5, 2: 2.9, 3: 1}, 2, 7)
     with pytest.raises(TypeError):
         sarkaria_maps(fan, {1: 2.7, 2: 1, 3: 1}, P)
+    # so is a modulus that is not an odd prime, by the matrix and by
+    # betti_direct on entry, also where no boundary matrix is built
+    with pytest.raises(TypeError):
+        FieldMatrix([[1, 2]], 7.0)
+    with pytest.raises(ValueError):
+        FieldMatrix([[1, 2], [3, 4]], 9)
+    for K in (tri, fan, SimplicialComplex(3, [0]), SimplicialComplex.from_facets(3, [[1], [2]])):
+        for bad, error in ((9, ValueError), (2, ValueError), (7.0, TypeError)):
+            with pytest.raises(error):
+                betti_direct(K, bad)
     # ints, bools and faces are read as before
     assert FieldMatrix([[True, Face.of(2)], [0, -1]], 7).rows == ((1, 2), (0, 6))
     assert ExplicitSpec.from_rows([[True, Face(0)], [0, 1]]).entries == ((1, 0), (0, 1))
