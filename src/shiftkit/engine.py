@@ -190,10 +190,10 @@ class _WedgeTables:
 
     def row(self, S: int, nb: int) -> int:
         """The compound row of a nonempty S of size k, packed unreduced to
-        the ``nb`` bytes a slot of ``RowEchelonAccumulator(width, p, k)``:
+        the ``nb`` bytes a slot of ``RowEchelonAccumulator(width, p)``:
         slot i holds the sum of at most k products of two residues, one for
-        each vertex of the i-th size-k face, so it lies in 0..k (p - 1)^2
-        and is the row's entry i mod p."""
+        each vertex of the i-th size-k face, so it lies in 0..k (p - 1)^2,
+        k <= 64, and is the row's entry i mod p."""
         p = self.p
         verts = list(iter_vertices(S))
         k = len(verts)
@@ -238,7 +238,7 @@ def _shift_family(K: SimplicialComplex, A: FieldMatrix) -> SimplicialComplex:
     kept = [0]
     for k in range(1, len(K.f_vector)):
         target = len(K.faces_of_size(k))
-        acc = RowEchelonAccumulator(target, A.p, k)
+        acc = RowEchelonAccumulator(target, A.p)
         below, kept = kept, []
         for S in extensions(below, K.n):
             if acc.insert(tables.row(S, acc.nb)):

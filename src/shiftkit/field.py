@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
-from .complexes import iter_vertices
+from .complexes import MAX_VERTICES, iter_vertices
 
 DEFAULT_PRIME = (1 << 61) - 1
 MAX_PRIME = 1 << 62
@@ -198,7 +198,8 @@ class FieldMatrix:
         """Determinant of the square submatrix picked out by two faces.
 
         Faces use 1-based vertex labels: vertex ``v`` selects row/column
-        ``v - 1``.  The empty-by-empty minor is 1.
+        ``v - 1``.  The empty-by-empty minor is 1.  Faces of two sizes or
+        past the matrix raise ``ValueError``.
 
         Args:
             row_face: mask of selected rows.
@@ -209,8 +210,8 @@ class FieldMatrix:
         """
         ri = [v - 1 for v in iter_vertices(row_face)]
         ci = [v - 1 for v in iter_vertices(col_face)]
-        if len(ri) != len(ci):
-            raise ValueError("minor requires equally many rows and columns")
+        if len(ri) != len(ci) or row_face >> self.nrows or col_face >> self.ncols:
+            raise ValueError(f"minor needs faces of one size in the {self.nrows} x {self.ncols} matrix")
         return _det([[self.rows[i][j] for j in ci] for i in ri], self.p)
 
     def det(self) -> int:
@@ -344,15 +345,16 @@ def realize(spec: MatrixSpec, n: int, p: int = DEFAULT_PRIME) -> FieldMatrix:
     )
 
 
-def slot_bytes(p: int, width: int, k: int = 1) -> int:
-    """Bytes per entry of a packed vector of ``width`` entries over Z/p
-    whose entries start in 0..k (p - 1)^2; k = 1 covers residues.
+def slot_bytes(p: int, width: int) -> int:
+    """Bytes per entry of a packed vector of ``width`` entries over Z/p.
 
-    ``RowEchelonAccumulator`` adds at most ``width`` products of two residues
-    to an entry, so an entry never exceeds (k + width)(p - 1)^2, which is
-    below 2^(2 bitlen(p) + bitlen(k + width)): this many bytes hold it.
+    Entries start in 0..MAX_VERTICES (p - 1)^2, which covers residues and
+    the unreduced compound row of any face, and ``RowEchelonAccumulator``
+    adds at most ``width`` products of two residues to an entry.  So an
+    entry never exceeds (MAX_VERTICES + width)(p - 1)^2, which is below
+    2^(2 bitlen(p) + bitlen(MAX_VERTICES + width)): this many bytes hold it.
     """
-    return (2 * p.bit_length() + (k + width).bit_length() + 7) // 8
+    return (2 * p.bit_length() + (MAX_VERTICES + width).bit_length() + 7) // 8
 
 
 def pack_slots(slots: Iterable[int], nb: int) -> int:
@@ -361,10 +363,10 @@ def pack_slots(slots: Iterable[int], nb: int) -> int:
     return int.from_bytes(b"".join(map(int.to_bytes, slots, repeat(nb), repeat("little"))), "little")
 
 
-def slot_reducer(p: int, width: int, nb: int) -> Callable[[int, int], int]:
-    """A function taking a vector of at most ``width`` slots of ``nb``
-    bytes, at least ``slot_bytes`` gives for (p, width), packed by
-    ``pack_slots``, and a residue s to the vector of its slots times s, mod p.
+def slot_reducer(p: int, width: int) -> Callable[[int, int], int]:
+    """A function taking a vector of at most ``width`` slots of nb =
+    ``slot_bytes(p, width)`` bytes, packed by ``pack_slots``, and a residue
+    s to the vector of its slots times s, mod p.
 
     Write p = 2^e - c with e = bitlen(p), so 0 < c < 2^(e - 1).  As
     2^e = c mod p, a slot x and its fold (x mod 2^e) + c floor(x / 2^e)
@@ -398,6 +400,7 @@ def slot_reducer(p: int, width: int, nb: int) -> Callable[[int, int], int]:
     """
     e = p.bit_length()
     c = (1 << e) - p
+    nb = slot_bytes(p, width)
     bits = 8 * nb
     folds, top = 0, (1 << bits) - 1
     while top >> e:
@@ -434,15 +437,14 @@ class RowEchelonAccumulator:
     """Incremental row echelon basis over Z/p, one packed int per row.
 
     Entry i of a packed vector is the slot of bits [8Bi, 8B(i + 1)), with
-    B = ``nb``, the ``slot_bytes`` of (p, width, k) for the k given at
-    construction, 1 by default.  ``insert`` takes only a vector packed so,
-    by ``pack_slots(slots, acc.nb)``, each slot in 0..k (p - 1)^2 and read
-    mod p.  A slot past that bound would silently break the no-carry bound
-    below, and only the caller can rule it out: ``insert`` checks just that
-    the vector is a nonnegative int of at most ``width`` slots.  A kept row
-    with pivot q reduces other vectors as its tail, held in a table keyed
-    by q: the tail packs its slots q..width-1 as residues, the pivot scaled
-    to read -1 (p - 1).
+    B = ``nb``, the ``slot_bytes`` of (p, width).  ``insert`` takes only a
+    vector packed so, by ``pack_slots(slots, acc.nb)``, each slot within
+    the bound ``slot_bytes`` states and read mod p.  Only the caller can
+    rule out a slot past it, which would silently carry: ``insert`` checks
+    just that the vector is a nonnegative int of at most ``width`` slots.
+    A kept row with pivot q reduces other vectors as its tail, held in a
+    table keyed by q: the tail packs its slots q..width-1 as residues, the
+    pivot scaled to read -1 (p - 1).
 
     ``insert`` consumes v from the bottom, one slot at a time, jumping over
     a run of literally zero slots at once.  Slot q with c = slot q mod p is
@@ -464,31 +466,22 @@ class RowEchelonAccumulator:
     at r.  So verdicts and rank are those of a reduced form, though the
     stored rows may differ.
 
-    No slot carries into the next: v's slots start in 0..k (p - 1)^2 (a
-    residue is at most (p - 1)^2, so k = 1 covers packed residues), and c
-    and every tail slot are residues.  The loop adds at most rank <= width
-    tails, and nothing subtracts, so a slot holds at most
-    k (p - 1)^2 + width (p - 1)^2 = (k + width)(p - 1)^2
-    < 2^(2 bitlen(p) + bitlen(k + width)) <= 2^(8B).
+    No slot carries: c and every tail slot are residues, the loop adds at
+    most rank <= width tails, and nothing subtracts, as ``slot_bytes`` allows.
     On the shift scan of a generic matrix the columns are faces in lex order
     and each compound row vanishes on the faces lex-before its own row face,
     so the loop jumps over most of the basis.
     """
 
-    __slots__ = ("p", "width", "_nb", "_reduce", "_rows", "_raw")
+    __slots__ = ("p", "width", "nb", "_reduce", "_rows", "_raw")
 
-    def __init__(self, width: int, p: int = DEFAULT_PRIME, k: int = 1):
-        self.p = p
+    def __init__(self, width: int, p: int = DEFAULT_PRIME):
+        self.p = p = check_prime(p)
         self.width = width
-        self._nb = slot_bytes(p, width, k)
-        self._reduce = slot_reducer(p, width, self._nb)
+        self.nb = slot_bytes(p, width)  # bytes per slot of the vectors insert takes
+        self._reduce = slot_reducer(p, width)
         self._rows: dict[int, int] = {}  # pivot -> tail
         self._raw: dict[int, int] = {}  # pivot -> kept v, not yet scaled
-
-    @property
-    def nb(self) -> int:
-        """Bytes per slot of the vectors ``insert`` takes."""
-        return self._nb
 
     @property
     def rank(self) -> int:
@@ -498,14 +491,14 @@ class RowEchelonAccumulator:
         """Reduce ``vec`` and keep it if independent.
 
         Args:
-            vec: a vector packed to ``nb`` bytes a slot, each slot in
-                0..k (p - 1)^2; anything but an int raises ``TypeError``.
+            vec: a vector packed to ``nb`` bytes a slot, each slot within
+                the ``slot_bytes`` bound; anything but an int raises ``TypeError``.
 
         Returns:
             True when the vector extended the span, False when it was
             already dependent (in particular for the zero vector).
         """
-        width, p, nb = self.width, self.p, self._nb
+        width, p, nb = self.width, self.p, self.nb
         bits, mask = 8 * nb, (1 << 8 * nb) - 1
         v = operator.index(vec)
         if v < 0 or v.bit_length() > width * bits:
@@ -539,5 +532,5 @@ class RowEchelonAccumulator:
         """The tail of a raw row: its slots reduced mod p and scaled so the
         pivot, its lowest slot, reads -1."""
         p = self.p
-        neg = p - pow((kept & ((1 << 8 * self._nb) - 1)) % p, -1, p)
+        neg = p - pow((kept & ((1 << 8 * self.nb) - 1)) % p, -1, p)
         return self._reduce(kept, neg)

@@ -87,6 +87,7 @@ def interior_matrix(
         element: ``mask -> residue`` with all masks of one cardinality.
         k: source cardinality.
     """
+    p = check_prime(p)
     degrees = {int(m).bit_count() for m in element}
     if len(degrees) > 1:
         raise ValueError("element must be homogeneous")
@@ -121,6 +122,7 @@ def boundary_matrix(
            the standard simplicial boundary up to a per-degree sign.
         k: source cardinality (``k = i + 1`` for dimension ``i``).
     """
+    p = check_prime(p)
     if g is None:
         g = {v: 1 for v in iter_vertices(K.support)}
     element = {1 << (v - 1): operator.index(c) % p for v, c in g.items()}
@@ -205,6 +207,7 @@ def sarkaria_maps(
     Returns:
         ``(U, D)``: dicts keyed by face cardinality.
     """
+    p = check_prime(p)
     if not is_near_cone(K, 1):
         raise ValueError("complex is not a near cone at vertex 1")
     a = {operator.index(v): operator.index(c) % p for v, c in alphas.items()}

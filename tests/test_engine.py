@@ -185,7 +185,7 @@ def _unpacked_row(tables, mask, p):
     # sum of at most k products of two residues, read mod p by the accumulator
     k = mask.bit_count()
     width = tables.sizes[k]
-    nb = slot_bytes(p, width, k)
+    nb = slot_bytes(p, width)
     bits = 8 * nb
     packed = tables.row(mask, nb)
     assert 0 <= packed and packed >> (bits * width) == 0

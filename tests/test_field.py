@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftkit import field
-from shiftkit.complexes import Face, SimplicialComplex
+from shiftkit.complexes import MAX_VERTICES, Face, SimplicialComplex
 from shiftkit.engine import exterior_shift
 from shiftkit.field import (
     DEFAULT_PRIME,
@@ -199,6 +199,12 @@ def test_minor_by_faces():
     assert a.minor(Face.of(1, 2, 3), Face.of(2, 3, 4)) == P - 1
     with pytest.raises(ValueError):
         m.minor(Face.of(1), Face.of(1, 2))
+    # a vertex past the matrix, as a row or as a column, is refused too
+    two = FieldMatrix([[1, 2], [3, 4]], 7)
+    for rows, cols in ((0b100, 0b1), (0b1, 0b100), (Face.of(1, 3), Face.of(1, 2)), (1 << 64, 1)):
+        with pytest.raises(ValueError, match="2 x 2"):
+            two.minor(rows, cols)
+    assert FieldMatrix([[1, 2, 3]], 7).minor(Face.of(1), Face.of(3)) == 3
 
 
 def test_matmul_identity_and_shapes():
@@ -417,13 +423,14 @@ def _check_verdicts(rows, width, p):
 
 
 def _check_packed_verdicts(rows, width, p, k, lift):
-    """``_check_verdicts`` with each row packed for an accumulator built
-    with k: a residue x goes in as x + m p, with m = lift(x, most) and
-    most the largest m that keeps it at most k (p - 1)^2."""
+    """``_check_verdicts`` with each row packed unreduced, as the shift scan
+    packs the rows of size-k faces, k <= MAX_VERTICES: a residue x goes in
+    as x + m p, with m = lift(x, most) and most the largest m that keeps it
+    at most k (p - 1)^2."""
+    assert 1 <= k <= MAX_VERTICES
     top = k * (p - 1) ** 2
-    nb = slot_bytes(p, width, k)
-    acc = RowEchelonAccumulator(width, p, k)
-    verdicts = [acc.insert(pack_slots([x + lift(x, (top - x) // p) * p for x in row], nb)) for row in rows]
+    acc = RowEchelonAccumulator(width, p)
+    verdicts = [acc.insert(pack_slots([x + lift(x, (top - x) // p) * p for x in row], acc.nb)) for row in rows]
     pivots = mod_p_pivot_rows(rows, p)
     assert verdicts == [i in pivots for i in range(len(rows))]
     assert acc.rank == len(pivots)
@@ -471,16 +478,35 @@ def test_accumulator_worst_case_slot_sums():
     # Packed vectors whose slots start as high as k (p - 1)^2, as the shift
     # scan's unreduced rows of size-k faces may: one reduction step adds up
     # to (p - 1)^2 more.  At p = 2^62 - 57 a slot of width + k <= 16 such
-    # products fits 16 bytes and one of 17 does not, so a layout sized
-    # without k, 16 bytes here, fails this check from k = 15 or 16 on.
+    # products fits 16 bytes and one of 17 does not, so a layout sized for
+    # residues alone, 16 bytes here, fails this check from k = 15 or 16 on.
     p = (1 << 62) - 57
     for width in (1, 2, 3):
-        for k in range(1, 21):
+        for k in (*range(1, 21), MAX_VERTICES):
             basis = [[0] * i + [p - 1] * (width - i) for i in range(width)]
             rows = [[rng.randrange(p) for _ in range(width)]] + basis
             rows += [[p - 1] * width, _combination(rng, basis, width, p)]
             rows += [[rng.randrange(p) for _ in range(width)] for _ in range(2)]
             _check_packed_verdicts(rows, width, p, k, lambda x, most: most)
+
+
+def test_accumulator_takes_slots_of_the_largest_face():
+    # every slot is MAX_VERTICES (p - 1)^2 or the largest multiple of p
+    # below it, residue 64 or 0, as the unreduced row of a 64-vertex face
+    # may be; a layout sized for residues, 16 bytes a slot, cannot pack them
+    p = BIG
+    top = MAX_VERTICES * (p - 1) ** 2
+    rng = random.Random(64)
+    for width in range(1, 13):
+        acc = RowEchelonAccumulator(width, p)
+        patterns = [[1] * width, [0] * width] + [[int(j >= i) for j in range(width)] for i in range(width)]
+        patterns += [[rng.randint(0, 1) for _ in range(width)] for _ in range(2 * width)]
+        rng.shuffle(patterns)
+        verdicts = [acc.insert(pack_slots([top if b else top - top % p for b in pat], acc.nb)) for pat in patterns]
+        rows = [[b * top % p for b in pat] for pat in patterns]
+        pivots = mod_p_pivot_rows(rows, p)
+        assert verdicts == [i in pivots for i in range(len(rows))], width
+        assert acc.rank == len(pivots)
 
 
 @pytest.mark.parametrize("p", [3, P, DEFAULT_PRIME, BIG, SLOTWISE])
@@ -526,31 +552,31 @@ def test_accumulator_scales_a_raw_row_on_first_use(p, inverses):
 def test_slot_reducer_matches_per_slot_mod(p, folds, monkeypatch):
     # slots at the edges of both paths: 0, p - 1 and the multiples of p,
     # 2^e - 1 and 2^e around the fold's bit e, and the largest slot the
-    # accumulator's layout allows, (k + width)(p - 1)^2, with its multiples
-    # of p below it; vectors as wide as the reducer and shorter, as tails
-    # are; scaled by 1 and by a residue
+    # layout allows, (MAX_VERTICES + width)(p - 1)^2, with its multiples of
+    # p below it; widths on both sides of the slot size's steps, at 64 and
+    # 192 slots; vectors as wide as the reducer and shorter, as tails are;
+    # scaled by 1 and by a residue
     packs = []
     monkeypatch.setattr(field, "pack_slots", lambda slots, nb: packs.append(nb) or pack_slots(slots, nb))
     rng = random.Random(p)
     e = p.bit_length()
-    for width in (1, 2, 300):
-        for k in range(1, 9):
-            nb = slot_bytes(p, width, k)
-            top = (k + width) * (p - 1) ** 2
-            edges = [0, p - 1, p, 2 * p, (1 << e) - 1, 1 << e, top, top - top % p]
-            edges += [rng.randrange(top // p + 1) * p for _ in range(4)]
-            reduce = slot_reducer(p, width, nb)
-            vectors = [[x] * width for x in edges]
-            for _ in range(6):
-                n = rng.choice((width, rng.randint(1, width)))
-                vectors.append([rng.choice(edges + [rng.randrange(top + 1)]) for _ in range(n)])
-            for slots in vectors:
-                for s in (1, p - 1, rng.randrange(p)):
-                    del packs[:]
-                    got = reduce(pack_slots(slots, nb), s)
-                    assert got == pack_slots([x * s % p for x in slots], nb), (width, k, s)
-                    # the fold path reads no slot on its own, so packs nothing
-                    assert (packs == []) == folds
+    for width in (*range(1, 9), 63, 64, 191, 192, 300):
+        nb = slot_bytes(p, width)
+        top = (MAX_VERTICES + width) * (p - 1) ** 2
+        edges = [0, p - 1, p, 2 * p, (1 << e) - 1, 1 << e, top, top - top % p]
+        edges += [rng.randrange(top // p + 1) * p for _ in range(4)]
+        reduce = slot_reducer(p, width)
+        vectors = [[x] * width for x in edges]
+        for _ in range(6):
+            n = rng.choice((width, rng.randint(1, width)))
+            vectors.append([rng.choice(edges + [rng.randrange(top + 1)]) for _ in range(n)])
+        for slots in vectors:
+            for s in (1, p - 1, rng.randrange(p)):
+                del packs[:]
+                got = reduce(pack_slots(slots, nb), s)
+                assert got == pack_slots([x * s % p for x in slots], nb), (width, s)
+                # the fold path reads no slot on its own, so packs nothing
+                assert (packs == []) == folds
 
 
 @st.composite
@@ -590,7 +616,7 @@ def _walk_sequences(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_walk_sequences(), st.integers(1, 8), st.randoms(use_true_random=False))
+@given(_walk_sequences(), st.integers(1, MAX_VERTICES), st.randoms(use_true_random=False))
 def test_accumulator_walk_matches_mod_p_oracle(case, k, rnd):
     p, width, rows = case
     _check_verdicts(rows, width, p)
@@ -612,11 +638,18 @@ def test_accumulator_refuses_vectors_that_are_not_packed():
         assert acc.rank == 2
 
 
+@pytest.mark.parametrize("p, error", [(9, ValueError), (4, ValueError), (2, ValueError), (7.0, TypeError)])
+def test_accumulator_checks_its_modulus(p, error):
+    # refused at construction, not by a later insert that needs an inverse
+    with pytest.raises(error):
+        RowEchelonAccumulator(2, p)
+
+
 def test_accumulator_refuses_packed_vectors_out_of_range():
     for p in (3, P, DEFAULT_PRIME):
-        for k in (1, 4):
-            acc = RowEchelonAccumulator(3, p, k)
-            nb = slot_bytes(p, 3, k)
+        for k in (1, 4, MAX_VERTICES):
+            acc = RowEchelonAccumulator(3, p)
+            nb = slot_bytes(p, 3)
             top = k * (p - 1) ** 2
             for bad in (-1, 1 << 3 * 8 * nb):
                 with pytest.raises(ValueError, match="packed vector"):

@@ -206,3 +206,22 @@ def test_non_integer_entries_and_coefficients_are_refused():
     assert sarkaria_maps(fan, {1: True, 2: 2, 3: 3}, P)[1][1] == sarkaria_maps(
         fan, {1: 1, 2: 2, 3: 3}, P
     )[1][1]
+
+
+@pytest.mark.parametrize("p", [0, 2, 9, 7.0])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda K, p: interior_matrix(K, {0b1: 1}, 2, p),
+        lambda K, p: boundary_matrix(K, None, 2, p),
+        lambda K, p: sarkaria_maps(K, {1: 1, 2: 1, 3: 1}, p),
+    ],
+    ids=["interior_matrix", "boundary_matrix", "sarkaria_maps"],
+)
+def test_matrix_builders_check_the_modulus_on_entry(build, p):
+    # before any arithmetic mod p, which divides by zero at p = 0, and also
+    # where no matrix is built: the void complex has no faces at all
+    error = TypeError if isinstance(p, float) else ValueError
+    for K in (SimplicialComplex.from_facets(3, [[1, 2, 3]]), SimplicialComplex.empty(3)):
+        with pytest.raises(error):
+            build(K, p)
