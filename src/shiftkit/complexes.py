@@ -29,11 +29,6 @@ def vertex_tuple(mask: int) -> tuple[int, ...]:
     return tuple(iter_vertices(mask))
 
 
-def lex_sorted(masks: Iterable[int]) -> list:
-    """Sort same-or-mixed-size masks by (cardinality, lex order)."""
-    return sorted(masks, key=lambda m: (int(m).bit_count(), vertex_tuple(m)))
-
-
 class Face(int):
     """A vertex subset packed into an int bitmask.
 

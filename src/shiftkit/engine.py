@@ -80,11 +80,17 @@ are not shifted.
 The kernel-dimension functions at the bottom are a deliberately separate
 route to the same memberships, used as an oracle against the greedy scan;
 they build stacked contraction matrices from the per-minor ``compound_row``
-and never touch the wedge tables the scan uses.
+and never touch the wedge tables the scan uses.  One lex sweep,
+``lex_kernel_dims``, answers them all: it walks the s-sets in lex order,
+builds each one's row and contraction block once, and yields the joint
+kernel's dimension after each.  A query for S reads the dimensions just
+before and just after S off one pass that stops at S, and the image
+dimensions over a full simplex come from one pass per size and degree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .complexes import (
@@ -310,6 +316,85 @@ def shifted(K: SimplicialComplex, seed: int = 0, p: int = DEFAULT_PRIME) -> Simp
 # kernel-intersection oracle (independent of the greedy scan above)
 
 
+def lex_kernel_dims(
+    K: SimplicialComplex,
+    A: FieldMatrix,
+    s: int,
+    *,
+    extra: int = 0,
+    first_k_only: bool = False,
+):
+    """Walk the s-sets R in lex order and yield (R, dim): dim is the
+    dimension of the joint kernel of the contractions by the wedge rows
+    lex-at-most R, acting on the size ``s + extra`` chains of ``K``.
+
+    Each R's compound row (``compound_row``, on the size-s faces of ``K``)
+    and its contraction block (``interior_matrix``) are built once, and the
+    block's rows join one echelon accumulator, whose rank gives the
+    dimension after R.  Once the rank reaches the column count every later
+    dimension is 0 and nothing more is built.  The inputs are checked on
+    the call, not on the first step.
+
+    Args:
+        s: size of the R, at least 1.
+        extra: target chain degree offset, nonnegative; 0 probes membership
+            of the R themselves, positive values count interval faces above.
+        first_k_only: walk only the subsets of the first
+            ``|vertices of K|`` labels; with projected coefficient rows this
+            leaves the dimensions unchanged, which is what the oracle checks.
+    """
+    if s < 1:
+        raise ValueError("reference face must be nonempty")
+    if s + extra > K.n or extra < 0:
+        raise ValueError("degree out of range")
+    if A.nrows != K.n or A.ncols != K.n:
+        raise ValueError(f"matrix is {A.nrows} x {A.ncols}, the complex needs {K.n} x {K.n}")
+    limit = K.num_vertices if first_k_only else K.n
+    return _lex_kernel_sweep(K, A, s, s + extra, limit)
+
+
+def _lex_kernel_sweep(K: SimplicialComplex, A: FieldMatrix, s: int, degree: int, limit: int):
+    supports = K.faces_of_size(s)
+    ncols = len(K.faces_of_size(degree))
+    acc = RowEchelonAccumulator(ncols, A.p)
+    for R in iter_k_subsets(limit, s):  # lex-ascending
+        if acc.rank < ncols:
+            element = dict(zip(supports, compound_row(A, R, supports)))
+            for row in interior_matrix(K, element, degree, A.p).rows:
+                if acc.insert(pack_slots(row, acc.nb)) and acc.rank == ncols:
+                    break
+        yield R, ncols - acc.rank
+
+
+def kernel_dims_at(
+    K: SimplicialComplex,
+    A: FieldMatrix,
+    S: int,
+    *,
+    extra: int = 0,
+    first_k_only: bool = False,
+) -> tuple[int, int]:
+    """The joint-kernel dimensions of ``lex_kernel_dims`` just before and
+    just after the rows of ``S``, read off one sweep that stops at ``S``:
+    the wedge rows lex-below ``S``, then lex-at-most ``S``.  An ``S`` the
+    walk does not reach (past the first labels, with ``first_k_only``)
+    reads the same number twice.  Raises ``ValueError`` for an ``S`` with a
+    vertex past ``K.n``, and as ``lex_kernel_dims`` does."""
+    S = int(S)
+    if S >> K.n:
+        raise ValueError(f"face has a vertex past {K.n}")
+    s = S.bit_count()
+    dims = lex_kernel_dims(K, A, s, extra=extra, first_k_only=first_k_only)
+    below = len(K.faces_of_size(s + extra))
+    for R, dim in dims:
+        if R == S:
+            return below, dim
+        if lex_less(S, R):
+            break
+        below = dim
+    return below, below
+
+
 def kernel_intersection_dim(
     K: SimplicialComplex,
     A: FieldMatrix,
@@ -321,47 +406,23 @@ def kernel_intersection_dim(
 ) -> int:
     """Dimension of the joint kernel of the contractions by all wedge rows
     lex-below ``S`` (or lex-at-most ``S``), acting on the size
-    ``|S| + extra`` chains of ``K``.
+    ``|S| + extra`` chains of ``K``; one of the two numbers of
+    ``kernel_dims_at``.
 
     Args:
-        S: reference face, cardinality s >= 1.
+        S: reference face, cardinality s >= 1, vertices in 1..``K.n``.
         strict: range over R lex-less than S; otherwise R lex-at-most S.
-        extra: target chain degree offset; 0 probes membership of S itself,
-            positive values count interval faces above S.
-        first_k_only: restrict the R range to subsets of the first
-            ``|vertices of K|`` labels; with projected coefficient rows this
-            leaves the intersection unchanged, which is what the oracle
-            checks.
+        extra, first_k_only: as for ``lex_kernel_dims``.
     """
-    p = A.p
-    s = int(S).bit_count()
-    if s < 1:
-        raise ValueError("reference face must be nonempty")
-    if s + extra > K.n or extra < 0:
-        raise ValueError("degree out of range")
-    domain = K.faces_of_size(s + extra)
-    ncols = len(domain)
-    if ncols == 0:
-        return 0
-    limit = K.num_vertices if first_k_only else K.n
-    supports = K.faces_of_size(s)
-    acc = RowEchelonAccumulator(ncols, p)
-    for mask in iter_k_subsets(limit, s):  # lex-ascending
-        if lex_less(S, mask) or (strict and mask == int(S)):
-            break
-        element = dict(zip(supports, compound_row(A, mask, supports)))
-        block = interior_matrix(K, element, s + extra, p)
-        for row in block.rows:
-            if acc.insert(pack_slots(row, acc.nb)) and acc.rank == ncols:
-                return 0
-    return ncols - acc.rank
+    below, at = kernel_dims_at(K, A, S, extra=extra, first_k_only=first_k_only)
+    return below if strict else at
 
 
 def membership_via_kernels(K: SimplicialComplex, A: FieldMatrix, S: int) -> bool:
     """Whether S joins the shifted family, decided by kernel dimensions
-    only: the joint kernel must shrink when S's own contraction is added."""
-    below = kernel_intersection_dim(K, A, S, strict=True)
-    at = kernel_intersection_dim(K, A, S, strict=False)
+    only: the joint kernel must shrink when S's own contraction is added.
+    Both dimensions come from one sweep."""
+    below, at = kernel_dims_at(K, A, S)
     return below > at
 
 
@@ -407,16 +468,18 @@ def image_dim_complete(h: int, n: int, S: int) -> int:
     return total - correction
 
 
-def image_dim_complete_direct(h: int, n: int, S: int, A: FieldMatrix) -> int:
-    """The same image dimension, measured as an exact stacked rank: the
-    size ``|S| + 1`` chains of the full simplex minus the joint kernel of
-    the contractions by wedge rows lex-below ``S``."""
-    s = int(S).bit_count()
+def image_dim_complete_direct(h: int, n: int, s: int, A: FieldMatrix) -> list[int]:
+    """The same image dimension for every s-set S of [n], in lex order,
+    measured as exact stacked ranks from one sweep: the size ``s + 1``
+    chains of the full simplex minus the joint kernel of the contractions
+    by wedge rows lex-below ``S``."""
     if s < 1:
         raise ValueError("reference face must be nonempty")
     if h > n or A.nrows != n:
         raise ValueError("shape mismatch")
     if s >= h:
-        return 0
+        return [0] * math.comb(n, s)
     H = SimplicialComplex.complete(h, ambient=n)
-    return len(H.faces_of_size(s + 1)) - kernel_intersection_dim(H, A, S, extra=1)
+    chains = len(H.faces_of_size(s + 1))
+    kernels = [chains] + [dim for _, dim in lex_kernel_dims(H, A, s, extra=1)]
+    return [chains - dim for dim in kernels[:-1]]

@@ -22,19 +22,6 @@ def interior_sign(t: int, s: int) -> int:
     return wedge_sign(s & ~t, t)
 
 
-def interior_product(t: int, s: int):
-    """Contract ``e_T`` out of ``e_S``.
-
-    Returns:
-        ``(sign, Face(S - T))`` when ``T`` is a subset of ``S``, else
-        ``None`` (the product is zero).
-    """
-    t, s = int(t), int(s)
-    if t & ~s:
-        return None
-    return interior_sign(t, s), Face(s & ~t)
-
-
 def wedge_sign(s: int, t: int) -> int:
     """Sign collected when sorting ``e_S ^ e_T`` for disjoint S, T:
     ``(-1)`` to the number of pairs ``(x, y)`` in ``S x T`` with ``y < x``."""

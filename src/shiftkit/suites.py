@@ -21,9 +21,9 @@ from .engine import (
     exterior_shift,
     image_dim_complete,
     image_dim_complete_direct,
+    kernel_dims_at,
     kernel_intersection_dim,
     lex_tail_count,
-    membership_via_kernels,
     shifted,
 )
 from .field import DEFAULT_PRIME, MAX_DRAWS, ExplicitSpec, FieldMatrix, GenericSpec, realize
@@ -196,27 +196,6 @@ def sqcup_agree(
     the gap rule, and the link/antistar recursion all agree."""
     direct = shifted(disjoint_union(DA, DB), seed=seed, p=p)
     return direct == disjoint_union_shift(DA, DB) == shifted_union_recursive(DA, DB)
-
-
-def union_interval_check(
-    K: SimplicialComplex,
-    L: SimplicialComplex,
-    A: int,
-    *,
-    seed: int = 0,
-    p: int = DEFAULT_PRIME,
-) -> tuple[int, int]:
-    """Count, in the interval of height dim(K and L) + 2 over ``A``, the
-    faces of the shift of the union versus the sum over the two parts.
-
-    Returns the pair (union count, sum of part counts); equality is the
-    property under test.  ``K`` and ``L`` live on shared labels.
-    """
-    size, height = int(A).bit_count(), max(intersection(K, L).dim, -1) + 2
-    cm, ck, cl = (
-        _interval_counts(shifted(X, seed=seed, p=p), size, height)[A] for X in (union(K, L), K, L)
-    )
-    return cm, ck + cl
 
 
 @_suite("sqcup")
@@ -413,15 +392,15 @@ def suite_kernel_dims(rng, trials, max_n, seed, p):
         sizes = [k for k in range(1, min(len(K.f_vector), n)) if K.f_vector[k]]
         size = rng.choice(sizes)
         S = Face.from_vertices(rng.sample(range(1, n + 1), size))
-        ok = membership_via_kernels(K, A, S) == (S in D)
+        # membership: the kernel shrinks at S's own contraction
+        strict, at = kernel_dims_at(K, A, S)
+        ok = (strict > at) == (S in D)
         # triple equality: full label range, labels of K only, and the
         # lex tail of the shifted family all give one number
-        strict = kernel_intersection_dim(K, A, S, strict=True)
         ok = ok and strict == kernel_intersection_dim(K, A, S, first_k_only=True)
         ok = ok and strict == lex_tail_count(D, S)
         i = rng.randint(1, max(1, min(2, n - size)))
-        lo = kernel_intersection_dim(K, A, S, strict=True, extra=i)
-        hi = kernel_intersection_dim(K, A, S, strict=False, extra=i)
+        lo, hi = kernel_dims_at(K, A, S, extra=i)
         count = _interval_counts(D, size, i)[S]
         ok = ok and lo - hi == count
         yield Check(f"inst-{t:02d}", ok, f"n={n} S={vertex_tuple(S)} i={i}")
@@ -431,9 +410,10 @@ def suite_kernel_dims(rng, trials, max_n, seed, p):
         cells = 0
         bad = ""
         for size in range(1, n + 1):
-            for S in iter_k_subsets(n, size):
+            direct = image_dim_complete_direct(h, n, size, A)
+            for S, dim in zip(iter_k_subsets(n, size), direct):
                 cells += 1
-                if image_dim_complete(h, n, S) != image_dim_complete_direct(h, n, S, A):
+                if image_dim_complete(h, n, S) != dim:
                     bad = f"S={vertex_tuple(S)}"
                     break
             if bad:

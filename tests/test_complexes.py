@@ -18,10 +18,14 @@ from shiftkit.complexes import (
     iter_k_subsets,
     lex_leq,
     lex_less,
-    lex_sorted,
     vertex_tuple,
 )
 from shiftkit.sampling import all_complexes, random_complex, random_permutation, random_shifted
+
+
+def lex_sorted(masks):
+    """Sort same-or-mixed-size masks by (cardinality, lex order)."""
+    return sorted(masks, key=lambda m: (int(m).bit_count(), vertex_tuple(m)))
 
 
 def test_face_construction_and_views():

@@ -35,6 +35,7 @@ from shiftkit.field import (
     realize,
     slot_bytes,
 )
+from shiftkit.homology import interior_matrix
 from shiftkit.sampling import (
     all_shifted_complexes,
     random_complex,
@@ -546,7 +547,141 @@ def test_image_dim_closed_form_matches_rank():
         for s in (1, 2):
             if s >= h:
                 continue
-            for S in iter_k_subsets(5, s):
-                assert image_dim_complete(h, 5, S) == image_dim_complete_direct(
-                    h, 5, S, A
-                )
+            direct = image_dim_complete_direct(h, 5, s, A)
+            cells = list(iter_k_subsets(5, s))
+            assert len(direct) == len(cells)
+            for S, dim in zip(cells, direct):
+                assert image_dim_complete(h, 5, S) == dim
+
+
+def _rank_mod(rows, p):
+    """Rank mod p by Gauss-Jordan elimination on lists of residues."""
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        top = [x * inv % p for x in rows[rank]]
+        rows[rank] = top
+        for i, r in enumerate(rows):
+            if i != rank and r[c]:
+                f = r[c]
+                rows[i] = [(x - f * y) % p for x, y in zip(r, top)]
+        rank += 1
+    return rank
+
+
+def _brute_kernel_dim(K, A, S, *, strict, extra, first_k_only):
+    """The joint kernel from scratch: stack the contraction blocks of every
+    R lex-before S (or at most S), compared as sorted vertex tuples."""
+    p = A.p
+    vs = tuple(iter_vertices(S))
+    degree = len(vs) + extra
+    limit = K.num_vertices if first_k_only else K.n
+    supports = K.faces_of_size(len(vs))
+    rows = []
+    for R in combinations(range(1, limit + 1), len(vs)):
+        if R > vs or (strict and R == vs):
+            continue
+        mask = sum(1 << (v - 1) for v in R)
+        element = {int(T): A.minor(mask, T) for T in supports}
+        rows += interior_matrix(K, element, degree, p).rows
+    return len(K.faces_of_size(degree)) - _rank_mod(rows, p)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 10007, (1 << 60) + 33])
+def test_kernel_dims_match_a_stacked_rank_from_scratch(p):
+    # generic and sparse explicit matrices on complexes that leave labels
+    # unused, so restricting R to the first labels can change the answer;
+    # every query is checked against a fresh stack of all its blocks
+    rng = random.Random(p % 1000)
+    differs = 0
+    for kind in ("generic", "permutation", "noisy permutation", "sparse") * 4:
+        n = rng.randint(3, 6)
+        facets = [rng.sample(range(1, n + 1), rng.randint(1, min(3, n))) for _ in range(rng.randint(1, 3))]
+        K = SimplicialComplex.from_facets(n, facets)
+        A = _draw_matrix(rng, kind, n, p)
+        for s in range(1, min(3, n) + 1):
+            for extra in range(3):
+                if s + extra > n:
+                    continue
+                faces = list(iter_k_subsets(n, s))
+                for S in rng.sample(faces, min(2, len(faces))):
+                    for first_k_only in (False, True):
+                        got, want = (
+                            [
+                                dim(K, A, S, strict=strict, extra=extra, first_k_only=first_k_only)
+                                for strict in (True, False)
+                            ]
+                            for dim in (kernel_intersection_dim, _brute_kernel_dim)
+                        )
+                        assert got == want, (K, kind, S, extra, first_k_only)
+                        if first_k_only:
+                            differs += want != full
+                        else:
+                            full = want
+                    if extra == 0:
+                        assert membership_via_kernels(K, A, S) == (full[0] > full[1])
+    assert differs  # the corpus tells the two label ranges apart
+
+
+def _interior_calls(monkeypatch):
+    calls = []
+    inner = engine.interior_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(engine, "interior_matrix", counted)
+    return calls
+
+
+def test_kernel_sweep_saturates_before_s_and_builds_nothing_after(monkeypatch):
+    # on the edges of the full simplex on [4], the contractions by three
+    # generic vertex rows already have no common kernel: the rows past {3}
+    # are never built, and every later dimension reads 0
+    K = SimplicialComplex.complete(4)
+    A = realize(GenericSpec(5), 4, P)
+    calls = _interior_calls(monkeypatch)
+    assert [dim for _, dim in engine.lex_kernel_dims(K, A, 1, extra=1)] == [3, 1, 0, 0]
+    assert len(calls) == 3
+    for strict in (True, False):
+        got = kernel_intersection_dim(K, A, Face.of(4), strict=strict, extra=1)
+        assert got == 0 == _brute_kernel_dim(
+            K, A, int(Face.of(4)), strict=strict, extra=1, first_k_only=False
+        )
+
+
+def test_kernel_sweep_with_no_columns_builds_nothing(monkeypatch):
+    # a graph has no triangles: the target chains are 0-dimensional
+    K = k33()
+    A = realize(GenericSpec(3), K.n, P)
+    calls = _interior_calls(monkeypatch)
+    for S in iter_k_subsets(K.n, 1):
+        for strict in (True, False):
+            assert kernel_intersection_dim(K, A, S, strict=strict, extra=2) == 0
+    assert calls == []
+    assert _brute_kernel_dim(K, A, int(Face.of(6)), strict=False, extra=2, first_k_only=False) == 0
+
+
+def test_kernel_oracle_refuses_a_face_past_n():
+    K = SimplicialComplex.from_facets(3, [[1, 2], [2, 3]])
+    A = realize(GenericSpec(0), 3, P)
+    with pytest.raises(ValueError, match="past 3"):
+        kernel_intersection_dim(K, A, Face.of(5))
+    with pytest.raises(ValueError, match="past 3"):
+        membership_via_kernels(K, A, Face.of(3, 4))
+
+
+def test_kernel_oracle_refuses_a_matrix_of_another_size():
+    K = SimplicialComplex.from_facets(3, [[1, 2], [2, 3]])
+    A = realize(GenericSpec(0), 5, P)
+    with pytest.raises(ValueError, match="5 x 5"):
+        kernel_intersection_dim(K, A, Face.of(2))
+    # the sweep checks on the call, before its first step
+    with pytest.raises(ValueError, match="5 x 5"):
+        engine.lex_kernel_dims(K, A, 1)

@@ -12,7 +12,6 @@ from shiftkit.homology import (
     betti_from_shifted,
     boundary_matrix,
     interior_matrix,
-    interior_product,
     interior_sign,
     is_near_cone,
     sarkaria_maps,
@@ -23,6 +22,15 @@ from shiftkit.homology import (
 from shiftkit.sampling import random_complex, random_near_cone
 
 P = 10007
+
+
+def interior_product(t, s):
+    """Contract ``e_T`` out of ``e_S``: ``(sign, Face(S - T))`` when ``T``
+    is a subset of ``S``, else ``None`` (the product is zero)."""
+    t, s = int(t), int(s)
+    if t & ~s:
+        return None
+    return interior_sign(t, s), Face(s & ~t)
 
 
 def test_interior_sign_frozen_cases():

@@ -30,11 +30,8 @@ from shiftkit.sampling import (
     random_complex,
     random_shifted,
 )
-from shiftkit.suites import (
-    join_top_count_check,
-    near_cone_decomposition_check,
-    union_interval_check,
-)
+from shiftkit.suites import join_top_count_check, near_cone_decomposition_check
+from test_suites import union_interval_check
 
 
 def facet_sets(K):

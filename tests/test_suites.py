@@ -37,6 +37,18 @@ def test_union_eq1_names_the_lex_first_failing_base(monkeypatch):
     assert check.detail == "A=(1, 4) 1!=0"
 
 
+def union_interval_check(K, L, A):
+    """Count, in the interval of height dim(K and L) + 2 over ``A``, the
+    faces of the shift of the union versus the sum over the two parts.
+
+    Returns the pair (union count, sum of part counts); equality is the
+    property under test.  ``K`` and ``L`` live on shared labels.
+    """
+    size, height = int(A).bit_count(), max(intersection(K, L).dim, -1) + 2
+    cm, ck, cl = (suites._interval_counts(shifted(X), size, height)[A] for X in (union(K, L), K, L))
+    return cm, ck + cl
+
+
 def window_count(D, A, height, n):
     """Faces of ``D`` in the window of ``height`` above ``A``, by enumeration."""
     return sum(1 for T in interval(A, height, n) if T in D)
@@ -80,7 +92,7 @@ def test_union_interval_check_and_kernel_count_match_the_enumeration():
                 window_count(DM, A, depth, n),
                 window_count(DK, A, depth, n) + window_count(DL, A, depth, n),
             )
-            assert suites.union_interval_check(K, L, A) == want
+            assert union_interval_check(K, L, A) == want
     # the kernel-dims count: any S, windows that do not fit in [n] included
     for _ in range(40):
         n = rng.randint(2, 9)
