@@ -18,7 +18,6 @@ MAX_VERTICES = 64
 
 def iter_vertices(mask: int) -> Iterator[int]:
     """Yield the 1-based vertex labels packed into ``mask``, ascending."""
-    mask = int(mask)
     while mask:
         low = mask & -mask
         yield low.bit_length()
@@ -30,12 +29,16 @@ def vertex_tuple(mask: int) -> tuple[int, ...]:
 
 
 class Face(int):
-    """A vertex subset packed into an int bitmask.
+    """A vertex subset as an int bitmask, with vertex views.
 
-    ``Face`` subclasses ``int``: it hashes and compares like its mask, so
-    faces and raw masks mix freely as dict keys.  ``Face(0)`` is the empty
-    face.  The binary operators act as set operations (``-`` is set
-    difference, not integer subtraction).
+    A face is its int mask: it hashes, compares and combines like one, so
+    faces and raw masks mix freely, and every function taking a face takes
+    a plain mask too.  ``Face`` only adds vertex views: the constructors
+    ``of`` and ``from_vertices``, ``vertices``, ``min_vertex``,
+    ``max_vertex``, ``len``, iteration and ``in``.  Set operations are the
+    int ones and return plain ints: ``a | b``, ``a & b``, ``a ^ b``, and
+    ``a & ~b`` for set difference (``a - b`` is integer subtraction).
+    ``Face(0)`` is the empty face.
     """
 
     __slots__ = ()
@@ -61,34 +64,22 @@ class Face(int):
     def min_vertex(self) -> int:
         if not self:
             raise ValueError("empty face has no vertices")
-        return (int(self) & -int(self)).bit_length()
+        return (self & -self).bit_length()
 
     @property
     def max_vertex(self) -> int:
         if not self:
             raise ValueError("empty face has no vertices")
-        return int(self).bit_length()
+        return self.bit_length()
 
     def __iter__(self) -> Iterator[int]:
         return iter_vertices(self)
 
     def __len__(self) -> int:
-        return int(self).bit_count()
+        return self.bit_count()
 
     def __contains__(self, vertex: int) -> bool:
-        return vertex >= 1 and bool((int(self) >> (vertex - 1)) & 1)
-
-    def __or__(self, other):
-        return Face(int(self) | int(other))
-
-    def __and__(self, other):
-        return Face(int(self) & int(other))
-
-    def __xor__(self, other):
-        return Face(int(self) ^ int(other))
-
-    def __sub__(self, other):
-        return Face(int(self) & ~int(other))
+        return vertex >= 1 and bool(self >> (vertex - 1) & 1)
 
     def __repr__(self) -> str:
         return "Face.of(%s)" % ", ".join(map(str, self))
@@ -104,7 +95,6 @@ def lex_less(s: int, t: int) -> bool:
     ``S``.  Raises ``ValueError`` on a cardinality mismatch; the order is
     only defined between faces of the same size.
     """
-    s, t = int(s), int(t)
     if s.bit_count() != t.bit_count():
         raise ValueError("lex order compares faces of equal cardinality")
     d = s ^ t
@@ -112,7 +102,7 @@ def lex_less(s: int, t: int) -> bool:
 
 
 def lex_leq(s: int, t: int) -> bool:
-    return int(s) == int(t) or lex_less(s, t)
+    return s == t or lex_less(s, t)
 
 
 def dominates(s: int, t: int) -> bool:
@@ -130,7 +120,6 @@ def dominates(s: int, t: int) -> bool:
 
 def init_segment(s: int, j: int) -> Face:
     """The ``j`` lex-least (i.e. smallest-labelled) vertices of ``s``."""
-    s = int(s)
     if j < 0 or j > s.bit_count():
         raise ValueError("init length must lie in 0..|S|")
     mask = 0
@@ -150,7 +139,6 @@ def interval(s: int, i: int, n: int) -> list:
     """
     if i <= 0:
         raise ValueError("interval height must be positive")
-    s = int(s)
     lo = s.bit_length() + 1  # max(S) + 1, or 1 for the empty face
     return [Face(s | m << (lo - 1)) for m in iter_k_subsets(n - lo + 1, i)]
 
@@ -272,7 +260,7 @@ class SimplicialComplex:
         """
         faces: set[int] = set()
         for facet in facets:
-            m = int(facet) if isinstance(facet, int) else int(Face.from_vertices(facet))
+            m = facet if isinstance(facet, int) else Face.from_vertices(facet)
             if not 0 <= m < 1 << n:
                 raise ValueError("vertex label out of 1..n")
             if m in faces:
@@ -356,7 +344,7 @@ class SimplicialComplex:
         return [f for f in self.all_faces() if f not in covered]
 
     def __contains__(self, face: int) -> bool:
-        return int(face) in self._faces
+        return face in self._faces
 
     def __eq__(self, other) -> bool:
         return (
@@ -409,7 +397,7 @@ class SimplicialComplex:
         """Shift every vertex label up by ``offset``, inside ``[n + offset]``."""
         if offset < 0:
             raise ValueError("offset must be nonnegative")
-        return SimplicialComplex(self.n + offset, (int(f) << offset for f in self._faces))
+        return SimplicialComplex(self.n + offset, (f << offset for f in self._faces))
 
     def compacted(self) -> tuple["SimplicialComplex", tuple[int, ...]]:
         """Relabel the support onto an initial segment; returns the new

@@ -183,10 +183,9 @@ class _WedgeTables:
         self.sizes = [len(level) for level in faces]
         self.terms = [None]
         for j in range(1, top):
-            sub = {int(f): i for i, f in enumerate(faces[j - 1])}
+            sub = {f: i for i, f in enumerate(faces[j - 1])}
             level = [([], []) for _ in range(K.n)]
-            for i, f in enumerate(faces[j]):
-                m = int(f)
+            for i, m in enumerate(faces[j]):
                 for v in iter_vertices(m):
                     above = (m >> v).bit_count()
                     level[v - 1][above & 1].append((i, sub[m ^ (1 << (v - 1))]))
@@ -380,7 +379,6 @@ def kernel_dims_at(
     walk does not reach (past the first labels, with ``first_k_only``)
     reads the same number twice.  Raises ``ValueError`` for an ``S`` with a
     vertex past ``K.n``, and as ``lex_kernel_dims`` does."""
-    S = int(S)
     if S >> K.n:
         raise ValueError(f"face has a vertex past {K.n}")
     s = S.bit_count()
@@ -428,8 +426,7 @@ def membership_via_kernels(K: SimplicialComplex, A: FieldMatrix, S: int) -> bool
 
 def lex_tail_count(D: SimplicialComplex, S: int) -> int:
     """Number of size-|S| faces of ``D`` lex-at-least ``S``."""
-    s = int(S).bit_count()
-    return sum(1 for T in D.faces_of_size(s) if lex_leq(S, T))
+    return sum(1 for T in D.faces_of_size(S.bit_count()) if lex_leq(S, T))
 
 
 # ----------------------------------------------------------------------
@@ -446,7 +443,7 @@ def image_dim_complete(h: int, n: int, S: int) -> int:
     over the size ``|S| + 1`` subsets of ``[h]`` whose lex-initial part is
     below ``S``.
     """
-    s = int(S).bit_count()
+    s = S.bit_count()
     if s < 1:
         raise ValueError("reference face must be nonempty")
     if h > n:

@@ -363,6 +363,7 @@ def pack_slots(slots: Iterable[int], nb: int) -> int:
     return int.from_bytes(b"".join(map(int.to_bytes, slots, repeat(nb), repeat("little"))), "little")
 
 
+@functools.lru_cache(maxsize=64)
 def slot_reducer(p: int, width: int) -> Callable[[int, int], int]:
     """A function taking a vector of at most ``width`` slots of nb =
     ``slot_bytes(p, width)`` bytes, packed by ``pack_slots``, and a residue
@@ -396,7 +397,8 @@ def slot_reducer(p: int, width: int) -> Callable[[int, int], int]:
     width below 2^40 (F nb at most 63), as does every Mersenne prime, and
     10007 and 10^9 + 7 fold below a million slots; a prime just above a
     large power of two, 2^30 + 3 or 2^60 + 33, is reduced slot by slot.
-    Both paths return the exact residues.
+    Both paths return the exact residues.  The function is memoised per
+    (p, width), so accumulators of one shape share one reducer.
     """
     e = p.bit_length()
     c = (1 << e) - p
@@ -453,7 +455,7 @@ class RowEchelonAccumulator:
     and the loop stops.  If v runs out first it was dependent.  A kept v is
     stored raw, keyed by its pivot, and stays raw until a later vector first
     needs it to clear its pivot slot: on that first use it becomes its
-    tail, once: the ``slot_reducer`` built with the accumulator takes its
+    tail, once: the ``slot_reducer`` of the accumulator's (p, width) takes its
     slots times the residue of -1/pivot mod p.  That is one inverse per
     row, and a row never used costs none.  ``rank`` counts the raw rows and
     the scaled ones.

@@ -18,14 +18,12 @@ def interior_sign(t: int, s: int) -> int:
     """Sign of contracting ``e_T`` out of ``e_S`` for ``T`` a subset of ``S``:
     ``(-1)**a`` with ``a`` the number of pairs ``(x, y)``, ``x`` in ``S - T``,
     ``y`` in ``T``, ``y < x``."""
-    t, s = int(t), int(s)
     return wedge_sign(s & ~t, t)
 
 
 def wedge_sign(s: int, t: int) -> int:
     """Sign collected when sorting ``e_S ^ e_T`` for disjoint S, T:
     ``(-1)`` to the number of pairs ``(x, y)`` in ``S x T`` with ``y < x``."""
-    s, t = int(s), int(t)
     a = 0
     for y in iter_vertices(t):
         a += (s >> y).bit_count()
@@ -34,7 +32,6 @@ def wedge_sign(s: int, t: int) -> int:
 
 def wedge(s: int, t: int):
     """``e_S ^ e_T``: ``(sign, Face(S | T))`` for disjoint faces, else None."""
-    s, t = int(s), int(t)
     if s & t:
         return None
     return wedge_sign(s, t), Face(s | t)
@@ -75,7 +72,7 @@ def interior_matrix(
         k: source cardinality.
     """
     p = check_prime(p)
-    degrees = {int(m).bit_count() for m in element}
+    degrees = {m.bit_count() for m in element}
     if len(degrees) > 1:
         raise ValueError("element must be homogeneous")
     r = degrees.pop() if degrees else 0
@@ -83,12 +80,10 @@ def interior_matrix(
         raise ValueError("source degree below element degree")
     cols = K.faces_of_size(k)
     rows = K.faces_of_size(k - r)
-    row_idx = {int(f): i for i, f in enumerate(rows)}
+    row_idx = {f: i for i, f in enumerate(rows)}
     mat = [[0] * len(cols) for _ in rows]
-    for j, face in enumerate(cols):
-        fm = int(face)
+    for j, fm in enumerate(cols):
         for t, coeff in element.items():
-            t = int(t)
             if coeff and not (t & ~fm):
                 i = row_idx[fm & ~t]
                 sign = interior_sign(t, fm)
@@ -147,7 +142,7 @@ def betti_from_shifted(D: SimplicialComplex) -> tuple[int, ...]:
         raise ValueError("complex is not shifted")
     out = []
     for k in range(len(D.f_vector)):
-        out.append(sum(1 for f in D.faces_of_size(k) if (int(f) | 1) not in D))
+        out.append(sum(1 for f in D.faces_of_size(k) if f | 1 not in D))
     return tuple(out)
 
 
@@ -157,8 +152,7 @@ def is_near_cone(K: SimplicialComplex, v: int) -> bool:
     if v < 1 or v > K.n:
         return False
     bit = 1 << (v - 1)
-    for f in K.all_faces():
-        m = int(f)
+    for m in K.all_faces():
         if m & bit:
             continue
         for u in iter_vertices(m):
@@ -205,11 +199,10 @@ def sarkaria_maps(
     D: dict[int, FieldMatrix] = {}
     for k in range(len(K.f_vector)):
         faces = K.faces_of_size(k)
-        idx = {int(f): i for i, f in enumerate(faces)}
+        idx = {f: i for i, f in enumerate(faces)}
         u_mat = [[0] * len(faces) for _ in faces]
         d_mat = [[0] * len(faces) for _ in faces]
-        for j, face in enumerate(faces):
-            m = int(face)
+        for j, m in enumerate(faces):
             u_mat[j][j] = 1
             d_mat[j][j] = pow(_alpha_product(m, a, p), -1, p)
             if m & 1:

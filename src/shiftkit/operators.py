@@ -28,7 +28,7 @@ from .homology import is_near_cone
 def disjoint_union(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
     """Faces of K plus faces of L with L's labels moved above K's."""
     faces = set(K.face_set())
-    faces.update(int(f) << K.n for f in L.face_set())
+    faces.update(f << K.n for f in L.face_set())
     return SimplicialComplex(K.n + L.n, faces)
 
 
@@ -45,8 +45,8 @@ def intersection(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComple
 
 def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
     """All unions of a K-face and a relabeled L-face."""
-    lf = [int(f) << K.n for f in L.face_set()]
-    faces = [a | b for a in map(int, K.face_set()) for b in lf]
+    lf = [f << K.n for f in L.face_set()]
+    faces = [a | b for a in K.face_set() for b in lf]
     return SimplicialComplex(K.n + L.n, faces)
 
 
@@ -63,20 +63,16 @@ def suspension(K: SimplicialComplex) -> SimplicialComplex:
 
 def link(K: SimplicialComplex, S: int) -> SimplicialComplex:
     """Faces disjoint from S whose union with S is a face.  Labels kept."""
-    s = int(S)
-    if s not in K:
+    if S not in K:
         raise ValueError("link center must be a face")
-    return SimplicialComplex(
-        K.n, (m for m in map(int, K.face_set()) if not m & s and (m | s) in K)
-    )
+    return SimplicialComplex(K.n, (m for m in K.face_set() if not m & S and m | S in K))
 
 
 def antistar(K: SimplicialComplex, S: int) -> SimplicialComplex:
     """Faces disjoint from S.  Labels kept."""
-    s = int(S)
-    if s not in K:
+    if S not in K:
         raise ValueError("antistar center must be a face")
-    return SimplicialComplex(K.n, (m for m in map(int, K.face_set()) if not m & s))
+    return SimplicialComplex(K.n, (m for m in K.face_set() if not m & S))
 
 
 # ----------------------------------------------------------------------
@@ -101,10 +97,9 @@ def d_value(D: SimplicialComplex, S: int) -> int:
 
 
 def _d_value(D: SimplicialComplex, S: int) -> int:
-    s = int(S)
-    if not s:
+    if not S:
         raise ValueError("face must be nonempty")
-    return _head_counts(D.face_set())[s ^ (1 << (s.bit_length() - 1))]
+    return _head_counts(D.face_set())[S ^ (1 << (S.bit_length() - 1))]
 
 
 def last_gap(S: int) -> int:

@@ -426,7 +426,7 @@ def suite_kernel_dims(rng, trials, max_n, seed, p):
 
 
 def _column_element(M: FieldMatrix, faces, j: int) -> dict:
-    return {int(f): M.entry(i, j) for i, f in enumerate(faces) if M.entry(i, j)}
+    return {f: M.entry(i, j) for i, f in enumerate(faces) if M.entry(i, j)}
 
 
 def _wedge_multiplicative(
@@ -438,19 +438,19 @@ def _wedge_multiplicative(
     if not splittable:
         return True
     index = {
-        k: {int(f): i for i, f in enumerate(K.faces_of_size(k))}
+        k: {f: i for i, f in enumerate(K.faces_of_size(k))}
         for k in range(len(K.f_vector))
     }
     for _ in range(min(5, len(splittable))):
         W = rng.choice(splittable)
         verts = list(W)
         S = Face.from_vertices(rng.sample(verts, rng.randint(1, len(verts) - 1)))
-        T = Face(int(W) ^ int(S))
+        T = Face(W ^ S)
         sign, _ = wedge(S, T)
         ks, kt, kw = len(S), len(T), len(W)
-        us = _column_element(U[ks], K.faces_of_size(ks), index[ks][int(S)])
-        ut = _column_element(U[kt], K.faces_of_size(kt), index[kt][int(T)])
-        uw = _column_element(U[kw], K.faces_of_size(kw), index[kw][int(W)])
+        us = _column_element(U[ks], K.faces_of_size(ks), index[ks][S])
+        ut = _column_element(U[kt], K.faces_of_size(kt), index[kt][T])
+        uw = _column_element(U[kw], K.faces_of_size(kw), index[kw][W])
         want = {m: sign * c % p for m, c in uw.items()}
         if wedge_elements(us, ut, p) != want:
             return False
@@ -502,7 +502,7 @@ def join_top_count_check(
     def top_avoiding(D: SimplicialComplex) -> int:
         k = D.dim + 1
         low = (1 << i) - 1
-        return sum(1 for f in D.faces_of_size(k) if not int(f) & low)
+        return sum(1 for f in D.faces_of_size(k) if not f & low)
 
     dj = shifted(join(K, L), seed=seed, p=p)
     dk = shifted(K, seed=seed, p=p)

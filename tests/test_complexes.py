@@ -20,7 +20,23 @@ from shiftkit.complexes import (
     lex_less,
     vertex_tuple,
 )
-from shiftkit.sampling import all_complexes, random_complex, random_permutation, random_shifted
+from shiftkit.engine import (
+    image_dim_complete,
+    kernel_dims_at,
+    kernel_intersection_dim,
+    lex_tail_count,
+    membership_via_kernels,
+)
+from shiftkit.field import GenericSpec, realize
+from shiftkit.homology import interior_matrix, interior_sign, wedge
+from shiftkit.operators import antistar, last_gap, link
+from shiftkit.sampling import (
+    all_complexes,
+    glue,
+    random_complex,
+    random_permutation,
+    random_shifted,
+)
 
 
 def lex_sorted(masks):
@@ -41,13 +57,64 @@ def test_face_construction_and_views():
 
 
 def test_face_set_semantics_not_int_arithmetic():
-    # the operators are set ops: - is difference, not integer subtraction
+    # a face is its mask: the set operators are the int ones and return
+    # plain ints; set difference is a & ~b
     a, b = Face.of(1, 2, 3), Face.of(2, 4)
-    assert a | b == Face.of(1, 2, 3, 4)
-    assert a & b == Face.of(2)
-    assert a ^ b == Face.of(1, 3, 4)
-    assert a - b == Face.of(1, 3)
-    assert b - a == Face.of(4)
+    for got, want in ((a | b, 0b1111), (a & b, 0b0010), (a ^ b, 0b1101), (a & ~b, 0b0101)):
+        assert type(got) is int and got == want
+    assert a | b == Face.of(1, 2, 3, 4) and a & ~b == Face.of(1, 3)
+    # the complex still hands out Faces, with working vertex views
+    K = SimplicialComplex.from_facets(4, [[1, 2, 3], [3, 4]])
+    for faces in (K.faces_of_size(2), K.facets(), list(K.all_faces())):
+        assert faces and all(type(f) is Face for f in faces)
+    assert [f.vertices for f in K.facets()] == [(3, 4), (1, 2, 3)]
+    assert [list(f) for f in K.faces_of_size(2)] == [[1, 2], [1, 3], [2, 3], [3, 4]]
+    top = K.facets()[-1]
+    assert len(top) == 3 and 2 in top and 4 not in top
+    assert (top.min_vertex, top.max_vertex) == (1, 3)
+    assert [len(f) for f in K.all_faces()] == [0, 1, 1, 1, 1, 2, 2, 2, 2, 3]
+
+
+_K = SimplicialComplex.from_facets(5, [[1, 2, 3], [2, 3, 4], [4, 5]])
+_A = realize(GenericSpec(7), 5)
+_FACE_TAKERS = [
+    pytest.param(lex_less, (Face.of(1, 4), Face.of(2, 3)), id="lex_less"),
+    pytest.param(lex_leq, (Face.of(2, 3), Face.of(2, 3)), id="lex_leq"),
+    pytest.param(lambda S: init_segment(S, 2), (Face.of(1, 3, 5),), id="init_segment"),
+    pytest.param(lambda S: interval(S, 2, 5), (Face.of(2),), id="interval"),
+    pytest.param(lambda S: S in _K, (Face.of(2, 4),), id="K.__contains__"),
+    pytest.param(lambda S: link(_K, S), (Face.of(3),), id="link"),
+    pytest.param(lambda S: antistar(_K, S), (Face.of(2, 3),), id="antistar"),
+    pytest.param(last_gap, (Face.of(1, 2, 5),), id="last_gap"),
+    pytest.param(interior_sign, (Face.of(2), Face.of(1, 2, 3)), id="interior_sign"),
+    pytest.param(wedge, (Face.of(1, 3), Face.of(2)), id="wedge"),
+    pytest.param(
+        lambda t, u: interior_matrix(_K, {t: 1, u: 3}, 3),
+        (Face.of(2), Face.of(4)),
+        id="interior_matrix",
+    ),
+    pytest.param(lambda S: kernel_dims_at(_K, _A, S), (Face.of(2, 3),), id="kernel_dims_at"),
+    pytest.param(
+        lambda S: kernel_intersection_dim(_K, _A, S, strict=False),
+        (Face.of(1, 4),),
+        id="kernel_intersection_dim",
+    ),
+    pytest.param(
+        lambda S: membership_via_kernels(_K, _A, S), (Face.of(1, 3),), id="membership_via_kernels"
+    ),
+    pytest.param(lambda S: lex_tail_count(_K, S), (Face.of(2, 3),), id="lex_tail_count"),
+    pytest.param(lambda S: image_dim_complete(4, 5, S), (Face.of(2, 3),), id="image_dim_complete"),
+    pytest.param(
+        lambda sigma: glue(_K, SimplicialComplex.complete(3), sigma), (Face.of(2, 3),), id="glue"
+    ),
+]
+
+
+@pytest.mark.parametrize("fn, faces", _FACE_TAKERS)
+def test_plain_masks_work_wherever_a_face_does(fn, faces):
+    masks = [int(f) for f in faces]
+    assert all(type(m) is int for m in masks)
+    assert fn(*masks) == fn(*faces)
 
 
 def test_face_of_rejects_bad_labels():

@@ -579,6 +579,14 @@ def test_slot_reducer_matches_per_slot_mod(p, folds, monkeypatch):
                 assert (packs == []) == folds
 
 
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, P, SLOTWISE])
+def test_slot_reducer_is_memoised_per_shape(p):
+    # accumulators of one (p, width) share one reducer, on both paths
+    assert slot_reducer(p, 46) is slot_reducer(p, 46)
+    assert slot_reducer(p, 46) is not slot_reducer(p, 47)
+    assert RowEchelonAccumulator(46, p)._reduce is RowEchelonAccumulator(46, p)._reduce
+
+
 @st.composite
 def _walk_sequences(draw):
     """An insert sequence aimed at the bottom-up walk, with its prime.
