@@ -61,14 +61,20 @@ shifted and its vertices need not be 1..m; the rule uses neither.
 
 The rows are built one vertex at a time: the wedge of S's rows is its
 smallest vertex's row wedged with the next, and so on, each partial
-restricted to the faces of the complex of that size.  Lex neighbours
+restricted to the faces of the complex of that size.  The levels below the
+top are those of S's head h, S minus its largest vertex v.  Lex neighbours
 share their leading vertices and so their leading partials, and
-``_WedgeTables.row`` rebuilds only the levels past the prefix it shares
-with the previous S.  The partials below the top are exact residues mod p,
-so a reused one is the list a fresh sweep would build.  The top level is
-not reduced: its sums, each at most |S| (p - 1)^2, go to the accumulator
-packed in its slot layout, which reads every slot mod p, so the verdicts
-are those of the reduced rows.
+``_WedgeTables.row`` rebuilds only the levels past the prefix a head
+shares with the previous one.  These partials are exact residues mod p, so
+a reused one is the list a fresh sweep would build.  The top level is
+linear in row v of M: for each vertex u the head has a gathered vector
+G_u, its top partial moved onto the faces through u with the wedge signs,
+and S's row is the sum of M[v][u] G_u over the nonzero entries of row v.
+The scan visits the sets h + v of one head in a run, so each G_u is packed
+once per head and a set's row is a few packed multiply-adds.  The top
+level is not reduced: it goes to the accumulator packed in its slot layout
+(``_WedgeTables.row`` bounds the slots), which reads every slot mod p, so
+the verdicts are those of the reduced rows.
 
 For a uniformly random A the kept family is the canonical shift with
 failure probability bounded by total-degree/p per determinant comparison
@@ -128,8 +134,12 @@ class ValidationFlags:
 
 @dataclass(frozen=True)
 class ShiftResult:
+    """A shift and its provenance: ``matrix`` is the realization of
+    ``spec_used`` that produced ``shifted``."""
+
     shifted: SimplicialComplex
     spec_used: MatrixSpec
+    matrix: FieldMatrix
     seed_used: int | None
     validated: ValidationFlags
     retries: int
@@ -154,26 +164,32 @@ class _WedgeTables:
     tables are column-major: ``terms[j][u]`` holds the pairs (position of U,
     position of U - u) for the size-j faces U that contain vertex u + 1,
     split by sign into ``(plus, minus)``, and ``nonzero[v]`` holds the pairs
-    (u, a[u]) of the nonzero entries of row v.  A sweep then visits only the
-    columns where the row is nonzero; for the lower-reduced matrix the scan
-    passes in, row v of a generic matrix is zero left of column v.  The
-    final coordinate at a face T only ever consults subfaces of T, so
-    keeping just the faces of the complex is exact, and this path agrees
-    with the per-minor reference mod p.
+    (u, a[u]) of the nonzero entries of row v.  Only those columns are
+    visited; for the lower-reduced matrix the scan passes in, row v of a
+    generic matrix is zero left of column v.  The final coordinate at a
+    face T only ever consults subfaces of T, so keeping just the faces of
+    the complex is exact, and this path agrees with the per-minor reference
+    mod p.
 
-    Lex neighbours share prefix partials.  The level-j partial of S is the
-    wedge of the rows of its j smallest vertices restricted to the size-j
+    A set S of size k is its head h, S minus its largest vertex v, plus v.
+    The levels below the top are the head's: the level-j partial is the
+    wedge of the rows of the j smallest vertices restricted to the size-j
     faces, so it depends on those vertices only.  ``row`` keeps the partials
-    ``w_0 = [1], w_1, ..., w_(k-1)`` of the last S, of size k, below its top
-    level, and the vertices they depend on; for a new S it sweeps only the
-    levels past the common prefix, and always the top one.  A lex step that
-    changes the top vertex costs one level instead of k.  Every kept
-    partial is reduced mod p, so a reused one is the same list of ints a
-    fresh sweep would build.  The matrix is bound at construction, so the
-    cache cannot outlive it, and it holds at most one vector per face size.
+    ``w_0 = [1], w_1, ..., w_(k-1)`` of the last head, and the vertices they
+    depend on; for a new head it sweeps only the levels past the common
+    prefix.  Every kept partial is reduced mod p, so a reused one is the
+    same list of ints a fresh sweep would build.  The top level is linear
+    in row v: S's row is the sum of M[v][u] G_u over the nonzero entries of
+    row v, where the head's gathered vector G_u holds, at a size-k face U
+    through vertex u, the residue of sign(u, U) w_(k-1)[U - u], and 0 at
+    the other faces.  The scan asks for the candidates of one head in a
+    run, so each G_u is packed once per head and slot size, on first use,
+    and a candidate's row is a few packed multiply-adds.  The matrix is
+    bound at construction, so the caches cannot outlive it; they hold one
+    partial per face size and one gathered vector per vertex.
     """
 
-    __slots__ = ("p", "nonzero", "sizes", "terms", "_verts", "_partials")
+    __slots__ = ("p", "nonzero", "sizes", "terms", "_verts", "_partials", "_head", "_gathered")
 
     def __init__(self, K: SimplicialComplex, A: FieldMatrix):
         self.p = A.p
@@ -192,6 +208,8 @@ class _WedgeTables:
             self.terms.append(level)
         self._verts: list[int] = []
         self._partials: list[list[int]] = [[1]]
+        self._head: tuple[int, int] | None = None  # (head, nb) of ``_gathered``
+        self._gathered: dict[int, int] = {}
 
     def row(self, S: int, nb: int) -> int:
         """The compound row of a nonempty S of size k, packed unreduced to
@@ -199,16 +217,31 @@ class _WedgeTables:
         slot i holds the sum of at most k products of two residues, one for
         each vertex of the i-th size-k face, so it lies in 0..k (p - 1)^2,
         k <= 64, and is the row's entry i mod p."""
+        v = S.bit_length()
+        head = S ^ (1 << (v - 1))
+        if (head, nb) != self._head:
+            self._sweep(head)
+            self._head = (head, nb)
+            self._gathered = {}
+        gathered = self._gathered
+        out = 0
+        for u, a in self.nonzero[v - 1]:
+            g = gathered.get(u)
+            if g is None:
+                g = gathered[u] = self._gather(u, nb)
+            out += a * g
+        return out
+
+    def _sweep(self, head: int) -> None:
+        """Make ``_partials`` the partials of ``head``, sweeping the levels
+        past the prefix it shares with the last head."""
         p = self.p
-        verts = list(iter_vertices(S))
-        k = len(verts)
+        verts = list(iter_vertices(head))
         j = 0
         for u, v in zip(verts, self._verts):
             if u != v:
                 break
             j += 1
-        if j == k:  # S is a cached prefix: its top level is swept again
-            j -= 1
         partials = self._partials
         del partials[j + 1 :]
         w = partials[j]
@@ -227,10 +260,25 @@ class _WedgeTables:
                     c = w[sub]
                     if c:
                         out[i] += c * a
-            if j < k:
-                w = [x % p for x in out]
-                partials.append(w)
-        self._verts = verts[:-1]
+            w = [x % p for x in out]
+            partials.append(w)
+        self._verts = verts
+
+    def _gather(self, u: int, nb: int) -> int:
+        """The head's G_u, packed to ``nb`` bytes a slot."""
+        k = len(self._partials)
+        plus, minus = self.terms[k][u]
+        if not (plus or minus):
+            return 0
+        w = self._partials[-1]
+        p = self.p
+        out = [0] * self.sizes[k]
+        for i, sub in plus:
+            out[i] = w[sub]
+        for i, sub in minus:
+            c = w[sub]
+            if c:
+                out[i] = p - c
         return pack_slots(out, nb)
 
 
@@ -300,7 +348,7 @@ def exterior_shift(
                 f"(seed {seed}, p={p}): f-vector {out.f_vector}, input {K.f_vector}"
             )
         if flags.is_shifted or not generic:
-            return ShiftResult(out, cur, seed, flags, attempt)
+            return ShiftResult(out, cur, A, seed, flags, attempt)
     raise ValidationFailure(
         f"output not shifted after {max_retries} reseeds of {spec!r}"
     )

@@ -386,8 +386,7 @@ def suite_kernel_dims(rng, trials, max_n, seed, p):
         n = rng.randint(2, max_n)
         K = random_complex(rng, n, max_size=4)
         res = exterior_shift(K, GenericSpec(_seed32(rng)), p=p)
-        D = res.shifted
-        A = realize(GenericSpec(res.seed_used), n, p)
+        D, A = res.shifted, res.matrix
         # the interval of height i above S must fit inside [n]
         sizes = [k for k in range(1, min(len(K.f_vector), n)) if K.f_vector[k]]
         size = rng.choice(sizes)

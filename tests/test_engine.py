@@ -152,6 +152,7 @@ def test_identity_matrix_returns_input_family():
     res = exterior_shift(B, ExplicitSpec(eye), p=P)
     assert res.shifted == B
     assert res.seed_used is None
+    assert res.matrix == FieldMatrix.identity(4, P)
     assert not res.validated.is_shifted
     assert res.validated.f_vector_preserved
 
@@ -181,12 +182,13 @@ def test_upper_triangular_matrix_fixes_a_shifted_complex():
             assert _shift_family(K, M) == K
 
 
-def _unpacked_row(tables, mask, p):
+def _unpacked_row(tables, mask, p, spare=0):
     # the packed, unreduced row of ``mask``, slot by slot: each raw slot is a
-    # sum of at most k products of two residues, read mod p by the accumulator
+    # sum of at most k products of two residues, read mod p by the accumulator;
+    # ``spare`` bytes are added to each slot
     k = mask.bit_count()
     width = tables.sizes[k]
-    nb = slot_bytes(p, width)
+    nb = slot_bytes(p, width) + spare
     bits = 8 * nb
     packed = tables.row(mask, nb)
     assert 0 <= packed and packed >> (bits * width) == 0
@@ -227,6 +229,29 @@ def test_compound_rows_match_reference_path():
             for mask in masks:
                 cols = K.faces_of_size(mask.bit_count())
                 assert _unpacked_row(sparse, mask, C.p) == compound_row(C, mask, cols)
+        # the gathered vectors of a head: a top head h of the first n - 1
+        # labels and each of its prefixes, longest first, every candidate
+        # h + v asked in descending v, then one candidate at its slot size
+        # and at one byte more, back to back; at 2^61 - 1 and 10007, whose
+        # rows are reduced by folds, and at 2^60 + 33, reduced slot by slot
+        top = len(K.f_vector) - 1
+        top_head = rng.choice(list(iter_k_subsets(K.n - 1, top - 1)))
+        for q in (2**61 - 1, 10007, 2**60 + 33):
+            C = realize(GenericSpec(rng.randrange(2**32)), K.n, q)
+            cached = _WedgeTables(K, C)
+            head = top_head
+            while True:
+                cols = K.faces_of_size(head.bit_count() + 1)
+                ups = range(K.n, head.bit_length(), -1)
+                for v in ups:
+                    S = head | 1 << (v - 1)
+                    assert _unpacked_row(cached, S, q) == compound_row(C, S, cols)
+                S = head | 1 << (rng.choice(ups) - 1)
+                for spare in (0, 1, 0):
+                    assert _unpacked_row(cached, S, q, spare) == compound_row(C, S, cols)
+                if not head:
+                    break
+                head ^= 1 << (head.bit_length() - 1)
         # a column face of another size is refused, by ``minor``
         with pytest.raises(ValueError):
             compound_row(A, 0b11, [0b11, 0b1])
@@ -256,6 +281,7 @@ def test_fast_and_reference_shifts_agree():
         spec = GenericSpec(rng.randrange(2**16))
         fast = exterior_shift(K, spec, p=P)
         A = realize(GenericSpec(fast.seed_used), K.n, P)
+        assert fast.matrix == A
         assert fast.shifted == _reference_shift(K, A, P)
     # block-diagonal matrices and small primes: deterministic specs whose
     # families need not be shifted, and partial products full of zeros
