@@ -105,19 +105,6 @@ def lex_leq(s: int, t: int) -> bool:
     return s == t or lex_less(s, t)
 
 
-def dominates(s: int, t: int) -> bool:
-    """Componentwise order on sorted vertex vectors: ``S`` dominates iff
-    each of its sorted entries is <= the corresponding entry of ``T``.
-
-    This is the partial order whose down-closure defines shiftedness; it
-    refines to lex (``dominates(S, T)`` implies ``S`` is lex-<= ``T``).
-    """
-    sv, tv = vertex_tuple(s), vertex_tuple(t)
-    if len(sv) != len(tv):
-        raise ValueError("domination compares faces of equal cardinality")
-    return all(a <= b for a, b in zip(sv, tv))
-
-
 def init_segment(s: int, j: int) -> Face:
     """The ``j`` lex-least (i.e. smallest-labelled) vertices of ``s``."""
     if j < 0 or j > s.bit_count():

@@ -59,22 +59,20 @@ lex-before S, as a scan over all k-sets would, and the scan keeps the same
 family.  For block and explicit matrices the kept family need not be
 shifted and its vertices need not be 1..m; the rule uses neither.
 
-The rows are built one vertex at a time: the wedge of S's rows is its
-smallest vertex's row wedged with the next, and so on, each partial
-restricted to the faces of the complex of that size.  The levels below the
-top are those of S's head h, S minus its largest vertex v.  Lex neighbours
-share their leading vertices and so their leading partials, and
-``_WedgeTables.row`` rebuilds only the levels past the prefix a head
-shares with the previous one.  These partials are exact residues mod p, so
-a reused one is the list a fresh sweep would build.  The top level is
-linear in row v of M: for each vertex u the head has a gathered vector
-G_u, its top partial moved onto the faces through u with the wedge signs,
-and S's row is the sum of M[v][u] G_u over the nonzero entries of row v.
-The scan visits the sets h + v of one head in a run, so each G_u is packed
-once per head and a set's row is a few packed multiply-adds.  The top
-level is not reduced: it goes to the accumulator packed in its slot layout
-(``_WedgeTables.row`` bounds the slots), which reads every slot mod p, so
-the verdicts are those of the reduced rows.
+Each row is built from its head's.  The head h of S is S minus its largest
+vertex v, and f_S = f_h f_v, so S's row is h's row, on the size-(k - 1)
+faces of the complex, wedged with row v of M, on the size-k faces.  Every
+set the scan visits has a kept head, so the scan keeps the row of each set
+it keeps, the empty set's being [1], and hands the rows of one size to the
+next.  S's row is linear in row v: for each vertex u the head has a
+gathered vector G_u, its row moved onto the faces through u with the wedge
+signs, and S's row is the sum of M[v][u] G_u over the nonzero entries of
+row v.  The scan visits the sets h + v of one head in a run, so
+``_WedgeTables.row`` reads h's row once, reduced mod p, and drops it,
+packs each G_u once per head, and a set's row is a few packed
+multiply-adds.  Rows are not reduced: they go to the accumulator packed in
+its slot layout (``_WedgeTables.row`` bounds the slots), which reads every
+slot mod p, so the verdicts are those of the reduced rows.
 
 For a uniformly random A the kept family is the canonical shift with
 failure probability bounded by total-degree/p per determinant comparison
@@ -116,6 +114,7 @@ from .field import (
     RowEchelonAccumulator,
     pack_slots,
     realize,
+    slot_bytes,
 )
 from .homology import interior_matrix
 
@@ -159,37 +158,30 @@ def compound_row(A: FieldMatrix, S: int, columns) -> tuple[int, ...]:
 class _WedgeTables:
     """Per-complex, per-matrix expansion tables for the compound rows.
 
-    Wedging a level-(j - 1) partial w with one more matrix row a gives, at
-    a size-j face U, the sum over u in U of sign(u, U) w[U - u] a[u].  The
-    tables are column-major: ``terms[j][u]`` holds the pairs (position of U,
-    position of U - u) for the size-j faces U that contain vertex u + 1,
-    split by sign into ``(plus, minus)``, and ``nonzero[v]`` holds the pairs
-    (u, a[u]) of the nonzero entries of row v.  Only those columns are
-    visited; for the lower-reduced matrix the scan passes in, row v of a
-    generic matrix is zero left of column v.  The final coordinate at a
-    face T only ever consults subfaces of T, so keeping just the faces of
-    the complex is exact, and this path agrees with the per-minor reference
-    mod p.
+    A set S of size k is its head h, S minus its largest vertex v, plus v,
+    and the wedge of S's rows is the wedge of h's rows with row v: at a
+    size-k face U it is the sum over u in U of sign(u, U) w[U - u] a[u],
+    where w is h's row, the compound row of h on the size-(k - 1) faces,
+    and a is row v.  The tables are column-major: ``terms[k][u]`` holds the
+    pairs (position of U, position of U - u) for the size-k faces U that
+    contain vertex u + 1, split by sign into ``(plus, minus)``, and
+    ``nonzero[v]`` holds the pairs (u, a[u]) of the nonzero entries of row
+    v.  Only those columns are visited; for the lower-reduced matrix the
+    scan passes in, row v of a generic matrix is zero left of column v.
+    The final coordinate at a face T only ever consults subfaces of T, so
+    keeping just the faces of the complex is exact, and this path agrees
+    with the per-minor reference mod p.
 
-    A set S of size k is its head h, S minus its largest vertex v, plus v.
-    The levels below the top are the head's: the level-j partial is the
-    wedge of the rows of the j smallest vertices restricted to the size-j
-    faces, so it depends on those vertices only.  ``row`` keeps the partials
-    ``w_0 = [1], w_1, ..., w_(k-1)`` of the last head, and the vertices they
-    depend on; for a new head it sweeps only the levels past the common
-    prefix.  Every kept partial is reduced mod p, so a reused one is the
-    same list of ints a fresh sweep would build.  The top level is linear
-    in row v: S's row is the sum of M[v][u] G_u over the nonzero entries of
-    row v, where the head's gathered vector G_u holds, at a size-k face U
-    through vertex u, the residue of sign(u, U) w_(k-1)[U - u], and 0 at
-    the other faces.  The scan asks for the candidates of one head in a
-    run, so each G_u is packed once per head and slot size, on first use,
-    and a candidate's row is a few packed multiply-adds.  The matrix is
+    S's row is the sum of M[v][u] G_u over the nonzero entries of row v,
+    where the head's gathered vector G_u holds, at a size-k face U through
+    vertex u, the residue of sign(u, U) w[U - u], and 0 at the other faces.
+    ``row`` unpacks a head's row once, when the head changes, and packs
+    each G_u once per head and slot size, on first use.  The matrix is
     bound at construction, so the caches cannot outlive it; they hold one
-    partial per face size and one gathered vector per vertex.
+    head's row and one gathered vector per vertex.
     """
 
-    __slots__ = ("p", "nonzero", "sizes", "terms", "_verts", "_partials", "_head", "_gathered")
+    __slots__ = ("p", "nonzero", "sizes", "terms", "_head", "_w", "_gathered")
 
     def __init__(self, K: SimplicialComplex, A: FieldMatrix):
         self.p = A.p
@@ -206,21 +198,31 @@ class _WedgeTables:
                     above = (m >> v).bit_count()
                     level[v - 1][above & 1].append((i, sub[m ^ (1 << (v - 1))]))
             self.terms.append(level)
-        self._verts: list[int] = []
-        self._partials: list[list[int]] = [[1]]
-        self._head: tuple[int, int] | None = None  # (head, nb) of ``_gathered``
+        self._head = (-1, 0)  # (head, nb) of ``_gathered``; no head yet
+        self._w: list[int] = []  # the head's row, one residue a slot
         self._gathered: dict[int, int] = {}
 
-    def row(self, S: int, nb: int) -> int:
+    def row(self, S: int, rows: dict[int, int], nb: int) -> int:
         """The compound row of a nonempty S of size k, packed unreduced to
         the ``nb`` bytes a slot of ``RowEchelonAccumulator(width, p)``:
         slot i holds the sum of at most k products of two residues, one for
         each vertex of the i-th size-k face, so it lies in 0..k (p - 1)^2,
-        k <= 64, and is the row's entry i mod p."""
+        k <= 64, and is the row's entry i mod p.
+
+        ``rows`` maps (k - 1)-sets to their rows as this method returned
+        them, packed to the ``slot_bytes`` of p and the number of
+        size-(k - 1) faces; the empty set's row is 1.  When S's head is not
+        the last call's, its row is popped from ``rows``, so a caller that
+        asks for the candidates of each head in one run frees every head's
+        row once it is used."""
         v = S.bit_length()
         head = S ^ (1 << (v - 1))
         if (head, nb) != self._head:
-            self._sweep(head)
+            if head != self._head[0]:
+                p, width = self.p, self.sizes[head.bit_count()]
+                hb = slot_bytes(p, width)
+                buf = rows.pop(head).to_bytes(width * hb, "little")
+                self._w = [int.from_bytes(buf[i : i + hb], "little") % p for i in range(0, len(buf), hb)]
             self._head = (head, nb)
             self._gathered = {}
         gathered = self._gathered
@@ -232,45 +234,13 @@ class _WedgeTables:
             out += a * g
         return out
 
-    def _sweep(self, head: int) -> None:
-        """Make ``_partials`` the partials of ``head``, sweeping the levels
-        past the prefix it shares with the last head."""
-        p = self.p
-        verts = list(iter_vertices(head))
-        j = 0
-        for u, v in zip(verts, self._verts):
-            if u != v:
-                break
-            j += 1
-        partials = self._partials
-        del partials[j + 1 :]
-        w = partials[j]
-        for v in verts[j:]:
-            j += 1
-            level = self.terms[j]
-            out = [0] * self.sizes[j]
-            for u, a in self.nonzero[v - 1]:
-                plus, minus = level[u]
-                for i, sub in plus:
-                    c = w[sub]
-                    if c:
-                        out[i] += c * a
-                a = p - a
-                for i, sub in minus:
-                    c = w[sub]
-                    if c:
-                        out[i] += c * a
-            w = [x % p for x in out]
-            partials.append(w)
-        self._verts = verts
-
     def _gather(self, u: int, nb: int) -> int:
         """The head's G_u, packed to ``nb`` bytes a slot."""
-        k = len(self._partials)
+        k = self._head[0].bit_count() + 1
         plus, minus = self.terms[k][u]
         if not (plus or minus):
             return 0
-        w = self._partials[-1]
+        w = self._w
         p = self.p
         out = [0] * self.sizes[k]
         for i, sub in plus:
@@ -288,14 +258,15 @@ def _shift_family(K: SimplicialComplex, A: FieldMatrix) -> SimplicialComplex:
         raise ValueError("cannot shift with a singular matrix")
     faces = [0]
     tables = _WedgeTables(K, M)
-    kept = [0]
+    kept = {0: 1}  # the sets kept at a size, in lex order, to their rows
     for k in range(1, len(K.f_vector)):
         target = len(K.faces_of_size(k))
         acc = RowEchelonAccumulator(target, A.p)
-        below, kept = kept, []
-        for S in extensions(below, K.n):
-            if acc.insert(tables.row(S, acc.nb)):
-                kept.append(S)
+        below, kept = kept, {}
+        for S in extensions(list(below), K.n):  # a copy, as ``row`` pops the heads
+            row = tables.row(S, below, acc.nb)
+            if acc.insert(row):
+                kept[S] = row
                 if acc.rank == target:
                     break
         faces += kept
@@ -489,11 +460,14 @@ def image_dim_complete(h: int, n: int, S: int) -> int:
     Pure combinatorics, no matrix involved: counts lex-below rows supported
     in ``[h]`` weighted by ``h - |S|``, minus an overlap correction summed
     over the size ``|S| + 1`` subsets of ``[h]`` whose lex-initial part is
-    below ``S``.
+    below ``S``.  Raises ``ValueError`` for an ``S`` with a vertex past
+    ``n``.
     """
     s = S.bit_count()
     if s < 1:
         raise ValueError("reference face must be nonempty")
+    if S >> n:
+        raise ValueError(f"face has a vertex past {n}")
     if h > n:
         raise ValueError("simplex does not fit in the ambient set")
     if s >= h:

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .complexes import Face, SimplicialComplex, iter_vertices, lex_less, vertex_tuple
+from .complexes import Face, SimplicialComplex, iter_vertices, lex_less
 from .homology import is_near_cone
 
 
@@ -102,19 +102,11 @@ def _d_value(D: SimplicialComplex, S: int) -> int:
     return _head_counts(D.face_set())[S ^ (1 << (S.bit_length() - 1))]
 
 
-def last_gap(S: int) -> int:
-    """Difference between the two largest vertices; singletons measure
-    from 0."""
-    vs = vertex_tuple(S)
-    if not vs:
-        raise ValueError("face must be nonempty")
-    return vs[-1] if len(vs) == 1 else vs[-1] - vs[-2]
-
-
 def _gap_family(n: int, counts: Counter) -> set[int]:
-    """The empty face plus every face S inside [n] with
-    ``last_gap(S) <= counts[head(S)]``: for a head h with count c, the
-    faces h + {v} with max(h) < v <= max(h) + c."""
+    """The empty face plus every face S inside [n] whose largest vertex
+    exceeds the one below it (0 for a singleton) by at most
+    ``counts[head(S)]``: for a head h with count c, the faces h + {v} with
+    max(h) < v <= max(h) + c."""
     faces: set[int] = {0}
     for h, c in counts.items():
         top = h.bit_length()

@@ -11,7 +11,6 @@ from shiftkit.complexes import (
     EMPTY_FACE,
     Face,
     SimplicialComplex,
-    dominates,
     extensions,
     init_segment,
     interval,
@@ -29,7 +28,7 @@ from shiftkit.engine import (
 )
 from shiftkit.field import GenericSpec, realize
 from shiftkit.homology import interior_matrix, interior_sign, wedge
-from shiftkit.operators import antistar, last_gap, link
+from shiftkit.operators import antistar, link
 from shiftkit.sampling import (
     all_complexes,
     glue,
@@ -85,7 +84,6 @@ _FACE_TAKERS = [
     pytest.param(lambda S: S in _K, (Face.of(2, 4),), id="K.__contains__"),
     pytest.param(lambda S: link(_K, S), (Face.of(3),), id="link"),
     pytest.param(lambda S: antistar(_K, S), (Face.of(2, 3),), id="antistar"),
-    pytest.param(last_gap, (Face.of(1, 2, 5),), id="last_gap"),
     pytest.param(interior_sign, (Face.of(2), Face.of(1, 2, 3)), id="interior_sign"),
     pytest.param(wedge, (Face.of(1, 3), Face.of(2)), id="wedge"),
     pytest.param(
@@ -189,12 +187,35 @@ def test_interval_enumerates_extensions_above_max():
                 assert interval(s, i, n) == want, (s, i, n)
 
 
+def dominates(s, t):
+    """Componentwise order on sorted vertex vectors: ``S`` dominates iff
+    each of its sorted entries is <= the corresponding entry of ``T``.  It
+    refines lex, and a shifted complex is a family closed downward under
+    it."""
+    sv, tv = vertex_tuple(s), vertex_tuple(t)
+    if len(sv) != len(tv):
+        raise ValueError("domination compares faces of equal cardinality")
+    return all(a <= b for a, b in zip(sv, tv))
+
+
 def test_dominates_componentwise():
     assert dominates(Face.of(1, 3), Face.of(2, 3))
     assert dominates(Face.of(1, 2), Face.of(1, 2))
     assert not dominates(Face.of(1, 4), Face.of(2, 3))
     with pytest.raises(ValueError):
         dominates(Face.of(1), Face.of(1, 2))
+    # ``dominates(S, T)`` implies S is lex-at-most T
+    for k in range(1, 6):
+        sets = list(iter_k_subsets(5, k))
+        assert all(lex_leq(S, T) for S in sets for T in sets if dominates(S, T))
+    # ``is_shifted`` is closure downward under domination, on every complex
+    # of [4]
+    for K in all_complexes(4):
+        faces = K.face_set()
+        closed = all(
+            S in faces for T in faces for S in iter_k_subsets(4, T.bit_count()) if dominates(S, T)
+        )
+        assert K.is_shifted() == closed
 
 
 def test_iter_k_subsets_lex_order():

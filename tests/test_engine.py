@@ -182,58 +182,84 @@ def test_upper_triangular_matrix_fixes_a_shifted_complex():
             assert _shift_family(K, M) == K
 
 
-def _unpacked_row(tables, mask, p, spare=0):
-    # the packed, unreduced row of ``mask``, slot by slot: each raw slot is a
-    # sum of at most k products of two residues, read mod p by the accumulator;
-    # ``spare`` bytes are added to each slot
-    k = mask.bit_count()
+def _built_row(tables, S, rows, p, spare=0):
+    # S's packed, unreduced row, built from its head's row in ``rows``, and
+    # that row slot by slot: each raw slot is a sum of at most k products of
+    # two residues, read mod p by the accumulator; ``spare`` bytes are added
+    # to each slot
+    k = S.bit_count()
     width = tables.sizes[k]
     nb = slot_bytes(p, width) + spare
     bits = 8 * nb
-    packed = tables.row(mask, nb)
+    packed = tables.row(S, rows, nb)
     assert 0 <= packed and packed >> (bits * width) == 0
     raw = [packed >> (bits * i) & ((1 << bits) - 1) for i in range(width)]
     assert all(x <= k * (p - 1) ** 2 for x in raw)
-    return tuple(x % p for x in raw)
+    return packed, tuple(x % p for x in raw)
+
+
+def _head_rows(K, C, *heads):
+    # the reference rows of ``heads``, packed as the scan keeps them
+    out = {}
+    for h in heads:
+        cols = K.faces_of_size(h.bit_count())
+        out[h] = pack_slots(compound_row(C, h, cols), slot_bytes(C.p, len(cols)))
+    return out
+
+
+def _check_levels(K, C):
+    # every k-set's row, level by level in lex order, each built from its
+    # head's row as built at the level below, starting from the empty set's
+    # row [1]; a head's row is popped once used, so only the heads with no
+    # larger vertex to add are left over
+    tables = _WedgeTables(K, C)
+    rows = {0: 1}
+    masks = []
+    for k in range(1, len(K.f_vector)):
+        cols = K.faces_of_size(k)
+        below, rows = rows, {}
+        for S in iter_k_subsets(K.n, k):
+            rows[S], got = _built_row(tables, S, below, C.p)
+            assert got == compound_row(C, S, cols)
+            masks.append(S)
+        assert all(h.bit_length() == K.n for h in below)
+    return masks
 
 
 def test_compound_rows_match_reference_path():
     rng = random.Random(4021)
     for _ in range(25):
         K = random_complex(rng, rng.randint(2, 6))
-        A = realize(GenericSpec(rng.randrange(2**32)), K.n, P)
-        tables = _WedgeTables(K, A)
-        masks = []
-        for k in range(1, len(K.f_vector)):
-            cols = K.faces_of_size(k)
-            for mask in iter_k_subsets(K.n, k):
-                assert _unpacked_row(tables, mask, P) == compound_row(A, mask, cols)
-                masks.append(mask)
-        # the prefix cache must not depend on lex order: the same masks
-        # shuffled, sizes mixed, some asked twice in a row, and a second
-        # matrix on the same complex with its own tables, calls interleaved
-        order = rng.sample(masks, len(masks))
-        order = [m for m in order for _ in range(1 + (rng.random() < 0.2))]
-        B = realize(GenericSpec(rng.randrange(2**32)), K.n, P)
-        other = _WedgeTables(K, B)
-        for mask in order:
-            cols = K.faces_of_size(mask.bit_count())
-            assert _unpacked_row(tables, mask, P) == compound_row(A, mask, cols)
-            assert _unpacked_row(other, mask, P) == compound_row(B, mask, cols)
-        # sparse matrices: the lower-reduced A the scan uses, and a block
-        # matrix at p = 3; the sweep skips their zero entries
+        # a generic matrix, its lower reduction, which the scan uses, and a
+        # block matrix at p = 3, whose zero entries the tables skip; the
+        # generic ones at 2^61 - 1 and 10007, whose rows are reduced by
+        # folds, and at 2^60 + 33, reduced slot by slot
         a = rng.randint(1, K.n - 1)
         block = BlockGenericSpec(a, K.n - a, rng.randrange(2**16))
-        for C in (A.lower_reduced(), realize(block, K.n, 3)):
-            sparse = _WedgeTables(K, C)
-            for mask in masks:
-                cols = K.faces_of_size(mask.bit_count())
-                assert _unpacked_row(sparse, mask, C.p) == compound_row(C, mask, cols)
-        # the gathered vectors of a head: a top head h of the first n - 1
-        # labels and each of its prefixes, longest first, every candidate
-        # h + v asked in descending v, then one candidate at its slot size
-        # and at one byte more, back to back; at 2^61 - 1 and 10007, whose
-        # rows are reduced by folds, and at 2^60 + 33, reduced slot by slot
+        for q in (2**61 - 1, 10007, 2**60 + 33):
+            A = realize(GenericSpec(rng.randrange(2**32)), K.n, q)
+            for C in (A, A.lower_reduced()):
+                _check_levels(K, C)
+        masks = _check_levels(K, realize(block, K.n, 3))
+        # the head cache must not depend on lex order: the masks shuffled,
+        # sizes mixed, some asked twice in a row, each from its head's
+        # reference row, and a second matrix on the same complex with its
+        # own tables, calls interleaved
+        A = realize(GenericSpec(rng.randrange(2**32)), K.n, P)
+        B = realize(GenericSpec(rng.randrange(2**32)), K.n, P)
+        tables, other = _WedgeTables(K, A), _WedgeTables(K, B)
+        order = rng.sample(masks, len(masks))
+        order = [m for m in order for _ in range(1 + (rng.random() < 0.2))]
+        for mask in order:
+            cols = K.faces_of_size(mask.bit_count())
+            head = mask ^ 1 << (mask.bit_length() - 1)
+            for T, C in ((tables, A), (other, B)):
+                assert _built_row(T, mask, _head_rows(K, C, head), P)[1] == compound_row(C, mask, cols)
+        # the gathered vectors of a head, from its reference row: a top head
+        # h of the first n - 1 labels and each of its prefixes, longest
+        # first, every candidate h + v asked in descending v, then one
+        # candidate at its slot size, at one byte more and at its slot size
+        # again, back to back, with the head's row popped on first use
         top = len(K.f_vector) - 1
         top_head = rng.choice(list(iter_k_subsets(K.n - 1, top - 1)))
         for q in (2**61 - 1, 10007, 2**60 + 33):
@@ -241,14 +267,16 @@ def test_compound_rows_match_reference_path():
             cached = _WedgeTables(K, C)
             head = top_head
             while True:
+                rows = _head_rows(K, C, head)
                 cols = K.faces_of_size(head.bit_count() + 1)
                 ups = range(K.n, head.bit_length(), -1)
                 for v in ups:
                     S = head | 1 << (v - 1)
-                    assert _unpacked_row(cached, S, q) == compound_row(C, S, cols)
+                    assert _built_row(cached, S, rows, q)[1] == compound_row(C, S, cols)
+                    assert not rows
                 S = head | 1 << (rng.choice(ups) - 1)
                 for spare in (0, 1, 0):
-                    assert _unpacked_row(cached, S, q, spare) == compound_row(C, S, cols)
+                    assert _built_row(cached, S, rows, q, spare)[1] == compound_row(C, S, cols)
                 if not head:
                     break
                 head ^= 1 << (head.bit_length() - 1)
@@ -371,9 +399,9 @@ def _row_calls(monkeypatch):
     calls = []
     row = _WedgeTables.row
 
-    def counted(self, S, nb):
+    def counted(self, S, rows, nb):
         calls.append(int(S))
-        return row(self, S, nb)
+        return row(self, S, rows, nb)
 
     monkeypatch.setattr(_WedgeTables, "row", counted)
     return calls
@@ -578,6 +606,14 @@ def test_image_dim_closed_form_matches_rank():
             assert len(direct) == len(cells)
             for S, dim in zip(cells, direct):
                 assert image_dim_complete(h, 5, S) == dim
+
+
+def test_image_dim_closed_form_refuses_a_face_past_n():
+    # the faces past h but inside [n] are answered by the test above
+    with pytest.raises(ValueError, match="past 3"):
+        image_dim_complete(2, 3, Face.of(5))
+    with pytest.raises(ValueError, match="past 3"):
+        image_dim_complete(3, 3, Face.of(2, 4))
 
 
 def _rank_mod(rows, p):

