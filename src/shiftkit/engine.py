@@ -62,17 +62,30 @@ shifted and its vertices need not be 1..m; the rule uses neither.
 Each row is built from its head's.  The head h of S is S minus its largest
 vertex v, and f_S = f_h f_v, so S's row is h's row, on the size-(k - 1)
 faces of the complex, wedged with row v of M, on the size-k faces.  Every
-set the scan visits has a kept head, so the scan keeps the row of each set
-it keeps, the empty set's being [1], and hands the rows of one size to the
-next.  S's row is linear in row v: for each vertex u the head has a
-gathered vector G_u, its row moved onto the faces through u with the wedge
-signs, and S's row is the sum of M[v][u] G_u over the nonzero entries of
-row v.  The scan visits the sets h + v of one head in a run, so
-``_WedgeTables.row`` reads h's row once, reduced mod p, and drops it,
-packs each G_u once per head, and a set's row is a few packed
-multiply-adds.  Rows are not reduced: they go to the accumulator packed in
-its slot layout (``_WedgeTables.row`` bounds the slots), which reads every
-slot mod p, so the verdicts are those of the reduced rows.
+set the scan visits has a kept head, and the row of a kept set is held
+once, by its level's accumulator, from which ``_WedgeTables.row`` pops it
+when the set becomes a head; the empty set's row is [1].  The row popped
+for h need only be c f_h plus a combination of the f_T over sets T kept
+before h at size k - 1, with c not 0: ``insert`` stores h's row reduced by
+rows stored before it, ``pop`` scales it by a nonzero residue at most, and
+the slots dropped below h's pivot are 0 mod p.  Wedging with f_v is
+linear, and f_T f_v is 0 or +-f_(T + v) with T + v <lex S, as T <lex h.
+So the row built is c f_S plus a combination of rows lex-before S, which
+the accumulator spans when the scan reaches S (see above); it leaves that
+span exactly when f_S does, and every verdict, and the family, is the same
+for every nonsingular A.  The span of the rows lex-before S is that of the
+rows kept before S, so the row kept for S has the same form one size up.
+A head must mix in no row kept after it: that row is not lex-before S.
+
+S's row is linear in row v: for each vertex u the head has a gathered
+vector G_u, its row moved onto the faces through u with the wedge signs,
+and S's row is the sum of M[v][u] G_u over the nonzero entries of row v.
+The scan visits the sets h + v of one head in a run, so
+``_WedgeTables.row`` pops h's row once, as residues, packs each G_u once
+per head, and a set's row is a few packed multiply-adds.  Rows are not
+reduced: they go to the accumulator packed in its slot layout
+(``_WedgeTables.row`` bounds the slots), which reads every slot mod p, so
+the verdicts are those of the reduced rows.
 
 For a uniformly random A the kept family is the canonical shift with
 failure probability bounded by total-degree/p per determinant comparison
@@ -114,7 +127,6 @@ from .field import (
     RowEchelonAccumulator,
     pack_slots,
     realize,
-    slot_bytes,
 )
 from .homology import interior_matrix
 
@@ -175,8 +187,8 @@ class _WedgeTables:
     S's row is the sum of M[v][u] G_u over the nonzero entries of row v,
     where the head's gathered vector G_u holds, at a size-k face U through
     vertex u, the residue of sign(u, U) w[U - u], and 0 at the other faces.
-    ``row`` unpacks a head's row once, when the head changes, and packs
-    each G_u once per head and slot size, on first use.  The matrix is
+    ``row`` pops a head's row once, when the head changes, and packs each
+    G_u once per head and slot size, on first use.  The matrix is
     bound at construction, so the caches cannot outlive it; they hold one
     head's row and one gathered vector per vertex.
     """
@@ -202,27 +214,25 @@ class _WedgeTables:
         self._w: list[int] = []  # the head's row, one residue a slot
         self._gathered: dict[int, int] = {}
 
-    def row(self, S: int, rows: dict[int, int], nb: int) -> int:
-        """The compound row of a nonempty S of size k, packed unreduced to
-        the ``nb`` bytes a slot of ``RowEchelonAccumulator(width, p)``:
-        slot i holds the sum of at most k products of two residues, one for
-        each vertex of the i-th size-k face, so it lies in 0..k (p - 1)^2,
-        k <= 64, and is the row's entry i mod p.
+    def row(self, S: int, below: RowEchelonAccumulator | None, pivots: dict[int, int], nb: int) -> int:
+        """A row for a nonempty S of size k, packed unreduced to the ``nb``
+        bytes a slot of ``RowEchelonAccumulator(width, p)``: slot i holds
+        the sum of at most k products of two residues, one for each vertex
+        of the i-th size-k face, so it lies in 0..k (p - 1)^2, k <= 64.
 
-        ``rows`` maps (k - 1)-sets to their rows as this method returned
-        them, packed to the ``slot_bytes`` of p and the number of
-        size-(k - 1) faces; the empty set's row is 1.  When S's head is not
-        the last call's, its row is popped from ``rows``, so a caller that
-        asks for the candidates of each head in one run frees every head's
-        row once it is used."""
+        When S's head h is not the last call's, h's row is popped from
+        ``below``, the accumulator of the size-(k - 1) rows, at h's pivot
+        ``pivots[h]``; for k = 1 the head is empty, its row is [1], and
+        neither is read.  A caller that asks for the candidates of each
+        head in one run so frees every head's row once it is used.  The
+        row returned is the popped row wedged with row v: S's compound row
+        mod p when ``below`` held h's own row, and for the scan the row the
+        engine module docstring describes."""
         v = S.bit_length()
         head = S ^ (1 << (v - 1))
         if (head, nb) != self._head:
             if head != self._head[0]:
-                p, width = self.p, self.sizes[head.bit_count()]
-                hb = slot_bytes(p, width)
-                buf = rows.pop(head).to_bytes(width * hb, "little")
-                self._w = [int.from_bytes(buf[i : i + hb], "little") % p for i in range(0, len(buf), hb)]
+                self._w = below.pop(pivots[head]) if head else [1]
             self._head = (head, nb)
             self._gathered = {}
         gathered = self._gathered
@@ -258,18 +268,19 @@ def _shift_family(K: SimplicialComplex, A: FieldMatrix) -> SimplicialComplex:
         raise ValueError("cannot shift with a singular matrix")
     faces = [0]
     tables = _WedgeTables(K, M)
-    kept = {0: 1}  # the sets kept at a size, in lex order, to their rows
+    kept = [0]  # the sets kept at a size, in lex order
+    acc, pivots = None, {}  # their accumulator, and each one's pivot in it
     for k in range(1, len(K.f_vector)):
         target = len(K.faces_of_size(k))
-        acc = RowEchelonAccumulator(target, A.p)
-        below, kept = kept, {}
-        for S in extensions(list(below), K.n):  # a copy, as ``row`` pops the heads
-            row = tables.row(S, below, acc.nb)
-            if acc.insert(row):
-                kept[S] = row
+        below, acc = acc, RowEchelonAccumulator(target, A.p)
+        heads, kept = kept, []
+        for S in extensions(heads, K.n):
+            if acc.insert(tables.row(S, below, pivots, acc.nb)):
+                kept.append(S)
                 if acc.rank == target:
                     break
         faces += kept
+        pivots = dict(zip(kept, acc.pivots))
     return SimplicialComplex(K.n, faces)
 
 

@@ -15,10 +15,13 @@ is checked.  ``RowEchelonAccumulator`` is the one mutable object and
 supports a single writer.  It works on vectors packed into one int, a fixed
 number of bytes per entry, and keeps each row from its pivot on, so
 reducing by a stored row is one big-int multiply-add on a vector consumed
-from the bottom.  ``slot_bytes`` and ``pack_slots`` define that layout;
-every caller packs its rows to the accumulator's ``nb`` bytes a slot, the
-shift scan unreduced.  ``slot_reducer`` reduces and scales every slot of
-such a vector mod p.
+from the bottom.  ``slot_bytes``, ``pack_slots`` and ``unpack_slots`` define
+that layout; every caller packs its rows to the accumulator's ``nb`` bytes
+a slot, the shift scan unreduced.  ``slot_reducer`` reduces and scales
+every slot of such a vector mod p.  The accumulator lists its kept rows'
+pivots in keep order, and ``pop`` hands a kept row back, unpacked, as a
+nonzero multiple of the vector inserted plus rows kept before it: the
+shift scan reads each level's rows back this way to build the next level.
 
 Modular inverses cost microseconds each at 61 bits, so neither hot path
 takes one per row.  ``_lower_reduce`` is fraction-free, and only ``_det``
@@ -363,6 +366,13 @@ def pack_slots(slots: Iterable[int], nb: int) -> int:
     return int.from_bytes(b"".join(map(int.to_bytes, slots, repeat(nb), repeat("little"))), "little")
 
 
+def unpack_slots(v: int, nb: int, width: int) -> list[int]:
+    """The ``width`` slots of ``nb`` bytes that ``v`` packs, the inverse of
+    ``pack_slots``; a ``v`` of more slots raises ``OverflowError``."""
+    buf = v.to_bytes(width * nb, "little")
+    return [int.from_bytes(buf[i : i + nb], "little") for i in range(0, width * nb, nb)]
+
+
 @functools.lru_cache(maxsize=64)
 def slot_reducer(p: int, width: int) -> Callable[[int, int], int]:
     """A function taking a vector of at most ``width`` slots of nb =
@@ -411,9 +421,7 @@ def slot_reducer(p: int, width: int) -> Callable[[int, int], int]:
     if folds * nb > 256:
 
         def per_slot(v: int, s: int) -> int:
-            n = -(-v.bit_length() // bits)
-            buf = v.to_bytes(n * nb, "little")
-            return pack_slots([int.from_bytes(buf[i : i + nb], "little") * s % p for i in range(0, n * nb, nb)], nb)
+            return pack_slots([x * s % p for x in unpack_slots(v, nb, -(-v.bit_length() // bits))], nb)
 
         return per_slot
 
@@ -457,8 +465,17 @@ class RowEchelonAccumulator:
     needs it to clear its pivot slot: on that first use it becomes its
     tail, once: the ``slot_reducer`` of the accumulator's (p, width) takes its
     slots times the residue of -1/pivot mod p.  That is one inverse per
-    row, and a row never used costs none.  ``rank`` counts the raw rows and
-    the scaled ones.
+    row, and a row never used costs none.  ``pivots`` lists the pivot of
+    every row kept, in keep order, and ``rank`` is its length.
+
+    ``pop(q)`` removes the row kept with pivot q and returns it as
+    ``width`` residues, 0 below q and nonzero at q.  It is the vector
+    inserted plus the multiples of tails the walk added to it, scaled by
+    -1/pivot if a later vector used it: a nonzero multiple of the vector
+    plus a combination of the vectors kept before it, and no more is
+    promised.  A popped row reduces nothing any more, so an accumulator
+    takes no ``insert`` after a ``pop``; ``pivots`` and ``rank`` stay those
+    of the span inserted.
 
     The early stop is exact.  An echelon basis needs distinct pivots, each
     row zero left of its pivot, not rows reduced against larger pivots.  If
@@ -475,19 +492,20 @@ class RowEchelonAccumulator:
     so the loop jumps over most of the basis.
     """
 
-    __slots__ = ("p", "width", "nb", "_reduce", "_rows", "_raw")
+    __slots__ = ("p", "width", "nb", "pivots", "_reduce", "_rows", "_raw")
 
     def __init__(self, width: int, p: int = DEFAULT_PRIME):
         self.p = p = check_prime(p)
         self.width = width
         self.nb = slot_bytes(p, width)  # bytes per slot of the vectors insert takes
+        self.pivots: list[int] = []  # the pivot of each row kept, in keep order
         self._reduce = slot_reducer(p, width)
         self._rows: dict[int, int] = {}  # pivot -> tail
         self._raw: dict[int, int] = {}  # pivot -> kept v, not yet scaled
 
     @property
     def rank(self) -> int:
-        return len(self._rows) + len(self._raw)
+        return len(self.pivots)
 
     def insert(self, vec: int) -> bool:
         """Reduce ``vec`` and keep it if independent.
@@ -528,7 +546,18 @@ class RowEchelonAccumulator:
         else:
             return False
         raw[off] = v
+        self.pivots.append(off)
         return True
+
+    def pop(self, pivot: int) -> list[int]:
+        """Remove the row kept with pivot ``pivot`` and return its
+        ``width`` residues, as the class docstring states; a pivot with no
+        stored row raises ``KeyError``."""
+        kept = self._raw.pop(pivot, None)
+        if kept is None:
+            kept = self._rows.pop(pivot)
+        p = self.p
+        return [0] * pivot + [x % p for x in unpack_slots(kept, self.nb, self.width - pivot)]
 
     def _scaled(self, kept: int) -> int:
         """The tail of a raw row: its slots reduced mod p and scaled so the

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .complexes import Face, SimplicialComplex, init_segment, iter_k_subsets, vertex_tuple
 from .engine import (
+    ValidationFailure,
     exterior_shift,
     image_dim_complete,
     image_dim_complete_direct,
@@ -89,11 +90,21 @@ def _suite(name: str):
     The body takes ``(rng, trials, max_n, seed, p)``, draws from ``rng`` and
     yields :class:`Check` records.  The registered function takes keywords,
     hands the body ``_stream(seed, name)`` and returns the checks as a list.
+    A ``ValidationFailure`` ends the body: its draw, the one after the last
+    check yielded, becomes a failed check naming the suite, the draw, the
+    seed and the error, so a caller running several suites runs the rest.
     """
 
     def register(body):
         def run(*, trials: int = 10, max_n: int = 8, seed: int = 0, p: int = DEFAULT_PRIME):
-            return list(body(_stream(seed, name), trials, max_n, seed, p))
+            checks = []
+            try:
+                for check in body(_stream(seed, name), trials, max_n, seed, p):
+                    checks.append(check)
+            except ValidationFailure as exc:
+                detail = f"{name} draw {len(checks)} at seed {seed}: {exc}"
+                checks.append(Check("validation-failure", False, detail))
+            return checks
 
         # not functools.wraps: its __wrapped__ would show the body's signature
         run.__name__ = run.__qualname__ = body.__name__

@@ -417,6 +417,31 @@ def test_verify_all_checks_are_golden(capsys):
     assert got == VERIFY_ALL_CHECKS
 
 
+def test_verify_reports_a_validation_failure_as_a_failed_check(capsys):
+    # at p = 7 some generic shifts stay unshifted after every reseed; each
+    # such draw ends its suite with a failed check naming the suite, the
+    # draw and the seed, every later suite still runs, and --json still
+    # prints the whole report
+    code, out, err = run(capsys, "verify", "all", "--trials", "10", "--seed", "2", "--json", "--prime", "7")
+    assert code == 2 and err == ""
+    report = json.loads(out)
+    assert report["ok"] is False and report["prime"] == 7
+    assert [s["suite"] for s in report["suites"]] == sorted(SUITES)
+    failed = {
+        s["suite"]: c["detail"]
+        for s in report["suites"]
+        for c in s["checks"]
+        if c["label"] == "validation-failure"
+    }
+    assert set(failed) == {"cone", "idempotence", "union-eq1"}
+    assert failed["cone"] == (
+        "cone draw 1 at seed 2: output not shifted after 3 reseeds of GenericSpec(seed=3566198980)"
+    )
+    for s in report["suites"]:
+        assert s["passed"] == sum(c["ok"] for c in s["checks"]) and s["total"] == len(s["checks"])
+        assert s["ok"] == (s["suite"] not in failed and s["passed"] == s["total"])
+
+
 def test_verify_guards(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "nosuchsuite")
     assert code == 1 and "unknown suite" in err

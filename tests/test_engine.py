@@ -1,6 +1,7 @@
 """Shift engine: frozen instances, path agreement, kernel-route oracle."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -34,6 +35,7 @@ from shiftkit.field import (
     pack_slots,
     realize,
     slot_bytes,
+    unpack_slots,
 )
 from shiftkit.homology import interior_matrix
 from shiftkit.sampling import (
@@ -182,47 +184,62 @@ def test_upper_triangular_matrix_fixes_a_shifted_complex():
             assert _shift_family(K, M) == K
 
 
-def _built_row(tables, S, rows, p, spare=0):
-    # S's packed, unreduced row, built from its head's row in ``rows``, and
-    # that row slot by slot: each raw slot is a sum of at most k products of
-    # two residues, read mod p by the accumulator; ``spare`` bytes are added
-    # to each slot
+def _holding(width, p, packed):
+    # a one-row accumulator of ``width`` slots holding the packed row, and
+    # the row's pivot in it: what the scan hands ``row`` for a head; None
+    # for a row that is 0 mod p, which no accumulator keeps
+    acc = RowEchelonAccumulator(width, p)
+    return (acc, acc.pivots[0]) if acc.insert(packed) else None
+
+
+def _built_row(tables, S, held, p, spare=0):
+    # S's packed, unreduced row, built from ``held``, its head's row as
+    # ``_holding`` holds it (ignored for the empty head), and that row slot
+    # by slot: each raw slot is a sum of at most k products of two
+    # residues, read mod p by the accumulator; ``spare`` bytes are added to
+    # each slot.  A head whose row is 0 is never kept, so it is never a
+    # head: S's row is then 0 too, as its entries are sums of the head's
+    # entries at faces, and no row is built
     k = S.bit_count()
     width = tables.sizes[k]
     nb = slot_bytes(p, width) + spare
-    bits = 8 * nb
-    packed = tables.row(S, rows, nb)
-    assert 0 <= packed and packed >> (bits * width) == 0
-    raw = [packed >> (bits * i) & ((1 << bits) - 1) for i in range(width)]
+    head = S ^ 1 << (S.bit_length() - 1)
+    if head and held is None:
+        return None, (0,) * width
+    below, q = held or (None, None)
+    packed = tables.row(S, below, {head: q}, nb)
+    raw = unpack_slots(packed, nb, width)  # OverflowError past ``width`` slots
     assert all(x <= k * (p - 1) ** 2 for x in raw)
     return packed, tuple(x % p for x in raw)
 
 
-def _head_rows(K, C, *heads):
-    # the reference rows of ``heads``, packed as the scan keeps them
-    out = {}
-    for h in heads:
-        cols = K.faces_of_size(h.bit_count())
-        out[h] = pack_slots(compound_row(C, h, cols), slot_bytes(C.p, len(cols)))
-    return out
+def _head_row(K, C, h):
+    # h's reference row, held as ``_holding`` holds it
+    cols = K.faces_of_size(h.bit_count())
+    return _holding(len(cols), C.p, pack_slots(compound_row(C, h, cols), slot_bytes(C.p, len(cols))))
 
 
 def _check_levels(K, C):
     # every k-set's row, level by level in lex order, each built from its
     # head's row as built at the level below, starting from the empty set's
     # row [1]; a head's row is popped once used, so only the heads with no
-    # larger vertex to add are left over
+    # larger vertex to add are left in their accumulators
     tables = _WedgeTables(K, C)
-    rows = {0: 1}
+    held = {0: None}
     masks = []
     for k in range(1, len(K.f_vector)):
         cols = K.faces_of_size(k)
-        below, rows = rows, {}
+        below, held = held, {}
         for S in iter_k_subsets(K.n, k):
-            rows[S], got = _built_row(tables, S, below, C.p)
+            head = S ^ 1 << (S.bit_length() - 1)
+            packed, got = _built_row(tables, S, below[head], C.p)
             assert got == compound_row(C, S, cols)
+            held[S] = _holding(len(cols), C.p, packed) if packed else None
             masks.append(S)
-        assert all(h.bit_length() == K.n for h in below)
+        for h, kept in below.items():
+            if kept and h.bit_length() < K.n:
+                with pytest.raises(KeyError):
+                    kept[0].pop(kept[1])
     return masks
 
 
@@ -254,7 +271,7 @@ def test_compound_rows_match_reference_path():
             cols = K.faces_of_size(mask.bit_count())
             head = mask ^ 1 << (mask.bit_length() - 1)
             for T, C in ((tables, A), (other, B)):
-                assert _built_row(T, mask, _head_rows(K, C, head), P)[1] == compound_row(C, mask, cols)
+                assert _built_row(T, mask, _head_row(K, C, head), P)[1] == compound_row(C, mask, cols)
         # the gathered vectors of a head, from its reference row: a top head
         # h of the first n - 1 labels and each of its prefixes, longest
         # first, every candidate h + v asked in descending v, then one
@@ -267,16 +284,18 @@ def test_compound_rows_match_reference_path():
             cached = _WedgeTables(K, C)
             head = top_head
             while True:
-                rows = _head_rows(K, C, head)
+                held = _head_row(K, C, head)
                 cols = K.faces_of_size(head.bit_count() + 1)
                 ups = range(K.n, head.bit_length(), -1)
                 for v in ups:
                     S = head | 1 << (v - 1)
-                    assert _built_row(cached, S, rows, q)[1] == compound_row(C, S, cols)
-                    assert not rows
+                    assert _built_row(cached, S, held, q)[1] == compound_row(C, S, cols)
+                if head:
+                    with pytest.raises(KeyError):
+                        held[0].pop(held[1])
                 S = head | 1 << (rng.choice(ups) - 1)
                 for spare in (0, 1, 0):
-                    assert _built_row(cached, S, rows, q, spare)[1] == compound_row(C, S, cols)
+                    assert _built_row(cached, S, held, q, spare)[1] == compound_row(C, S, cols)
                 if not head:
                     break
                 head ^= 1 << (head.bit_length() - 1)
@@ -399,9 +418,9 @@ def _row_calls(monkeypatch):
     calls = []
     row = _WedgeTables.row
 
-    def counted(self, S, rows, nb):
+    def counted(self, S, *args):
         calls.append(int(S))
-        return row(self, S, rows, nb)
+        return row(self, S, *args)
 
     monkeypatch.setattr(_WedgeTables, "row", counted)
     return calls
@@ -457,6 +476,22 @@ def test_cross_polytope_scan_builds_only_rows_it_keeps(monkeypatch, d, f_vector)
     assert D.f_vector == f_vector
     assert len(calls) == sum(f_vector[1:])
     assert calls == [int(f) for k in range(1, d + 1) for f in D.faces_of_size(k)]
+
+
+def test_scan_holds_each_kept_row_once():
+    # a level's kept rows live in its echelon only, and the next level pops
+    # each head's row from there: shifting the boundary of the
+    # 6-dimensional cross-polytope peaks near 1.06 MiB traced, and a second
+    # copy of the kept rows would take it to about 2.15 MiB
+    K = cross_polytope(6)
+    tracemalloc.start()
+    try:
+        D = exterior_shift(K).shifted
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert D.f_vector == K.f_vector
+    assert peak < 1.5 * 2**20, peak
 
 
 def _subset_rule_rows(D):

@@ -23,6 +23,7 @@ from shiftkit.field import (
     realize,
     slot_bytes,
     slot_reducer,
+    unpack_slots,
 )
 from shiftkit.suites import _explicit_apex_check
 
@@ -544,6 +545,49 @@ def test_accumulator_scales_a_raw_row_on_first_use(p, inverses):
     assert acc.rank == len(pivots)
     assert q in acc._rows and q not in acc._raw
     assert len(inverses) > used
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, SLOTWISE, 3])
+def test_accumulator_pops_each_kept_row_in_the_span_it_extended(p):
+    # rows that are 0 at 2 of 12 columns, and combinations of them, then a
+    # row nonzero at the second, inserted lifted by multiples of p: the rows
+    # later vectors reduce with are popped scaled, the last one raw; at the
+    # fold reducer's prime, at one reduced slot by slot and at 3
+    rng = random.Random(p)
+    width = 12
+    free = rng.sample(range(width), 2)
+    rows = []
+    for _ in range(12):
+        lead = rng.randrange(width)
+        row = [0] * lead + [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(width - lead - 1)]
+        rows.append([0 if j in free else x for j, x in enumerate(row)])
+        if rng.random() < 0.4:
+            rows.append(_combination(rng, rows, width, p))
+    rows.append([0 if j == free[0] else rng.randrange(1, p) for j in range(width)])
+    acc = RowEchelonAccumulator(width, p)
+    kept = [i for i, row in enumerate(rows) if acc.insert(pack_slots([x + p * rng.randrange(4) for x in row], acc.nb))]
+    assert acc.rank == len(acc.pivots) == len(kept) == len(mod_p_pivot_rows(rows, p))
+
+    def rank(vectors):
+        return len(mod_p_pivot_rows(vectors, p)) if vectors else 0
+
+    assert acc.pivots[-1] in acc._raw and acc.pivots[0] in acc._rows  # both forms are handed back
+    for i, q in rng.sample(list(zip(kept, acc.pivots)), len(kept)):
+        got = acc.pop(q)
+        assert len(got) == width and all(0 <= x < p for x in got)
+        assert got[:q] == [0] * q and got[q]
+        assert rank(rows[: i + 1] + [got]) == rank(rows[: i + 1])
+        assert rank(rows[:i] + [got]) == rank(rows[:i]) + 1
+        with pytest.raises(KeyError):
+            acc.pop(q)
+    with pytest.raises(KeyError):
+        acc.pop(free[0])
+    assert acc.rank == len(kept)
+    for w in (1, 5, 40):
+        nb = slot_bytes(p, w)
+        slots = [rng.choice((0, (1 << 8 * nb) - 1, rng.randrange(1 << 8 * nb))) for _ in range(w)]
+        assert unpack_slots(pack_slots(slots, nb), nb, w) == slots
+        assert unpack_slots(pack_slots(slots[:-1], nb), nb, w) == slots[:-1] + [0]
 
 
 @pytest.mark.parametrize(
