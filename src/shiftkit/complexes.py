@@ -166,6 +166,12 @@ def extensions(level: Sequence[int], n: int) -> Iterator[int]:
     size, so h' has a vertex above u, and T's largest vertex exceeds it;
     S's largest vertex exceeds max(h) >= u.  So S and T agree below u, and
     u is in S and not in T: S <lex T.
+
+    Corollary: the sets of one head are yielded in one run.  The loop
+    yields every set of h, whose head is h as v > max(h), before it moves
+    past h, each h of ``level`` comes once, and by the lemma the runs come
+    in the lex order of their heads.  The shift's scan relies on this to
+    take each head's row once.
     """
     members = set(level)
     for h in level:

@@ -63,10 +63,10 @@ Each row is built from its head's.  The head h of S is S minus its largest
 vertex v, and f_S = f_h f_v, so S's row is h's row, on the size-(k - 1)
 faces of the complex, wedged with row v of M, on the size-k faces.  Every
 set the scan visits has a kept head, and the row of a kept set is held
-once, by its level's accumulator, from which ``_WedgeTables.row`` pops it
-when the set becomes a head; the empty set's row is [1].  The row popped
-for h need only be c f_h plus a combination of the f_T over sets T kept
-before h at size k - 1, with c not 0: ``insert`` stores h's row reduced by
+once, by its level's accumulator, from which the scan pops it when the
+set becomes a head; the empty set's row is [1].  The row popped for h
+need only be c f_h plus a combination of the f_T over sets T kept before
+h at size k - 1, with c not 0: ``insert`` stores h's row reduced by
 rows stored before it, ``pop`` scales it by a nonzero residue at most, and
 the slots dropped below h's pivot are 0 mod p.  Wedging with f_v is
 linear, and f_T f_v is 0 or +-f_(T + v) with T + v <lex S, as T <lex h.
@@ -80,12 +80,13 @@ A head must mix in no row kept after it: that row is not lex-before S.
 S's row is linear in row v: for each vertex u the head has a gathered
 vector G_u, its row moved onto the faces through u with the wedge signs,
 and S's row is the sum of M[v][u] G_u over the nonzero entries of row v.
-The scan visits the sets h + v of one head in a run, so
-``_WedgeTables.row`` pops h's row once, as residues, packs each G_u once
-per head, and a set's row is a few packed multiply-adds.  Rows are not
-reduced: they go to the accumulator packed in its slot layout
-(``_WedgeTables.row`` bounds the slots), which reads every slot mod p, so
-the verdicts are those of the reduced rows.
+The scan visits the sets h + v of one head in a run, so it pops h's row
+once, as residues, and keeps one dict of h's G_u while the run lasts;
+``_WedgeTables.row`` packs each G_u into it on first use, and a set's row
+is a few packed multiply-adds.  Rows are not reduced: they go to the
+accumulator packed in its slot layout (``_WedgeTables.row`` bounds the
+slots), which reads every slot mod p, so the verdicts are those of the
+reduced rows.
 
 For a uniformly random A the kept family is the canonical shift with
 failure probability bounded by total-degree/p per determinant comparison
@@ -187,13 +188,11 @@ class _WedgeTables:
     S's row is the sum of M[v][u] G_u over the nonzero entries of row v,
     where the head's gathered vector G_u holds, at a size-k face U through
     vertex u, the residue of sign(u, U) w[U - u], and 0 at the other faces.
-    ``row`` pops a head's row once, when the head changes, and packs each
-    G_u once per head and slot size, on first use.  The matrix is
-    bound at construction, so the caches cannot outlive it; they hold one
-    head's row and one gathered vector per vertex.
+    The tables hold no head: the caller hands ``row`` the head's row and a
+    dict of its gathered vectors, which ``row`` fills on first use.
     """
 
-    __slots__ = ("p", "nonzero", "sizes", "terms", "_head", "_w", "_gathered")
+    __slots__ = ("p", "nonzero", "sizes", "terms")
 
     def __init__(self, K: SimplicialComplex, A: FieldMatrix):
         self.p = A.p
@@ -210,47 +209,33 @@ class _WedgeTables:
                     above = (m >> v).bit_count()
                     level[v - 1][above & 1].append((i, sub[m ^ (1 << (v - 1))]))
             self.terms.append(level)
-        self._head = (-1, 0)  # (head, nb) of ``_gathered``; no head yet
-        self._w: list[int] = []  # the head's row, one residue a slot
-        self._gathered: dict[int, int] = {}
 
-    def row(self, S: int, below: RowEchelonAccumulator | None, pivots: dict[int, int], nb: int) -> int:
+    def row(self, S: int, w: list[int], gathered: dict[int, int], nb: int) -> int:
         """A row for a nonempty S of size k, packed unreduced to the ``nb``
         bytes a slot of ``RowEchelonAccumulator(width, p)``: slot i holds
         the sum of at most k products of two residues, one for each vertex
         of the i-th size-k face, so it lies in 0..k (p - 1)^2, k <= 64.
 
-        When S's head h is not the last call's, h's row is popped from
-        ``below``, the accumulator of the size-(k - 1) rows, at h's pivot
-        ``pivots[h]``; for k = 1 the head is empty, its row is [1], and
-        neither is read.  A caller that asks for the candidates of each
-        head in one run so frees every head's row once it is used.  The
-        row returned is the popped row wedged with row v: S's compound row
-        mod p when ``below`` held h's own row, and for the scan the row the
-        engine module docstring describes."""
-        v = S.bit_length()
-        head = S ^ (1 << (v - 1))
-        if (head, nb) != self._head:
-            if head != self._head[0]:
-                self._w = below.pop(pivots[head]) if head else [1]
-            self._head = (head, nb)
-            self._gathered = {}
-        gathered = self._gathered
+        ``w`` is a row of S's head h, one residue a size-(k - 1) face ([1]
+        for the empty head), and ``gathered`` maps a vertex u to h's G_u
+        packed to ``nb`` bytes a slot; a missing G_u is gathered from ``w``
+        and stored there, so the dict must belong to h, w and nb alone.
+        The row returned is w wedged with row v: S's compound row mod p
+        when w is h's own row, and for the scan the row the engine module
+        docstring describes."""
         out = 0
-        for u, a in self.nonzero[v - 1]:
+        for u, a in self.nonzero[S.bit_length() - 1]:
             g = gathered.get(u)
             if g is None:
-                g = gathered[u] = self._gather(u, nb)
+                g = gathered[u] = self._gather(S.bit_count(), u, w, nb)
             out += a * g
         return out
 
-    def _gather(self, u: int, nb: int) -> int:
-        """The head's G_u, packed to ``nb`` bytes a slot."""
-        k = self._head[0].bit_count() + 1
+    def _gather(self, k: int, u: int, w: list[int], nb: int) -> int:
+        """G_u of the size-(k - 1) row ``w``, packed to ``nb`` bytes a slot."""
         plus, minus = self.terms[k][u]
         if not (plus or minus):
             return 0
-        w = self._w
         p = self.p
         out = [0] * self.sizes[k]
         for i, sub in plus:
@@ -274,8 +259,12 @@ def _shift_family(K: SimplicialComplex, A: FieldMatrix) -> SimplicialComplex:
         target = len(K.faces_of_size(k))
         below, acc = acc, RowEchelonAccumulator(target, A.p)
         heads, kept = kept, []
+        head = None
         for S in extensions(heads, K.n):
-            if acc.insert(tables.row(S, below, pivots, acc.nb)):
+            h = S ^ 1 << (S.bit_length() - 1)
+            if h != head:  # a head's sets come in one run: pop its row once
+                head, w, gathered = h, below.pop(pivots[h]) if h else [1], {}
+            if acc.insert(tables.row(S, w, gathered, acc.nb)):
                 kept.append(S)
                 if acc.rank == target:
                     break

@@ -16,7 +16,6 @@ from .operators import cone
 
 __all__ = [
     "all_complexes",
-    "all_shifted_complexes",
     "glue",
     "random_complex",
     "random_near_cone",
@@ -95,10 +94,6 @@ def all_complexes(n: int) -> Iterator[SimplicialComplex]:
             yield from grow(faces + chosen, chosen)
 
     return grow([0], [0])
-
-
-def all_shifted_complexes(n: int) -> list:
-    return [K for K in all_complexes(n) if K.is_shifted()]
 
 
 def glue(A: SimplicialComplex, B: SimplicialComplex, sigma: int) -> SimplicialComplex:

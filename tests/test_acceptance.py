@@ -25,7 +25,7 @@ from shiftkit.operators import (
     lex_compare,
     suspension,
 )
-from shiftkit.sampling import all_complexes, all_shifted_complexes, glue, random_complex
+from shiftkit.sampling import all_complexes, glue, random_complex
 from shiftkit.suites import (
     conjecture_scan,
     join_top_count_check,
@@ -134,7 +134,7 @@ def test_criterion_06_union_interval_additivity():
 
 def test_criterion_07_union_rules_vs_engine():
     start = time.perf_counter()
-    census = all_shifted_complexes(4)
+    census = [K for K in all_complexes(4) if K.is_shifted()]
     bad = pairs = 0
     for DA in census:
         for DB in census:

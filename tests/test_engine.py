@@ -39,7 +39,7 @@ from shiftkit.field import (
 )
 from shiftkit.homology import interior_matrix
 from shiftkit.sampling import (
-    all_shifted_complexes,
+    all_complexes,
     random_complex,
     random_permutation,
     random_shifted,
@@ -169,7 +169,7 @@ def test_upper_triangular_matrix_fixes_a_shifted_complex():
     # lower reduction.  At p = 3 the packed slots of small levels are one
     # byte wide.
     rng = random.Random(1601)
-    complexes = [K for n in range(1, 5) for K in all_shifted_complexes(n)]
+    complexes = [K for n in range(1, 5) for K in all_complexes(n) if K.is_shifted()]
     complexes += [random_shifted(rng, rng.randint(3, 10)) for _ in range(109)]
     assert len(complexes) == 150 and all(K.is_shifted() for K in complexes)
     for p in (3, 5, 7, 2**61 - 1, 2**62 - 57):
@@ -184,62 +184,39 @@ def test_upper_triangular_matrix_fixes_a_shifted_complex():
             assert _shift_family(K, M) == K
 
 
-def _holding(width, p, packed):
-    # a one-row accumulator of ``width`` slots holding the packed row, and
-    # the row's pivot in it: what the scan hands ``row`` for a head; None
-    # for a row that is 0 mod p, which no accumulator keeps
-    acc = RowEchelonAccumulator(width, p)
-    return (acc, acc.pivots[0]) if acc.insert(packed) else None
-
-
-def _built_row(tables, S, held, p, spare=0):
-    # S's packed, unreduced row, built from ``held``, its head's row as
-    # ``_holding`` holds it (ignored for the empty head), and that row slot
-    # by slot: each raw slot is a sum of at most k products of two
+def _built_row(tables, S, w, p, gathered, spare=0):
+    # S's unreduced row, built from w, its head's row as residues ([1] for
+    # the empty head), and ``gathered``, the head's packed G_u, and read
+    # back slot by slot: each raw slot is a sum of at most k products of two
     # residues, read mod p by the accumulator; ``spare`` bytes are added to
-    # each slot.  A head whose row is 0 is never kept, so it is never a
-    # head: S's row is then 0 too, as its entries are sums of the head's
-    # entries at faces, and no row is built
+    # each slot
     k = S.bit_count()
     width = tables.sizes[k]
     nb = slot_bytes(p, width) + spare
-    head = S ^ 1 << (S.bit_length() - 1)
-    if head and held is None:
-        return None, (0,) * width
-    below, q = held or (None, None)
-    packed = tables.row(S, below, {head: q}, nb)
+    packed = tables.row(S, w, gathered, nb)
     raw = unpack_slots(packed, nb, width)  # OverflowError past ``width`` slots
     assert all(x <= k * (p - 1) ** 2 for x in raw)
-    return packed, tuple(x % p for x in raw)
+    return [x % p for x in raw]
 
 
-def _head_row(K, C, h):
-    # h's reference row, held as ``_holding`` holds it
-    cols = K.faces_of_size(h.bit_count())
-    return _holding(len(cols), C.p, pack_slots(compound_row(C, h, cols), slot_bytes(C.p, len(cols))))
+def _reference_row(K, C, S):
+    return list(compound_row(C, S, K.faces_of_size(S.bit_count())))
 
 
 def _check_levels(K, C):
     # every k-set's row, level by level in lex order, each built from its
     # head's row as built at the level below, starting from the empty set's
-    # row [1]; a head's row is popped once used, so only the heads with no
-    # larger vertex to add are left in their accumulators
+    # row [1]; a head whose row is 0 mod p gives its sets rows that are 0
     tables = _WedgeTables(K, C)
-    held = {0: None}
+    built = {0: [1]}
     masks = []
     for k in range(1, len(K.f_vector)):
-        cols = K.faces_of_size(k)
-        below, held = held, {}
+        below, built = built, {}
         for S in iter_k_subsets(K.n, k):
             head = S ^ 1 << (S.bit_length() - 1)
-            packed, got = _built_row(tables, S, below[head], C.p)
-            assert got == compound_row(C, S, cols)
-            held[S] = _holding(len(cols), C.p, packed) if packed else None
+            built[S] = _built_row(tables, S, below[head], C.p, {})
+            assert built[S] == _reference_row(K, C, S)
             masks.append(S)
-        for h, kept in below.items():
-            if kept and h.bit_length() < K.n:
-                with pytest.raises(KeyError):
-                    kept[0].pop(kept[1])
     return masks
 
 
@@ -258,44 +235,39 @@ def test_compound_rows_match_reference_path():
             for C in (A, A.lower_reduced()):
                 _check_levels(K, C)
         masks = _check_levels(K, realize(block, K.n, 3))
-        # the head cache must not depend on lex order: the masks shuffled,
-        # sizes mixed, some asked twice in a row, each from its head's
-        # reference row, and a second matrix on the same complex with its
-        # own tables, calls interleaved
+        # the tables hold no head, so the order of the calls does not
+        # matter: the masks shuffled, sizes mixed, each from its head's
+        # reference row, with one dict of gathered vectors per head
         A = realize(GenericSpec(rng.randrange(2**32)), K.n, P)
-        B = realize(GenericSpec(rng.randrange(2**32)), K.n, P)
-        tables, other = _WedgeTables(K, A), _WedgeTables(K, B)
-        order = rng.sample(masks, len(masks))
-        order = [m for m in order for _ in range(1 + (rng.random() < 0.2))]
-        for mask in order:
-            cols = K.faces_of_size(mask.bit_count())
+        tables = _WedgeTables(K, A)
+        gathered = {}
+        for mask in rng.sample(masks, len(masks)):
             head = mask ^ 1 << (mask.bit_length() - 1)
-            for T, C in ((tables, A), (other, B)):
-                assert _built_row(T, mask, _head_row(K, C, head), P)[1] == compound_row(C, mask, cols)
+            w = _reference_row(K, A, head)
+            got = _built_row(tables, mask, w, P, gathered.setdefault(head, {}))
+            assert got == _reference_row(K, A, mask)
         # the gathered vectors of a head, from its reference row: a top head
         # h of the first n - 1 labels and each of its prefixes, longest
-        # first, every candidate h + v asked in descending v, then one
-        # candidate at its slot size, at one byte more and at its slot size
-        # again, back to back, with the head's row popped on first use
+        # first, every candidate h + v asked in descending v into one dict,
+        # then one candidate at its slot size, at one byte more and at its
+        # slot size again, back to back, with one dict for each slot size
         top = len(K.f_vector) - 1
         top_head = rng.choice(list(iter_k_subsets(K.n - 1, top - 1)))
         for q in (2**61 - 1, 10007, 2**60 + 33):
             C = realize(GenericSpec(rng.randrange(2**32)), K.n, q)
-            cached = _WedgeTables(K, C)
+            tables = _WedgeTables(K, C)
             head = top_head
             while True:
-                held = _head_row(K, C, head)
-                cols = K.faces_of_size(head.bit_count() + 1)
+                w = _reference_row(K, C, head)
+                by_spare = {0: {}}
                 ups = range(K.n, head.bit_length(), -1)
                 for v in ups:
                     S = head | 1 << (v - 1)
-                    assert _built_row(cached, S, held, q)[1] == compound_row(C, S, cols)
-                if head:
-                    with pytest.raises(KeyError):
-                        held[0].pop(held[1])
+                    assert _built_row(tables, S, w, q, by_spare[0]) == _reference_row(K, C, S)
                 S = head | 1 << (rng.choice(ups) - 1)
                 for spare in (0, 1, 0):
-                    assert _built_row(cached, S, held, q, spare)[1] == compound_row(C, S, cols)
+                    got = _built_row(tables, S, w, q, by_spare.setdefault(spare, {}), spare)
+                    assert got == _reference_row(K, C, S)
                 if not head:
                     break
                 head ^= 1 << (head.bit_length() - 1)
@@ -492,6 +464,43 @@ def test_scan_holds_each_kept_row_once():
         tracemalloc.stop()
     assert D.f_vector == K.f_vector
     assert peak < 1.5 * 2**20, peak
+
+
+def _mixed_pivots_matrix(n=10, perm=(3, 7, 0, 9, 5, 1, 8, 2, 6, 4)):
+    # row i is 1 at column perm[i], 0 left of it and (perm[i] + 2c) mod 5 at
+    # each column c right of it: its lower reduction has pivots perm, out of
+    # order, so rows are gathered left of max(h) too
+    return [[1 if c == r else (r + 2 * c) % 5 if c > r else 0 for c in range(n)] for r in perm]
+
+
+@pytest.mark.parametrize(
+    "spec, rows, pops",
+    [
+        (GenericSpec(0), 242, 54),
+        (BlockGenericSpec(5, 5), 272, 95),
+        (ExplicitSpec(_mixed_pivots_matrix()), 260, 72),
+    ],
+)
+def test_scan_pops_each_head_row_once(monkeypatch, spec, rows, pops):
+    # the scan pops a head's row from the level below when it reaches the
+    # head's first set, and never again: one pop per nonempty head of the
+    # sets it builds rows for, each (accumulator, pivot) once; accumulators
+    # hash by identity, and ``popped`` holds them, so none is freed
+    calls = _row_calls(monkeypatch)
+    popped = []
+    pop = RowEchelonAccumulator.pop
+
+    def recording(self, pivot):
+        popped.append((self, pivot))
+        return pop(self, pivot)
+
+    monkeypatch.setattr(RowEchelonAccumulator, "pop", recording)
+    K = cross_polytope(5)
+    assert exterior_shift(K, spec).shifted.f_vector == K.f_vector
+    heads = {S ^ 1 << (S.bit_length() - 1) for S in calls} - {0}
+    assert (len(calls), len(popped)) == (rows, pops)
+    assert len(popped) == len(heads)
+    assert len(set(popped)) == len(popped)
 
 
 def _subset_rule_rows(D):

@@ -24,7 +24,7 @@ from shiftkit.operators import (
     union,
 )
 from shiftkit.sampling import (
-    all_shifted_complexes,
+    all_complexes,
     glue,
     random_complex,
     random_shifted,
@@ -210,7 +210,7 @@ def test_clique_sum_rule_matches_engine_on_glued_instances():
 def test_union_rules_on_every_pair_of_small_shifted_complexes():
     # every ordered pair of shifted complexes on 1..3 vertices, {[]} included,
     # and every clique dimension the pair admits
-    pool = [D for n in range(1, 4) for D in all_shifted_complexes(n)]
+    pool = [D for n in range(1, 4) for D in all_complexes(n) if D.is_shifted()]
     assert len(pool) == 15
     for DK in pool:
         for DL in pool:
