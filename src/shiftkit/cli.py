@@ -118,7 +118,7 @@ def parse_complex_text(text: str, name: str = "<input>") -> SimplicialComplex:
         facets.append(Face.from_vertices(labels))
     if not facets:
         raise ValueError(f"{name}: no facets found")
-    top = max((f.max_vertex for f in facets if f), default=0)
+    top = max((f.bit_length() for f in facets), default=0)
     if ambient is None:
         ambient = top
     elif ambient < top:
@@ -341,7 +341,12 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         print(f"violations: {scan['violations']}")
         for w in scan["witnesses"]:
             print(f"  witness facets: {w}")
-    return 0 if not scan["violations"] else 2
+        failures = scan.get("failures", [])
+        if failures:
+            print(f"failures: {len(failures)}")
+            for f in failures:
+                print(f"  {f}")
+    return 2 if scan["violations"] or "failures" in scan else 0
 
 
 # ----------------------------------------------------------------------

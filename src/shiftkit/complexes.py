@@ -34,11 +34,10 @@ class Face(int):
     A face is its int mask: it hashes, compares and combines like one, so
     faces and raw masks mix freely, and every function taking a face takes
     a plain mask too.  ``Face`` only adds vertex views: the constructors
-    ``of`` and ``from_vertices``, ``vertices``, ``min_vertex``,
-    ``max_vertex``, ``len``, iteration and ``in``.  Set operations are the
-    int ones and return plain ints: ``a | b``, ``a & b``, ``a ^ b``, and
-    ``a & ~b`` for set difference (``a - b`` is integer subtraction).
-    ``Face(0)`` is the empty face.
+    ``of`` and ``from_vertices``, ``vertices``, ``len``, iteration and
+    ``in``.  Set operations are the int ones and return plain ints:
+    ``a | b``, ``a & b``, ``a ^ b``, and ``a & ~b`` for set difference
+    (``a - b`` is integer subtraction).  ``Face(0)`` is the empty face.
     """
 
     __slots__ = ()
@@ -59,18 +58,6 @@ class Face(int):
     @property
     def vertices(self) -> tuple[int, ...]:
         return vertex_tuple(self)
-
-    @property
-    def min_vertex(self) -> int:
-        if not self:
-            raise ValueError("empty face has no vertices")
-        return (self & -self).bit_length()
-
-    @property
-    def max_vertex(self) -> int:
-        if not self:
-            raise ValueError("empty face has no vertices")
-        return self.bit_length()
 
     def __iter__(self) -> Iterator[int]:
         return iter_vertices(self)
@@ -268,12 +255,8 @@ class SimplicialComplex:
         return cls(n, faces)
 
     @classmethod
-    def empty(cls, n: int) -> "SimplicialComplex":
-        return cls(n, ())
-
-    @classmethod
-    def point(cls, n: int = 1) -> "SimplicialComplex":
-        return cls.from_facets(n, [[1]])
+    def point(cls) -> "SimplicialComplex":
+        return cls.from_facets(1, [[1]])
 
     @classmethod
     def complete(cls, n: int, ambient: int | None = None) -> "SimplicialComplex":
@@ -386,18 +369,9 @@ class SimplicialComplex:
             raise ValueError("permutation must be a bijection of 1..n")
         return SimplicialComplex(self.n, _remap(self._faces, pi))
 
-    def relabeled(self, offset: int) -> "SimplicialComplex":
-        """Shift every vertex label up by ``offset``, inside ``[n + offset]``."""
-        if offset < 0:
-            raise ValueError("offset must be nonnegative")
-        return SimplicialComplex(self.n + offset, (f << offset for f in self._faces))
-
-    def compacted(self) -> tuple["SimplicialComplex", tuple[int, ...]]:
-        """Relabel the support onto an initial segment; returns the new
-        complex and the old labels in their new order."""
+    def compacted(self) -> "SimplicialComplex":
+        """The complex with its support relabeled, in order, onto [m], m
+        the number of its vertices."""
         old = vertex_tuple(self.support)
         code = {v: i + 1 for i, v in enumerate(old)}
-        return SimplicialComplex(len(old), _remap(self._faces, code)), old
-
-    def with_ambient(self, n: int) -> "SimplicialComplex":
-        return SimplicialComplex(n, self._faces)
+        return SimplicialComplex(len(old), _remap(self._faces, code))

@@ -190,10 +190,6 @@ class FieldMatrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    @classmethod
-    def identity(cls, n: int, p: int = DEFAULT_PRIME) -> "FieldMatrix":
-        return cls(([int(i == j) for j in range(n)] for i in range(n)), p)
-
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
 

@@ -81,14 +81,15 @@ def interior_matrix(
     cols = K.faces_of_size(k)
     rows = K.faces_of_size(k - r)
     row_idx = {f: i for i, f in enumerate(rows)}
+    terms = {t: operator.index(c) % p for t, c in element.items()}
     mat = [[0] * len(cols) for _ in rows]
     for j, fm in enumerate(cols):
-        for t, coeff in element.items():
+        for t, coeff in terms.items():
             if coeff and not (t & ~fm):
                 i = row_idx[fm & ~t]
                 sign = interior_sign(t, fm)
                 mat[i][j] = (mat[i][j] + sign * coeff) % p
-    return FieldMatrix(mat, p)
+    return FieldMatrix._from_residues(mat, p)
 
 
 def boundary_matrix(
@@ -214,6 +215,6 @@ def sarkaria_maps(
                 i = idx[target]  # guaranteed a face: near-cone trade
                 u_mat[i][j] = (u_mat[i][j] - sign) % p
                 below += 1
-        U[k] = FieldMatrix(u_mat, p)
-        D[k] = FieldMatrix(d_mat, p)
+        U[k] = FieldMatrix._from_residues(u_mat, p)
+        D[k] = FieldMatrix._from_residues(d_mat, p)
     return U, D

@@ -52,7 +52,7 @@ def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
 
 def cone(K: SimplicialComplex) -> SimplicialComplex:
     """Join with a single new apex, labeled 1; K's labels shift up by 1."""
-    return join(SimplicialComplex.point(1), K)
+    return join(SimplicialComplex.point(), K)
 
 
 def suspension(K: SimplicialComplex) -> SimplicialComplex:

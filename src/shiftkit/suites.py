@@ -282,7 +282,7 @@ def near_cone_decomposition_check(
     labels moved up by one."""
     if not is_near_cone(K, v):
         raise ValueError("complex is not a near cone at the given vertex")
-    dlk = shifted(link(K, Face.of(v)).compacted()[0], seed=seed, p=p)
+    dlk = shifted(link(K, Face.of(v)).compacted(), seed=seed, p=p)
     return _apex_level_matches(shifted(K, seed=seed, p=p), 1, dlk)
 
 
@@ -300,7 +300,7 @@ def near_cone_iterated_check(
     are not looked at."""
     D = shifted(K, seed=seed, p=p)
     for j, apex in enumerate(cert.apexes, start=1):
-        dlk = shifted(link(cert.chain[j - 1], Face.of(apex)).compacted()[0], seed=seed, p=p)
+        dlk = shifted(link(cert.chain[j - 1], Face.of(apex)).compacted(), seed=seed, p=p)
         if not _apex_level_matches(D, j, dlk):
             return False
     return True
@@ -546,22 +546,34 @@ def conjecture_scan(
 
     ``greater`` and ``incomparable`` outcomes are violations of the
     conjectured ordering; up to five witnesses are kept as facet lists.
+    A draw whose shift raises ``ValidationFailure`` is left out of the
+    tallies and named under ``failures``, a key present only when some draw
+    failed.  Each draw makes all its rng calls before it shifts, so a
+    failed draw leaves the later draws as they would be.
     """
     rng = _stream(seed, "conjecture")
     tallies = {"equal": 0, "less": 0, "greater": 0, "incomparable": 0}
     witnesses = []
-    for _ in range(trials):
+    failures = []
+    for t in range(trials):
         n = rng.randint(1, max_n)
         K = random_complex(rng, n)
-        rel = lex_compare(*_suspension_pair(K, _seed32(rng), p))
+        try:
+            rel = lex_compare(*_suspension_pair(K, _seed32(rng), p))
+        except ValidationFailure as exc:
+            failures.append(f"draw {t} at seed {seed}: {exc}")
+            continue
         tallies[rel] += 1
         if rel in ("greater", "incomparable") and len(witnesses) < 5:
             witnesses.append([list(vertex_tuple(f)) for f in K.facets()])
-    return {
+    report = {
         "trials": trials,
         "max_n": max_n,
         "tallies": tallies,
         "violations": tallies["greater"] + tallies["incomparable"],
         "witnesses": witnesses,
     }
+    if failures:
+        report["failures"] = failures
+    return report
 

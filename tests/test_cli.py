@@ -492,6 +492,21 @@ def test_explore_runs_clean(capsys):
     assert "violations: 0" in out
 
 
+def test_explore_records_failed_draws_and_goes_on(capsys):
+    # at p = 7 draws 5 and 9 of seed 0 fail to validate: each is named under
+    # failures, left out of the tallies, and the scan runs its other draws
+    argv = ("explore", "--trials", "10", "--seed", "0", "--prime", "7")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 2
+    d = json.loads(out)
+    assert [f.split(":")[0] for f in d["failures"]] == ["draw 5 at seed 0", "draw 9 at seed 0"]
+    assert sum(d["tallies"].values()) + len(d["failures"]) == 10
+    assert d["violations"] == 0
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert "failures: 2\n  draw 5 at seed 0: " in out
+
+
 def test_bad_usage_and_help_exit_codes(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys)[0] == 1

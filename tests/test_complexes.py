@@ -50,7 +50,6 @@ def test_face_construction_and_views():
     assert len(f) == 3
     assert list(f) == [1, 3, 5]
     assert 3 in f and 2 not in f
-    assert f.min_vertex == 1 and f.max_vertex == 5
     assert Face.from_vertices([]) == EMPTY_FACE
     assert repr(Face.of(2, 4)) == "Face.of(2, 4)"
 
@@ -70,7 +69,6 @@ def test_face_set_semantics_not_int_arithmetic():
     assert [list(f) for f in K.faces_of_size(2)] == [[1, 2], [1, 3], [2, 3], [3, 4]]
     top = K.facets()[-1]
     assert len(top) == 3 and 2 in top and 4 not in top
-    assert (top.min_vertex, top.max_vertex) == (1, 3)
     assert [len(f) for f in K.all_faces()] == [0, 1, 1, 1, 1, 2, 2, 2, 2, 3]
 
 
@@ -120,13 +118,6 @@ def test_face_of_rejects_bad_labels():
         Face.of(0)
     with pytest.raises(ValueError):
         Face.of(-2)
-
-
-def test_empty_face_vertex_queries_raise():
-    with pytest.raises(ValueError):
-        EMPTY_FACE.min_vertex
-    with pytest.raises(ValueError):
-        EMPTY_FACE.max_vertex
 
 
 def test_lex_less_frozen_cases():
@@ -321,7 +312,7 @@ def test_empty_face_added_automatically():
 
 
 def test_void_vs_empty_face_complex():
-    void = SimplicialComplex.empty(3)
+    void = SimplicialComplex(3)
     just_empty = SimplicialComplex(3, [0])
     assert void.is_void and void.dim == -2 and void.f_vector == ()
     assert not just_empty.is_void and just_empty.dim == -1
@@ -351,7 +342,7 @@ def test_is_shifted_examples():
     assert not SimplicialComplex.from_facets(3, [[2, 3]]).is_shifted()
     assert not SimplicialComplex.from_facets(3, [[1, 3]]).is_shifted()  # missing {1,2}
     assert SimplicialComplex(3, [0]).is_shifted()
-    assert SimplicialComplex.empty(3).is_shifted()
+    assert SimplicialComplex(3).is_shifted()
 
 
 def _closed_under_all_trades(K):
@@ -395,7 +386,7 @@ def test_is_shifted_matches_bruteforce_swap_definition():
 
 def test_facets_are_the_bruteforce_maximal_faces():
     rng = random.Random(31)
-    cases = [SimplicialComplex.empty(3), SimplicialComplex(3, [0])]
+    cases = [SimplicialComplex(3), SimplicialComplex(3, [0])]
     cases += [random_complex(rng, rng.randint(1, 9)) for _ in range(80)]
     for K in cases:
         faces = set(map(int, K.all_faces()))
@@ -413,25 +404,15 @@ def test_permuted_and_compacted():
     with pytest.raises(ValueError):
         K.permuted({1: 1, 2: 1, 3: 3})
     L = SimplicialComplex.from_facets(6, [[2, 5]])
-    small, labels = L.compacted()
-    assert small.n == 2 and labels == (2, 5)
+    small = L.compacted()
+    assert small.n == 2
     assert small.facets() == [Face.of(1, 2)]
-
-
-def test_relabeled_and_with_ambient():
-    K = SimplicialComplex.from_facets(2, [[1, 2]])
-    up = K.relabeled(2)
-    assert up.n == 4 and up.facets() == [Face.of(3, 4)]
-    wide = K.with_ambient(6)
-    assert wide.n == 6 and wide.f_vector == K.f_vector
-    with pytest.raises(ValueError):
-        K.with_ambient(1)
 
 
 def test_equality_and_hash_include_ambient():
     K1 = SimplicialComplex.from_facets(2, [[1, 2]])
     K2 = SimplicialComplex.from_facets(2, [[1, 2]])
-    K3 = K1.with_ambient(3)
+    K3 = SimplicialComplex(3, K1.face_set())
     assert K1 == K2 and hash(K1) == hash(K2)
     assert K1 != K3
 

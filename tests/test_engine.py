@@ -113,7 +113,7 @@ def test_void_complex_rejected():
 
 def test_negative_retries_rejected():
     with pytest.raises(ValueError, match="max_retries"):
-        exterior_shift(SimplicialComplex.point(1), max_retries=-1)
+        exterior_shift(SimplicialComplex.point(), max_retries=-1)
 
 
 def test_reseeds_run_out_on_unshifted_outputs(monkeypatch):
@@ -141,8 +141,8 @@ def test_reseeds_run_out_on_unshifted_outputs(monkeypatch):
 
 def test_trivial_fixed_points():
     empty_only = SimplicialComplex(3, [0])
-    assert shifted(empty_only) == empty_only.with_ambient(3)
-    pt = SimplicialComplex.point(1)
+    assert shifted(empty_only) == empty_only
+    pt = SimplicialComplex.point()
     assert shifted(pt) == pt
 
 
@@ -154,7 +154,7 @@ def test_identity_matrix_returns_input_family():
     res = exterior_shift(B, ExplicitSpec(eye), p=P)
     assert res.shifted == B
     assert res.seed_used is None
-    assert res.matrix == FieldMatrix.identity(4, P)
+    assert res.matrix == FieldMatrix(eye, P)
     assert not res.validated.is_shifted
     assert res.validated.f_vector_preserved
 
@@ -337,7 +337,7 @@ def test_fast_and_reference_shifts_agree():
     for p in (3, 5, 7, P):
         for kind in ("generic", "block", "noisy permutation") * 5:
             n = rng.randint(3, 7)
-            K = random_complex(rng, rng.randint(1, n - 1)).with_ambient(n)
+            K = SimplicialComplex(n, random_complex(rng, rng.randint(1, n - 1)).face_set())
             K = K.permuted(random_permutation(rng, n))
             A = _draw_matrix(rng, kind, n, p)
             D = _shift_family(K, A)

@@ -210,8 +210,8 @@ def test_minor_by_faces():
 
 def test_matmul_identity_and_shapes():
     m = FieldMatrix([[1, 2], [3, 4], [5, 6]], P)
-    assert m @ FieldMatrix.identity(2, P) == m
-    assert FieldMatrix.identity(3, P) @ m == m
+    assert m @ FieldMatrix([[1, 0], [0, 1]], P) == m
+    assert FieldMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], P) @ m == m
     with pytest.raises(ValueError):
         m @ m
 

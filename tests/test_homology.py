@@ -130,7 +130,7 @@ def test_betti_direct_frozen_spaces():
     assert betti_direct(solid, P) == (0, 0, 0, 0, 0)
     # the empty-face complex carries the single reduced class in degree -1
     assert betti_direct(SimplicialComplex(2, [0]), P) == (1,)
-    assert betti_direct(SimplicialComplex.empty(2), P) == ()
+    assert betti_direct(SimplicialComplex(2), P) == ()
 
 
 def test_betti_from_shifted_counts_faces_missing_vertex_one():
@@ -195,6 +195,8 @@ def test_non_integer_entries_and_coefficients_are_refused():
         boundary_matrix(tri, {1: 1.5, 2: 2.9, 3: 1}, 2, 7)
     with pytest.raises(TypeError):
         sarkaria_maps(fan, {1: 2.7, 2: 1, 3: 1}, P)
+    with pytest.raises(TypeError):
+        interior_matrix(SimplicialComplex.from_facets(3, [[1, 2]]), {0b100: 1.5}, 1, 7)
     # so is a modulus that is not an odd prime, by the matrix and by
     # betti_direct on entry, also where no boundary matrix is built
     with pytest.raises(TypeError):
@@ -230,6 +232,6 @@ def test_matrix_builders_check_the_modulus_on_entry(build, p):
     # before any arithmetic mod p, which divides by zero at p = 0, and also
     # where no matrix is built: the void complex has no faces at all
     error = TypeError if isinstance(p, float) else ValueError
-    for K in (SimplicialComplex.from_facets(3, [[1, 2, 3]]), SimplicialComplex.empty(3)):
+    for K in (SimplicialComplex.from_facets(3, [[1, 2, 3]]), SimplicialComplex(3)):
         with pytest.raises(error):
             build(K, p)

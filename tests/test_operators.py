@@ -76,7 +76,7 @@ def test_cone_apex_is_label_one():
 
 
 def test_suspension_adds_two_points_above():
-    S = suspension(SimplicialComplex.point(1))
+    S = suspension(SimplicialComplex.point())
     assert S.n == 3
     assert facet_sets(S) == [[1, 2], [1, 3]]
 

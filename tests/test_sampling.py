@@ -41,7 +41,8 @@ def test_random_near_cone_certifies_at_one():
 def _near_cone_by_all_subsets(rng, n):
     """``random_near_cone`` as an oracle: every subset of {2..n} is tried
     as an extra face."""
-    base = random_complex(rng, n - 1, max_size=4).relabeled(1)
+    drawn = random_complex(rng, n - 1, max_size=4)
+    base = SimplicialComplex(drawn.n + 1, (f << 1 for f in drawn.face_set()))
     faces = set(base.all_faces())
     faces.update(Face(int(m) | 1) for m in base.all_faces())
     base_faces = base.face_set()
