@@ -147,7 +147,9 @@ class ValidationFlags:
 @dataclass(frozen=True)
 class ShiftResult:
     """A shift and its provenance: ``matrix`` is the realization of
-    ``spec_used`` that produced ``shifted``."""
+    ``spec_used`` that produced ``shifted``, for a random spec the one
+    matrix ``realize`` hands every shift drawn at that seed, size and
+    prime."""
 
     shifted: SimplicialComplex
     spec_used: MatrixSpec

@@ -23,10 +23,15 @@ pivots in keep order, and ``pop`` hands a kept row back, unpacked, as a
 nonzero multiple of the vector inserted plus rows kept before it: the
 shift scan reads each level's rows back this way to build the next level.
 
-Modular inverses cost microseconds each at 61 bits, so neither hot path
-takes one per row.  ``_lower_reduce`` is fraction-free, and only ``_det``
-divides, once, by the product of its scale factors.  The accumulator scales
-a kept row to pivot -1 on its first use, so a row never used costs none.
+Modular inverses cost microseconds each at 61 bits, so the hot paths take
+few.  ``_lower_reduce`` is fraction-free and takes none; only ``_det``
+divides, once, by the product of its scale factors.  The accumulator takes
+none per vector inserted and one per kept row, on that row's first use as
+a tail, where it scales the row to pivot -1, so a row never used costs none.
+
+``realize`` memoises its random draws per process, keyed by (block size,
+size, seed, prime), so shifting many complexes at one seed draws and
+lower-reduces each matrix once.
 """
 
 from __future__ import annotations
@@ -309,11 +314,20 @@ MatrixSpec = GenericSpec | BlockGenericSpec | ExplicitSpec
 def realize(spec: MatrixSpec, n: int, p: int = DEFAULT_PRIME) -> FieldMatrix:
     """Produce the concrete n x n matrix described by ``spec``.
 
-    Random variants are drawn deterministically from their seed and are
-    redrawn until nonsingular, at most ``MAX_DRAWS`` times; an explicit
-    singular matrix is an error.
+    Random variants are drawn deterministically from their seed, a
+    nonnegative int, and are redrawn until nonsingular, at most
+    ``MAX_DRAWS`` times; an explicit singular matrix is an error.  A seed
+    that is not an int raises ``TypeError``, a negative one ``ValueError``
+    (``random.Random`` seeds -s as it seeds s).
+
+    A random draw is memoised per process by ``_drawn``, keyed by the ints
+    (block size k, n, seed, p); ``GenericSpec(s)`` is the block size k = n,
+    so it shares its entry with ``BlockGenericSpec(n, 0, s)``.  At most 16
+    draws are kept, each with its ``lower_reduced`` form, and every caller
+    of one key gets the same (immutable) matrix.  Explicit specs are not
+    memoised.
     """
-    check_prime(p)
+    p = check_prime(p)
     if isinstance(spec, ExplicitSpec):
         if len(spec.entries) != n or any(len(r) != n for r in spec.entries):
             raise ValueError(f"explicit matrix must be {n}x{n}")
@@ -329,7 +343,26 @@ def realize(spec: MatrixSpec, n: int, p: int = DEFAULT_PRIME) -> FieldMatrix:
         k = n  # a single block: every entry random
     else:
         raise TypeError(f"unknown matrix spec {spec!r}")
-    rng = random.Random(spec.seed)
+    seed = operator.index(spec.seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative int, got {seed}")
+    k, n = operator.index(k), operator.index(n)
+    try:
+        return _drawn(k, n, seed, p)
+    except ValueError:
+        raise ValueError(
+            f"no nonsingular matrix for {spec!r} (seed {spec.seed}, p={p}) in {MAX_DRAWS} draws"
+        ) from None
+
+
+@functools.lru_cache(maxsize=16)
+def _drawn(k: int, n: int, seed: int, p: int) -> FieldMatrix:
+    """The first nonsingular draw of the n x n matrix with a random k x k
+    and a random (n - k) x (n - k) diagonal block, from ``seed``, mod a
+    checked prime p, its ``lower_reduced`` form computed.  ``ValueError``
+    if none of ``MAX_DRAWS`` draws is nonsingular, so a failure is never
+    memoised."""
+    rng = random.Random(seed)
     for _ in range(MAX_DRAWS):
         # row by row, so each block's entries are drawn in row-major order
         rows = [
@@ -339,9 +372,7 @@ def realize(spec: MatrixSpec, n: int, p: int = DEFAULT_PRIME) -> FieldMatrix:
         m = FieldMatrix._from_residues(rows, p)
         if m.is_nonsingular():
             return m
-    raise ValueError(
-        f"no nonsingular matrix for {spec!r} (seed {spec.seed}, p={p}) in {MAX_DRAWS} draws"
-    )
+    raise ValueError(f"no nonsingular draw in {MAX_DRAWS}")
 
 
 def slot_bytes(p: int, width: int) -> int:

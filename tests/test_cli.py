@@ -463,6 +463,16 @@ def test_verify_guards(tmp_path, capsys):
     assert run(capsys, "explore", "--max-n", "1", "--trials", "2")[0] == 0
 
 
+def test_shift_refuses_a_negative_seed(tmp_path, capsys):
+    # random.Random(-s) seeds as random.Random(s), so the reseeds -1, 0, 1
+    # of --seed -1 would draw seed 1's matrix twice
+    src = write(tmp_path, "b.cx", TWO_EDGES)
+    for seed in ("-1", "-3"):
+        code, out, err = run(capsys, "shift", src, "--seed", seed)
+        assert code == 1 and out == "", seed
+        assert err.startswith(f"error: seed must be a nonnegative int, got {seed}"), err
+
+
 def test_max_n_past_the_label_cap_is_refused_even_with_force(capsys, monkeypatch):
     # verify keeps its complexes within --max-n labels, and explore suspends
     # each draw, adding 2; past those caps a run would fail deep inside, so

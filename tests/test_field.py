@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftkit import field
+from shiftkit.cli import main
 from shiftkit.complexes import MAX_VERTICES, Face, SimplicialComplex
 from shiftkit.engine import exterior_shift
 from shiftkit.field import (
@@ -381,6 +382,7 @@ def test_realize_explicit_validates():
 
 
 def test_random_redraws_are_bounded(monkeypatch):
+    field._drawn.cache_clear()  # a memoised draw would not be redrawn
     monkeypatch.setattr(FieldMatrix, "is_nonsingular", lambda self: False)
     for spec in (GenericSpec(seed=7), BlockGenericSpec(1, 2, seed=7)):
         with pytest.raises(ValueError, match="seed 7, p=10007"):
@@ -388,6 +390,85 @@ def test_random_redraws_are_bounded(monkeypatch):
     K = SimplicialComplex.from_facets(3, [[1, 2], [1, 3]])
     with pytest.raises(ValueError, match="p=10007"):
         _explicit_apex_check(random.Random(0), K, P)
+
+
+def test_realize_memoises_each_draw_by_block_size_seed_and_prime():
+    field._drawn.cache_clear()
+    a = realize(GenericSpec(5), 4, P)
+    assert realize(GenericSpec(5), 4, P) is a
+    # a generic matrix is one k = n block, so both specs share an entry
+    assert realize(BlockGenericSpec(4, 0, 5), 4, P) is a
+    assert field._drawn.cache_info()[:2] == (2, 1)  # hits, misses
+    others = [
+        realize(GenericSpec(6), 4, P),
+        realize(GenericSpec(5), 5, P),
+        realize(GenericSpec(5), 4, 10009),
+        realize(BlockGenericSpec(2, 2, 5), 4, P),
+    ]
+    assert all(m is not a for m in others)
+    assert field._drawn.cache_info().maxsize == 16
+
+
+def test_memoised_draws_are_handed_out_reduced(monkeypatch):
+    field._drawn.cache_clear()
+    reductions, reduce = [], field._lower_reduce
+
+    def counted(rows, p):
+        reductions.append(len(rows))
+        return reduce(rows, p)
+
+    monkeypatch.setattr(field, "_lower_reduce", counted)
+    K = SimplicialComplex.from_facets(5, [[1, 2, 3], [3, 4], [4, 5]])
+    L = SimplicialComplex.from_facets(5, [[1, 2], [2, 3, 4, 5]])
+    first = exterior_shift(K, GenericSpec(2), p=P)
+    second = exterior_shift(L, GenericSpec(2), p=P)
+    assert first.retries == second.retries == 0
+    assert second.matrix is first.matrix
+    assert reductions == [5]
+
+
+def test_memo_keys_are_checked_ints():
+    field._drawn.cache_clear()
+    realize(GenericSpec(3), 4, 7)
+    # each of these would share the int entry if it reached the memo
+    for spec, n, p in (
+        (GenericSpec(3), 4, 7.0),
+        (GenericSpec(3), 4.0, 7),
+        (GenericSpec(None), 4, 7),
+        (GenericSpec("3"), 4, 7),
+        (BlockGenericSpec(2.0, 2, 3), 4, 7),
+    ):
+        with pytest.raises(TypeError):
+            realize(spec, n, p)
+    with pytest.raises(TypeError):
+        exterior_shift(SimplicialComplex.from_facets(4, [[1, 2], [3, 4]]), GenericSpec(3), p=7.0)
+    assert field._drawn.cache_info()[:2] == (0, 1)
+
+
+def test_negative_seeds_are_refused():
+    field._drawn.cache_clear()
+    # random.Random(-s) seeds as random.Random(s) does: -1 would redraw seed 1
+    for spec in (GenericSpec(-1), BlockGenericSpec(2, 2, -3)):
+        with pytest.raises(ValueError, match="seed must be a nonnegative int"):
+            realize(spec, 4, P)
+
+
+def test_explicit_specs_are_not_memoised():
+    field._drawn.cache_clear()
+    # list rows do not hash, and an explicit matrix is the caller's own
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    B = SimplicialComplex.from_facets(4, [[1, 2], [3, 4]])
+    assert exterior_shift(B, ExplicitSpec(eye), p=P).shifted == B
+    assert realize(ExplicitSpec(eye), 4, P) is not realize(ExplicitSpec(eye), 4, P)
+    assert field._drawn.cache_info().currsize == 0
+
+
+def test_explore_draws_two_matrices_per_draw(capsys):
+    field._drawn.cache_clear()
+    assert main(["explore", "--trials", "200", "--seed", "1"]) == 0
+    capsys.readouterr()
+    # per draw: K and susp K miss, susp(shift K) has susp K's size and seed
+    assert field._drawn.cache_info()[:2] == (200, 400)
 
 
 def test_accumulator_tracks_rank_and_rejects_dependents():
