@@ -194,9 +194,13 @@ def _emit_report(args: argparse.Namespace, **fields) -> None:
     _emit(args, json.dumps(report, indent=2) + "\n")
 
 
-def _check_max_n(args: argparse.Namespace, least: int, most: int) -> None:
+def _check_draws(args: argparse.Namespace, least: int, most: int) -> None:
     # ``least`` is the smallest complex size the command draws, and ``most``
-    # the largest --max-n whose complexes all fit in MAX_VERTICES labels
+    # the largest --max-n whose complexes all fit in MAX_VERTICES labels; a
+    # negative --seed is refused here, as realize refuses it for shift, and
+    # not only by the suites that happen to shift at it
+    if args.seed < 0:
+        raise ValueError(f"seed must be a nonnegative int, got {args.seed}")
     if args.trials < 0:
         raise ValueError(f"--trials {args.trials} is negative")
     if args.max_n < least:
@@ -291,7 +295,7 @@ def _cmd_op(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     p = check_prime(args.prime)
-    _check_max_n(args, 2, MAX_VERTICES)
+    _check_draws(args, 2, MAX_VERTICES)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
@@ -330,7 +334,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_explore(args: argparse.Namespace) -> int:
     p = check_prime(args.prime)
     # each draw is suspended, which adds 2 labels
-    _check_max_n(args, 1, MAX_VERTICES - 2)
+    _check_draws(args, 1, MAX_VERTICES - 2)
     scan = conjecture_scan(trials=args.trials, max_n=args.max_n, seed=args.seed, p=p)
     if args.json:
         _emit_report(args, seed=args.seed, prime=p, **scan)

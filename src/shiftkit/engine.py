@@ -83,10 +83,15 @@ and S's row is the sum of M[v][u] G_u over the nonzero entries of row v.
 The scan visits the sets h + v of one head in a run, so it pops h's row
 once, as residues, and keeps one dict of h's G_u while the run lasts;
 ``_WedgeTables.row`` packs each G_u into it on first use, and a set's row
-is a few packed multiply-adds.  Rows are not reduced: they go to the
-accumulator packed in its slot layout (``_WedgeTables.row`` bounds the
-slots), which reads every slot mod p, so the verdicts are those of the
-reduced rows.
+is a few packed multiply-adds.  Every slot of G_u is a residue of w, its
+negation or 0, so a gather is a pick: the head's dict holds, once, the
+byte chunks of w, of -w and of 0, and the tables hold, per size k and
+vertex u, one ``operator.itemgetter`` built on first use, which picks each
+slot's chunk; G_u is the join of the picked chunks read as one int.  The
+per-slot work runs in C, and each index list is built once per shift.
+Rows are not reduced: they go to the accumulator packed in its slot
+layout (``_WedgeTables.row`` bounds the slots), which reads every slot
+mod p, so the verdicts are those of the reduced rows.
 
 For a uniformly random A the kept family is the canonical shift with
 failure probability bounded by total-degree/p per determinant comparison
@@ -110,6 +115,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 from .complexes import (
     SimplicialComplex,
@@ -179,7 +186,8 @@ class _WedgeTables:
     where w is h's row, the compound row of h on the size-(k - 1) faces,
     and a is row v.  The tables are column-major: ``terms[k][u]`` holds the
     pairs (position of U, position of U - u) for the size-k faces U that
-    contain vertex u + 1, split by sign into ``(plus, minus)``, and
+    contain vertex u + 1, the second shifted past w's length for a minus
+    sign, ``getters[k][u]`` the gather of those pairs once built, and
     ``nonzero[v]`` holds the pairs (u, a[u]) of the nonzero entries of row
     v.  Only those columns are visited; for the lower-reduced matrix the
     scan passes in, row v of a generic matrix is zero left of column v.
@@ -194,7 +202,7 @@ class _WedgeTables:
     dict of its gathered vectors, which ``row`` fills on first use.
     """
 
-    __slots__ = ("p", "nonzero", "sizes", "terms")
+    __slots__ = ("p", "nonzero", "sizes", "terms", "getters")
 
     def __init__(self, K: SimplicialComplex, A: FieldMatrix):
         self.p = A.p
@@ -205,14 +213,16 @@ class _WedgeTables:
         self.terms = [None]
         for j in range(1, top):
             sub = {f: i for i, f in enumerate(faces[j - 1])}
-            level = [([], []) for _ in range(K.n)]
+            minus = len(sub)  # a minus term reads the negated copy of w
+            level = [[] for _ in range(K.n)]
             for i, m in enumerate(faces[j]):
                 for v in iter_vertices(m):
-                    above = (m >> v).bit_count()
-                    level[v - 1][above & 1].append((i, sub[m ^ (1 << (v - 1))]))
+                    odd = (m >> v).bit_count() & 1
+                    level[v - 1].append((i, sub[m ^ (1 << (v - 1))] + odd * minus))
             self.terms.append(level)
+        self.getters = [[None] * K.n for _ in range(top)]
 
-    def row(self, S: int, w: list[int], gathered: dict[int, int], nb: int) -> int:
+    def row(self, S: int, w: list[int], gathered: dict, nb: int) -> int:
         """A row for a nonempty S of size k, packed unreduced to the ``nb``
         bytes a slot of ``RowEchelonAccumulator(width, p)``: slot i holds
         the sum of at most k products of two residues, one for each vertex
@@ -220,33 +230,44 @@ class _WedgeTables:
 
         ``w`` is a row of S's head h, one residue a size-(k - 1) face ([1]
         for the empty head), and ``gathered`` maps a vertex u to h's G_u
-        packed to ``nb`` bytes a slot; a missing G_u is gathered from ``w``
-        and stored there, so the dict must belong to h, w and nb alone.
-        The row returned is w wedged with row v: S's compound row mod p
-        when w is h's own row, and for the scan the row the engine module
-        docstring describes."""
+        packed to ``nb`` bytes a slot, and None to the chunks G_u is
+        gathered from; a missing entry is made from ``w`` and stored there,
+        so the dict must belong to h, w and nb alone.  The row returned is
+        w wedged with row v: S's compound row mod p when w is h's own row,
+        and for the scan the row the engine module docstring describes."""
         out = 0
         for u, a in self.nonzero[S.bit_length() - 1]:
             g = gathered.get(u)
             if g is None:
-                g = gathered[u] = self._gather(S.bit_count(), u, w, nb)
+                g = gathered[u] = self._gather(S.bit_count(), u, w, gathered, nb)
             out += a * g
         return out
 
-    def _gather(self, k: int, u: int, w: list[int], nb: int) -> int:
-        """G_u of the size-(k - 1) row ``w``, packed to ``nb`` bytes a slot."""
-        plus, minus = self.terms[k][u]
-        if not (plus or minus):
-            return 0
-        p = self.p
-        out = [0] * self.sizes[k]
-        for i, sub in plus:
-            out[i] = w[sub]
-        for i, sub in minus:
-            c = w[sub]
-            if c:
-                out[i] = p - c
-        return pack_slots(out, nb)
+    def _gather(self, k: int, u: int, w: list[int], gathered: dict, nb: int) -> int:
+        """G_u of the size-(k - 1) row ``w``, packed to ``nb`` bytes a slot.
+
+        The chunks are the ``nb``-byte encodings of w, then of p - x for
+        each x in w (0 for 0), then one zero chunk: the value of every
+        possible slot of G_u.  The getter of (k, u) picks each size-k
+        face's chunk, the zero one for a face without u, and one more zero
+        chunk, so that it returns a tuple even for a single face.  Getters
+        are built on first use and serve every head; chunks are built once
+        per head."""
+        get = self.getters[k][u]
+        if get is None:
+            terms = self.terms[k][u]
+            if not terms:
+                return 0
+            index = [2 * self.sizes[k - 1]] * (self.sizes[k] + 1)
+            for i, j in terms:
+                index[i] = j
+            get = self.getters[k][u] = itemgetter(*index)
+        chunks = gathered.get(None)
+        if chunks is None:
+            p = self.p
+            slots = w + [p - x if x else 0 for x in w]
+            chunks = gathered[None] = [*map(int.to_bytes, slots, repeat(nb), repeat("little")), bytes(nb)]
+        return int.from_bytes(b"".join(get(chunks)), "little")
 
 
 def _shift_family(K: SimplicialComplex, A: FieldMatrix) -> SimplicialComplex:

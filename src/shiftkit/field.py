@@ -22,6 +22,9 @@ every slot of such a vector mod p.  The accumulator lists its kept rows'
 pivots in keep order, and ``pop`` hands a kept row back, unpacked, as a
 nonzero multiple of the vector inserted plus rows kept before it: the
 shift scan reads each level's rows back this way to build the next level.
+``pop`` reduces the row with ``slot_reducer`` and reads its residues with
+one ``struct`` unpack, whose layout ``_residue_struct`` caches per (nb,
+width).
 
 Modular inverses cost microseconds each at 61 bits, so the hot paths take
 few.  ``_lower_reduce`` is fraction-free and takes none; only ``_det``
@@ -40,6 +43,7 @@ import bisect
 import functools
 import operator
 import random
+import struct
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterable, Sequence
@@ -317,8 +321,9 @@ def realize(spec: MatrixSpec, n: int, p: int = DEFAULT_PRIME) -> FieldMatrix:
     Random variants are drawn deterministically from their seed, a
     nonnegative int, and are redrawn until nonsingular, at most
     ``MAX_DRAWS`` times; an explicit singular matrix is an error.  A seed
-    that is not an int raises ``TypeError``, a negative one ``ValueError``
-    (``random.Random`` seeds -s as it seeds s).
+    or a size n that is not an int raises ``TypeError``, and a negative one
+    ``ValueError``, checked before the memo (``random.Random`` seeds -s as
+    it seeds s).
 
     A random draw is memoised per process by ``_drawn``, keyed by the ints
     (block size k, n, seed, p); ``GenericSpec(s)`` is the block size k = n,
@@ -328,6 +333,9 @@ def realize(spec: MatrixSpec, n: int, p: int = DEFAULT_PRIME) -> FieldMatrix:
     memoised.
     """
     p = check_prime(p)
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"matrix size must be nonnegative, got {n}")
     if isinstance(spec, ExplicitSpec):
         if len(spec.entries) != n or any(len(r) != n for r in spec.entries):
             raise ValueError(f"explicit matrix must be {n}x{n}")
@@ -346,7 +354,7 @@ def realize(spec: MatrixSpec, n: int, p: int = DEFAULT_PRIME) -> FieldMatrix:
     seed = operator.index(spec.seed)
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative int, got {seed}")
-    k, n = operator.index(k), operator.index(n)
+    k = operator.index(k)
     try:
         return _drawn(k, n, seed, p)
     except ValueError:
@@ -401,6 +409,20 @@ def unpack_slots(v: int, nb: int, width: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=64)
+def _residue_struct(nb: int, width: int) -> struct.Struct:
+    """The ``struct`` layout of ``width`` slots of ``nb`` bytes that hold
+    residues mod a p whose ``slot_bytes`` is nb: each slot is read as one
+    little-endian unsigned field, the widest of 1, 2, 4 or 8 bytes that
+    fits in the slot, and the slot's other bytes are skipped.  They are 0:
+    for nb >= 8 the field is Q, 64 bits, and p < 2^62; for nb < 8 the
+    field is more than half the slot, so it has more than 4 nb bits, and
+    ``slot_bytes`` makes 8 nb > 2 bitlen(p)."""
+    size = min(8, 1 << (nb.bit_length() - 1))
+    code = "BHIQ"[size.bit_length() - 1]
+    return struct.Struct("<" + f"{code}{nb - size}x" * width)
+
+
+@functools.lru_cache(maxsize=64)
 def slot_reducer(p: int, width: int) -> Callable[[int, int], int]:
     """A function taking a vector of at most ``width`` slots of nb =
     ``slot_bytes(p, width)`` bytes, packed by ``pack_slots``, and a residue
@@ -418,8 +440,16 @@ def slot_reducer(p: int, width: int) -> Callable[[int, int], int]:
     0..2^e - 1 = 0..p + c - 1.  A slot is then p or more exactly when
     slot + c reaches bit e, so one masked conditional subtraction,
     v - (((v + C) >> e) & ONE) p with c and 1 in every slot of C and ONE,
-    leaves the residues.  The path folds v, multiplies it by s, every slot
-    staying below p^2, and folds again.
+    leaves the residues.
+
+    Scaling needs no residues first.  Before the multiply by s the path
+    applies a fixed number of fold steps, counted once per reducer: from
+    the bound 2^(8 nb) - 1, a step takes a bound t to 2^e - 1 + c floor(t /
+    2^e), the most a step leaves of a slot at most t, and the count is the
+    number of steps until t (p - 1) < 2^(8 nb).  Every slot is then below
+    2^(8 nb) / (p - 1), so multiplying by a residue s carries out of no
+    slot, and one full fold of the product leaves the residues.  At the
+    default prime the count is 2.
 
     The fold is exact for every odd prime, but a fold removes only about
     e - bitlen(c) bits from a slot.  Its cost grows with the number F of
@@ -456,6 +486,10 @@ def slot_reducer(p: int, width: int) -> Callable[[int, int], int]:
         int.from_bytes(x.to_bytes(nb, "little") * width, "little")
         for x in ((1 << e) - 1, (1 << bits - e) - 1, c, 1)
     )
+    pre, top = 0, (1 << bits) - 1
+    while top * (p - 1) >> bits:
+        top = (1 << e) - 1 + c * (top >> e)
+        pre += 1
 
     def fold(v: int) -> int:
         high = (v >> e) & hi
@@ -465,7 +499,9 @@ def slot_reducer(p: int, width: int) -> Callable[[int, int], int]:
         return v - (((v + cs) >> e) & ones) * p
 
     def fold_scaled(v: int, s: int) -> int:
-        return fold(fold(v) * s)
+        for _ in range(pre):
+            v = (v & lo) + c * ((v >> e) & hi)
+        return fold(v * s)
 
     return fold_scaled
 
@@ -579,12 +615,21 @@ class RowEchelonAccumulator:
     def pop(self, pivot: int) -> list[int]:
         """Remove the row kept with pivot ``pivot`` and return its
         ``width`` residues, as the class docstring states; a pivot with no
-        stored row raises ``KeyError``."""
+        stored row raises ``KeyError``.
+
+        A raw row is reduced by the accumulator's ``slot_reducer`` at scale
+        1, a tail already holds residues.  Shifted up by ``pivot`` slots,
+        so the slots below the pivot read 0, the row's bytes are read by
+        one unpack of the ``_residue_struct`` of (nb, width): no Python
+        loop runs over the slots."""
         kept = self._raw.pop(pivot, None)
         if kept is None:
             kept = self._rows.pop(pivot)
-        p = self.p
-        return [0] * pivot + [x % p for x in unpack_slots(kept, self.nb, self.width - pivot)]
+        else:
+            kept = self._reduce(kept, 1)
+        nb, width = self.nb, self.width
+        buf = (kept << 8 * nb * pivot).to_bytes(nb * width, "little")
+        return list(_residue_struct(nb, width).unpack(buf))
 
     def _scaled(self, kept: int) -> int:
         """The tail of a raw row: its slots reduced mod p and scaled so the

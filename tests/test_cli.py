@@ -473,6 +473,25 @@ def test_shift_refuses_a_negative_seed(tmp_path, capsys):
         assert err.startswith(f"error: seed must be a nonnegative int, got {seed}"), err
 
 
+def test_verify_and_explore_refuse_a_negative_seed_up_front(capsys, monkeypatch):
+    # one rule for every command that takes --seed: refused before any
+    # suite runs, not only by the suites that happen to shift at it
+    def never(**kwargs):
+        raise AssertionError("nothing is drawn for a refused seed")
+
+    monkeypatch.setattr(cli, "conjecture_scan", never)
+    monkeypatch.setattr(cli, "SUITES", {name: never for name in cli.SUITES})
+    for argv in (
+        ("verify", "betti"),
+        ("verify", "all", "--json"),
+        ("explore", "--trials", "2"),
+        ("explore", "--trials", "2", "--json"),
+    ):
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert (code, out) == (1, ""), argv
+        assert err == "error: seed must be a nonnegative int, got -1\n", argv
+
+
 def test_max_n_past_the_label_cap_is_refused_even_with_force(capsys, monkeypatch):
     # verify keeps its complexes within --max-n labels, and explore suspends
     # each draw, adding 2; past those caps a run would fail deep inside, so

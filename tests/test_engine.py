@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from itertools import combinations
+from operator import itemgetter
 
 import pytest
 
@@ -274,6 +275,41 @@ def test_compound_rows_match_reference_path():
         # a column face of another size is refused, by ``minor``
         with pytest.raises(ValueError):
             compound_row(A, 0b11, [0b11, 0b1])
+
+
+def test_gathers_at_the_edges_match_the_reference(monkeypatch):
+    # each G_u is picked out of its head's chunks by the getter of (k, u):
+    # a level of one face, whose getter picks one chunk and the closing zero
+    # one, so it still returns a tuple; a vertex on no face of a size, whose
+    # G_u is 0 with no getter built; the empty head's row [1]; and on the
+    # octahedron, one getter per (k, u) serving every head of the table
+    built = []
+    monkeypatch.setattr(engine, "itemgetter", lambda *index: built.append(index) or itemgetter(*index))
+    triangle = SimplicialComplex.from_facets(4, [[1, 2, 3], [4]])
+    for q in (2**61 - 1, 10007, 3):
+        for K in (triangle, octahedron()):
+            A = realize(GenericSpec(q), K.n, q)  # unreduced: most G_u are asked for
+            tables = _WedgeTables(K, A)
+            for k in range(1, len(K.f_vector)):
+                del built[:]
+                heads = {}
+                for S in iter_k_subsets(K.n, k):
+                    head = S ^ 1 << (S.bit_length() - 1)
+                    w = _reference_row(K, A, head)
+                    gathered = heads.setdefault(head, {})
+                    assert _built_row(tables, S, w, q, gathered) == _reference_row(K, A, S)
+                # one getter per vertex on a size-k face, whoever asked first
+                assert len(built) == sum(g is not None for g in tables.getters[k])
+                asked = [[g[u] for g in heads.values() if u in g] for u in range(K.n)]
+                for u, terms in enumerate(tables.terms[k]):
+                    if not terms:
+                        assert tables.getters[k][u] is None and set(asked[u]) <= {0}
+                if K is triangle and k == 2:
+                    assert not tables.terms[2][3] and asked[3]
+                if K is triangle and k == 3:
+                    assert tables.sizes[3] == 1
+                if K is not triangle and k > 1:
+                    assert max(len(asked[u]) for u, terms in enumerate(tables.terms[k]) if terms) > 1
 
 
 def _reference_shift(K, A, p):

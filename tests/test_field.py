@@ -453,6 +453,15 @@ def test_negative_seeds_are_refused():
             realize(spec, 4, P)
 
 
+def test_negative_sizes_are_refused_before_the_memo():
+    field._drawn.cache_clear()
+    for spec in (GenericSpec(0), BlockGenericSpec(0, 0, 0)):
+        with pytest.raises(ValueError, match="matrix size must be nonnegative, got -2"):
+            realize(spec, -2, P)
+    assert field._drawn.cache_info().currsize == 0
+    assert realize(GenericSpec(0), 0, P).nrows == 0  # the empty matrix stays valid
+
+
 def test_explicit_specs_are_not_memoised():
     field._drawn.cache_clear()
     # list rows do not hash, and an explicit matrix is the caller's own
@@ -671,6 +680,39 @@ def test_accumulator_pops_each_kept_row_in_the_span_it_extended(p):
         assert unpack_slots(pack_slots(slots[:-1], nb), nb, w) == slots[:-1] + [0]
 
 
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, BIG, SLOTWISE, P, 3])
+@pytest.mark.parametrize("width", [1, 2, 13, 64, 300])
+def test_pop_reads_the_stored_row_mod_p(p, width):
+    # whatever form a kept row is stored in, raw or scaled to a tail, pop
+    # hands back its slots mod p, at the pivot's offset: one accumulator
+    # whose rows are all left raw, and one where a probe through every
+    # pivot from slot 0 on scales the rows it meets; slot sizes 17 (the
+    # default prime, 2^62 - 57 and 2^60 + 33, whose tails are reduced slot
+    # by slot), 5 (10007) and 2 (3)
+    rng = random.Random(p + width)
+    nb = slot_bytes(p, width)
+    top = MAX_VERTICES * (p - 1) ** 2  # the largest slot a caller may insert
+
+    def row(lead):
+        return [0] * lead + [rng.randrange(1, p) + p * rng.randrange(top // p)] + [
+            rng.choice((0, top, rng.randrange(top + 1))) for _ in range(width - lead - 1)
+        ]
+
+    raw, scaled = RowEchelonAccumulator(width, p), RowEchelonAccumulator(width, p)
+    for acc in (raw, scaled):
+        for lead in range(width):
+            assert acc.insert(pack_slots(row(lead), nb))
+    assert not scaled.insert(pack_slots(row(0), nb))
+    assert not raw._rows and 0 in scaled._rows
+    for acc in (raw, scaled):
+        for q in rng.sample(acc.pivots, len(acc.pivots)):
+            stored = acc._raw.get(q, acc._rows.get(q))
+            got = acc.pop(q)
+            assert type(got) is list
+            assert got == [0] * q + [x % p for x in unpack_slots(stored, nb, width - q)]
+            assert got[q]
+
+
 @pytest.mark.parametrize(
     "p, folds", [(DEFAULT_PRIME, True), (BIG, True), (3, True), (P, True), (SLOTWISE, False)]
 )
@@ -678,9 +720,10 @@ def test_slot_reducer_matches_per_slot_mod(p, folds, monkeypatch):
     # slots at the edges of both paths: 0, p - 1 and the multiples of p,
     # 2^e - 1 and 2^e around the fold's bit e, and the largest slot the
     # layout allows, (MAX_VERTICES + width)(p - 1)^2, with its multiples of
-    # p below it; widths on both sides of the slot size's steps, at 64 and
-    # 192 slots; vectors as wide as the reducer and shorter, as tails are;
-    # scaled by 1 and by a residue
+    # p below it, and 2^(8 nb) - 1, the most a slot holds, which the fold
+    # path's fixed pre-folds bring below 2^(8 nb) / (p - 1); widths on both
+    # sides of the slot size's steps, at 64 and 192 slots; vectors as wide
+    # as the reducer and shorter, as tails are; scaled by 1 and by a residue
     packs = []
     monkeypatch.setattr(field, "pack_slots", lambda slots, nb: packs.append(nb) or pack_slots(slots, nb))
     rng = random.Random(p)
@@ -688,7 +731,7 @@ def test_slot_reducer_matches_per_slot_mod(p, folds, monkeypatch):
     for width in (*range(1, 9), 63, 64, 191, 192, 300):
         nb = slot_bytes(p, width)
         top = (MAX_VERTICES + width) * (p - 1) ** 2
-        edges = [0, p - 1, p, 2 * p, (1 << e) - 1, 1 << e, top, top - top % p]
+        edges = [0, p - 1, p, 2 * p, (1 << e) - 1, 1 << e, top, top - top % p, (1 << 8 * nb) - 1]
         edges += [rng.randrange(top // p + 1) * p for _ in range(4)]
         reduce = slot_reducer(p, width)
         vectors = [[x] * width for x in edges]
