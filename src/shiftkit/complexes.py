@@ -154,20 +154,38 @@ def extensions(level: Sequence[int], n: int) -> Iterator[int]:
     S's largest vertex exceeds max(h) >= u.  So S and T agree below u, and
     u is in S and not in T: S <lex T.
 
+    The subset test runs on masks.  ``children`` maps each head g of a set
+    in ``level`` to the mask of the largest vertices of the sets in
+    ``level`` with head g.  Besides h, the (k - 1)-subsets of S = h + v are
+    the (h - u) + v for u in h; as v > max(h), such a set has head h - u and
+    largest vertex v, so it lies in ``level`` exactly when v is in
+    ``children[h - u]``.  So the v that pass are the vertices of [n] past
+    max(h) that lie in every ``children[h - u]``, and they are yielded in
+    ascending order, as the lemma's loop over v has them.
+
     Corollary: the sets of one head are yielded in one run.  The loop
     yields every set of h, whose head is h as v > max(h), before it moves
     past h, each h of ``level`` comes once, and by the lemma the runs come
     in the lex order of their heads.  The shift's scan relies on this to
     take each head's row once.
     """
-    members = set(level)
+    children: dict[int, int] = {}
+    for f in level:
+        if f:
+            top = 1 << (f.bit_length() - 1)
+            children[f ^ top] = children.get(f ^ top, 0) | top
+    full = (1 << n) - 1
     for h in level:
-        # S - u for S = h + v and u in h is (h - u) + v
-        subs = [h ^ 1 << (u - 1) for u in iter_vertices(h)]
-        for v in range(h.bit_length(), n):
-            bit = 1 << v
-            if all(f | bit in members for f in subs):
-                yield h | bit
+        allowed = full & ~((1 << h.bit_length()) - 1)  # the vertices past max(h)
+        rest = h
+        while rest and allowed:
+            low = rest & -rest
+            allowed &= children.get(h ^ low, 0)
+            rest ^= low
+        while allowed:
+            bit = allowed & -allowed
+            yield h | bit
+            allowed ^= bit
 
 
 class SimplicialComplex:

@@ -79,16 +79,19 @@ A head must mix in no row kept after it: that row is not lex-before S.
 
 S's row is linear in row v: for each vertex u the head has a gathered
 vector G_u, its row moved onto the faces through u with the wedge signs,
-and S's row is the sum of M[v][u] G_u over the nonzero entries of row v.
-The scan visits the sets h + v of one head in a run, so it pops h's row
-once, as residues, and keeps one dict of h's G_u while the run lasts;
+and S's row is the sum of M[v][u] G_u over the nonzero entries of row v
+at vertices of the complex's support.  A vertex off the support is on no
+face, so its G_u is 0 at every size and the tables drop its entries.  The
+scan visits the sets h + v of one head in a run, so it pops h's row once,
+as residues, and keeps one dict of h's G_u while the run lasts;
 ``_WedgeTables.row`` packs each G_u into it on first use, and a set's row
 is a few packed multiply-adds.  Every slot of G_u is a residue of w, its
 negation or 0, so a gather is a pick: the head's dict holds, once, the
-byte chunks of w, of -w and of 0, and the tables hold, per size k and
-vertex u, one ``operator.itemgetter`` built on first use, which picks each
-slot's chunk; G_u is the join of the picked chunks read as one int.  The
-per-slot work runs in C, and each index list is built once per shift.
+residues of w, of -w and one 0, and the tables hold, per size k and vertex
+u, one ``operator.itemgetter`` built on first use, which picks each slot's
+residue; one ``struct`` pack in ``field``'s residue layout writes the
+picked residues as G_u's bytes, read as one int.  The per-slot work runs
+in C, and each index list is built once per shift.
 Rows are not reduced: they go to the accumulator packed in its slot
 layout (``_WedgeTables.row`` bounds the slots), which reads every slot
 mod p, so the verdicts are those of the reduced rows.
@@ -115,7 +118,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from operator import itemgetter
 
 from .complexes import (
@@ -133,6 +135,7 @@ from .field import (
     GenericSpec,
     MatrixSpec,
     RowEchelonAccumulator,
+    _residue_struct,
     pack_slots,
     realize,
 )
@@ -189,8 +192,11 @@ class _WedgeTables:
     contain vertex u + 1, the second shifted past w's length for a minus
     sign, ``getters[k][u]`` the gather of those pairs once built, and
     ``nonzero[v]`` holds the pairs (u, a[u]) of the nonzero entries of row
-    v.  Only those columns are visited; for the lower-reduced matrix the
-    scan passes in, row v of a generic matrix is zero left of column v.
+    v at the vertices u + 1 of the complex's support.  Only those columns
+    are visited: a vertex off the support is on no face, so its
+    ``terms[k][u]`` is empty at every k and its term is 0; for the
+    lower-reduced matrix the scan passes in, row v of a generic matrix is
+    zero left of column v.
     The final coordinate at a face T only ever consults subfaces of T, so
     keeping just the faces of the complex is exact, and this path agrees
     with the per-minor reference mod p.
@@ -206,7 +212,8 @@ class _WedgeTables:
 
     def __init__(self, K: SimplicialComplex, A: FieldMatrix):
         self.p = A.p
-        self.nonzero = [tuple((u, a) for u, a in enumerate(row) if a) for row in A.rows]
+        support = K.support
+        self.nonzero = [tuple((u, a) for u, a in enumerate(row) if a and support >> u & 1) for row in A.rows]
         top = len(K.f_vector)
         faces = [K.faces_of_size(k) for k in range(top)]
         self.sizes = [len(level) for level in faces]
@@ -216,9 +223,11 @@ class _WedgeTables:
             minus = len(sub)  # a minus term reads the negated copy of w
             level = [[] for _ in range(K.n)]
             for i, m in enumerate(faces[j]):
-                for v in iter_vertices(m):
-                    odd = (m >> v).bit_count() & 1
-                    level[v - 1].append((i, sub[m ^ (1 << (v - 1))] + odd * minus))
+                rest = m
+                while rest:  # the sign is the parity of the vertices past the one taken off
+                    low = rest & -rest
+                    rest ^= low
+                    level[low.bit_length() - 1].append((i, sub[m ^ low] + (rest.bit_count() & 1) * minus))
             self.terms.append(level)
         self.getters = [[None] * K.n for _ in range(top)]
 
@@ -230,7 +239,7 @@ class _WedgeTables:
 
         ``w`` is a row of S's head h, one residue a size-(k - 1) face ([1]
         for the empty head), and ``gathered`` maps a vertex u to h's G_u
-        packed to ``nb`` bytes a slot, and None to the chunks G_u is
+        packed to ``nb`` bytes a slot, and None to the residues G_u is
         gathered from; a missing entry is made from ``w`` and stored there,
         so the dict must belong to h, w and nb alone.  The row returned is
         w wedged with row v: S's compound row mod p when w is h's own row,
@@ -246,13 +255,17 @@ class _WedgeTables:
     def _gather(self, k: int, u: int, w: list[int], gathered: dict, nb: int) -> int:
         """G_u of the size-(k - 1) row ``w``, packed to ``nb`` bytes a slot.
 
-        The chunks are the ``nb``-byte encodings of w, then of p - x for
-        each x in w (0 for 0), then one zero chunk: the value of every
-        possible slot of G_u.  The getter of (k, u) picks each size-k
-        face's chunk, the zero one for a face without u, and one more zero
-        chunk, so that it returns a tuple even for a single face.  Getters
-        are built on first use and serve every head; chunks are built once
-        per head."""
+        The chunks are the residues w, then p - x for each x in w (0 for
+        0), then one 0: the value of every possible slot of G_u.  The
+        getter of (k, u) picks each size-k face's chunk, the 0 for a face
+        without u, and one more 0, so that it returns a tuple even for a
+        single face.  The ``_residue_struct`` of (nb, f_k + 1), f_k the
+        number of size-k faces, packs the picked residues in one call: each
+        is below p, so it fits the layout's field, and the layout writes
+        the slot's other bytes as 0, so the bytes are those of
+        ``pack_slots``.  The closing 0 is a slot past the row's width, and
+        adds nothing to the int.  Getters are built on first use and serve
+        every head; chunks are built once per head."""
         get = self.getters[k][u]
         if get is None:
             terms = self.terms[k][u]
@@ -265,9 +278,8 @@ class _WedgeTables:
         chunks = gathered.get(None)
         if chunks is None:
             p = self.p
-            slots = w + [p - x if x else 0 for x in w]
-            chunks = gathered[None] = [*map(int.to_bytes, slots, repeat(nb), repeat("little")), bytes(nb)]
-        return int.from_bytes(b"".join(get(chunks)), "little")
+            chunks = gathered[None] = w + [p - x if x else 0 for x in w] + [0]
+        return int.from_bytes(_residue_struct(nb, self.sizes[k] + 1).pack(*get(chunks)), "little")
 
 
 def _shift_family(K: SimplicialComplex, A: FieldMatrix) -> SimplicialComplex:

@@ -24,7 +24,7 @@ nonzero multiple of the vector inserted plus rows kept before it: the
 shift scan reads each level's rows back this way to build the next level.
 ``pop`` reduces the row with ``slot_reducer`` and reads its residues with
 one ``struct`` unpack, whose layout ``_residue_struct`` caches per (nb,
-width).
+width); the shift's scan packs residues into rows with the same layouts.
 
 Modular inverses cost microseconds each at 61 bits, so the hot paths take
 few.  ``_lower_reduce`` is fraction-free and takes none; only ``_det``
@@ -39,7 +39,6 @@ lower-reduces each matrix once.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import operator
 import random
@@ -112,8 +111,12 @@ def _lower_reduce(
     row i of M is s_i times the row a unit lower-triangular reduction
     gives.  The whole of v is scaled, not only v from the pivot on: v may
     be nonzero left of the pivot, at columns no row above pivots on.  The
-    reduced rows are applied in pivot order; each is zero left of its
-    pivot, so clearing one pivot never refills a smaller one.  A row that
+    reduced rows are applied in the order they were stored.  Each is zero
+    at the pivots of the rows stored before it, so clearing one pivot never
+    refills one cleared before it.  Each is also zero left of its own
+    pivot, so two rows whose store and pivot orders disagree are each zero
+    at the other's pivot, and their clearing steps commute: v and the scale
+    come out as they would with the rows applied in pivot order.  A row that
     reduces to zero depends on the rows above it, which happens exactly
     when A is singular.
     """
@@ -131,7 +134,7 @@ def _lower_reduce(
         if q is None:
             return None
         v = tuple(v)
-        bisect.insort(echelon, (q, v[q], v))
+        echelon.append((q, v[q], v))
         out.append(v)
     return out, scale
 
@@ -221,11 +224,6 @@ class FieldMatrix:
         if len(ri) != len(ci) or row_face >> self.nrows or col_face >> self.ncols:
             raise ValueError(f"minor needs faces of one size in the {self.nrows} x {self.ncols} matrix")
         return _det([[self.rows[i][j] for j in ci] for i in ri], self.p)
-
-    def det(self) -> int:
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        return _det(self.rows, self.p)
 
     def rank(self) -> int:
         acc = RowEchelonAccumulator(self.ncols, self.p)

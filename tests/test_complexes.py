@@ -440,6 +440,17 @@ def test_face_enumeration_matches_combinations():
                 assert list(group) == sorted(group, key=vertex_tuple)
 
 
+def brute_extensions(level, n, k):
+    """The k-subsets of [n] whose (k - 1)-subsets all lie in ``level``, in
+    lex order: the definition ``extensions`` is checked against."""
+    members = set(level)
+    return [
+        S
+        for S in iter_k_subsets(n, k)
+        if all(S ^ 1 << (v - 1) in members for v in vertex_tuple(S))
+    ]
+
+
 def test_extensions_are_the_sets_whose_subsets_all_lie_below():
     # the lemma that the scan, the near-cone sampler and the census rely on:
     # each k-set whose (k - 1)-subsets all lie in the class, once, in lex order
@@ -449,10 +460,27 @@ def test_extensions_are_the_sets_whose_subsets_all_lie_below():
     for K in cases:
         for k in range(1, len(K.f_vector) + 1):
             level = K.faces_of_size(k - 1)
-            members = set(level)
-            expected = [
-                S
-                for S in iter_k_subsets(K.n, k)
-                if all(S ^ 1 << (v - 1) in members for v in vertex_tuple(S))
-            ]
-            assert list(extensions(level, K.n)) == expected, (K, k)
+            assert list(extensions(level, K.n)) == brute_extensions(level, K.n, k), (K, k)
+
+
+def test_extensions_on_arbitrary_levels():
+    # the near-cone sampler and the census pass sublists of a level, not the
+    # size classes of a closed complex: the brute-force definition, order
+    # included, on seeded random subsets of the (k - 1)-sets of [n]
+    rng = random.Random(37)
+    for _ in range(400):
+        n = rng.randint(0, 9)
+        k = rng.randint(1, n + 1)
+        keep = rng.choice((0.2, 0.6, 0.9, 1.0))
+        level = [f for f in iter_k_subsets(n, k - 1) if rng.random() < keep]
+        assert list(extensions(level, n)) == brute_extensions(level, n, k), (n, level)
+    # the empty set's level, an empty level, single sets, n in {0, 1}, and
+    # sets with a vertex past n, whose heads yield nothing
+    assert list(extensions([0], 0)) == [] and list(extensions([], 0)) == []
+    assert list(extensions([0], 1)) == [1] and list(extensions([], 1)) == []
+    assert list(extensions([EMPTY_FACE], 4)) == [1, 2, 4, 8]
+    assert list(extensions([], 4)) == []
+    assert list(extensions([0b1], 1)) == [] and list(extensions([0b1], 3)) == []
+    assert list(extensions([0b1, 0b10, 0b1000], 3)) == [0b11]
+    assert list(extensions([0b11, 0b101, 0b110], 2)) == []
+    assert list(extensions([0b11, 0b101, 0b110], 3)) == [0b111]

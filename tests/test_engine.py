@@ -277,6 +277,27 @@ def test_compound_rows_match_reference_path():
             compound_row(A, 0b11, [0b11, 0b1])
 
 
+def test_rows_off_the_support_match_the_reference():
+    # a complex on the labels 2, 5, 7, 9 and 11 of [12], with labels free
+    # below, between and above its support: the tables visit no entry of a
+    # row at a vertex off the support, whose G_u is 0 at every size, and
+    # the rows still match the reference, at slots of 2, 5, 17 and 17 bytes
+    K = SimplicialComplex.from_facets(12, [[2, 5, 7], [5, 9, 11], [2, 9], [7, 11]])
+    support = K.support
+    assert support == Face.of(2, 5, 7, 9, 11)
+    for q in (3, 10007, 2**61 - 1, 2**62 - 57):
+        for spec in (GenericSpec(q % 97), BlockGenericSpec(5, 7, 1)):
+            A = realize(spec, K.n, q)
+            for C in (A, A.lower_reduced()):
+                tables = _WedgeTables(K, C)
+                assert all(support >> u & 1 for row in tables.nonzero for u, _ in row)
+                dropped = sum(1 for row in C.rows for u, x in enumerate(row) if x and not support >> u & 1)
+                assert sum(map(len, tables.nonzero)) + dropped == sum(1 for row in C.rows for x in row if x)
+                assert dropped
+                _check_levels(K, C)
+            assert _shift_family(K, A) == _reference_shift(K, A, q)
+
+
 def test_gathers_at_the_edges_match_the_reference(monkeypatch):
     # each G_u is picked out of its head's chunks by the getter of (k, u):
     # a level of one face, whose getter picks one chunk and the closing zero

@@ -1,5 +1,6 @@
 """Prime-field matrices: determinants, minors, rank, and matrix specs."""
 
+import bisect
 import random
 from fractions import Fraction
 
@@ -52,6 +53,11 @@ def rational_det(rows):
             if factor:
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
     return det
+
+
+def det(A):
+    """Determinant of a square ``FieldMatrix``, by the reduction ``minor`` uses."""
+    return field._det(A.rows, A.p)
 
 
 def rational_rank(rows):
@@ -148,7 +154,7 @@ def test_det_against_rational_oracle():
     for _ in range(40):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert FieldMatrix(rows, P).det() == frac_mod(rational_det(rows), P)
+        assert det(FieldMatrix(rows, P)) == frac_mod(rational_det(rows), P)
     # permutation matrices, a zero (0, 0) entry, sparse rows: the lower
     # reduction's pivots come out of order, so the determinant needs the
     # sign of the pivot permutation
@@ -156,7 +162,7 @@ def test_det_against_rational_oracle():
     for _ in range(200):
         rows = _random_square(rng, rng.randint(1, 6), P)
         A = FieldMatrix(rows, P)
-        assert A.det() == frac_mod(rational_det(rows), P)
+        assert det(A) == frac_mod(rational_det(rows), P)
         if A.is_nonsingular():
             pivots = [next(j for j, x in enumerate(r) if x) for r in A.lower_reduced().rows]
             out_of_order += pivots != sorted(pivots)
@@ -186,14 +192,14 @@ def test_det_multiplicative(n, data):
         [data.draw(st.integers(0, P - 1)) for _ in range(n)] for _ in range(n)
     ]
     A, B = FieldMatrix(rows(), P), FieldMatrix(rows(), P)
-    assert (A @ B).det() == A.det() * B.det() % P
+    assert det(A @ B) == det(A) * det(B) % P
 
 
 def test_minor_by_faces():
     m = FieldMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]], P)
     assert m.minor(Face.of(1), Face.of(3)) == 3
     assert m.minor(Face.of(1, 2), Face.of(1, 3)) == (1 * 6 - 3 * 4) % P
-    assert m.minor(Face.of(1, 2, 3), Face.of(1, 2, 3)) == m.det()
+    assert m.minor(Face.of(1, 2, 3), Face.of(1, 2, 3)) == det(m)
     assert m.minor(0, 0) == 1  # empty minor is the empty product
     # rows 1..3 and columns 2..4 hold the 3 x 3 anti-diagonal: pivots in
     # reverse order, an odd permutation
@@ -299,6 +305,55 @@ def test_lower_reduced_rows_are_multiples_of_a_unit_reduction(p):
     assert checked >= 60
 
 
+def pivot_order_lower_reduce(rows, p):
+    """``_lower_reduce`` with its stored rows applied in pivot order, kept
+    sorted by ``bisect.insort``: the reference for applying them in the
+    order they were stored."""
+    echelon, out, scale = [], [], 1
+    for row in rows:
+        v = row
+        for q, a, r in echelon:
+            c = v[q]
+            if c:
+                v = [(a * x - c * y) % p for x, y in zip(v, r)]
+                scale = scale * a % p
+        q = next((j for j, x in enumerate(v) if x), None)
+        if q is None:
+            return None
+        v = tuple(v)
+        bisect.insort(echelon, (q, v[q], v))
+        out.append(v)
+    return out, scale
+
+
+# the explicit matrix CI shifts ∂β_5 with: its lower reduction has the
+# out-of-order pivots 3, 7, 0, 9, 5, 1, 8, 2, 6, 4
+MIX = [
+    [1 if c == r else (r + 2 * c) % 5 if c > r else 0 for c in range(10)]
+    for r in (3, 7, 0, 9, 5, 1, 8, 2, 6, 4)
+]
+
+
+@pytest.mark.parametrize("p", [7, P, DEFAULT_PRIME])
+def test_lower_reduce_in_store_order_matches_pivot_order(p):
+    # sparse rows, so that the pivots come out of order and later rows are
+    # cleared by rows stored in another order than their pivots'
+    rng = random.Random(p + 2)
+    out_of_order = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        rows = [[rng.randrange(1, p) if rng.random() < 0.35 else 0 for _ in range(n)] for _ in range(n)]
+        got = field._lower_reduce(rows, p)
+        assert got == pivot_order_lower_reduce(rows, p)
+        if got is not None:
+            pivots = [next(j for j, x in enumerate(r) if x) for r in got[0]]
+            out_of_order += pivots != sorted(pivots)
+    assert out_of_order >= 30
+    got = field._lower_reduce(MIX, p)
+    assert [next(j for j, x in enumerate(r) if x) for r in got[0]] == [3, 7, 0, 9, 5, 1, 8, 2, 6, 4]
+    assert got == pivot_order_lower_reduce(MIX, p)
+
+
 @pytest.fixture
 def inverses(monkeypatch):
     """Count the modular inverses ``shiftkit.field`` takes with ``pow``."""
@@ -316,7 +371,7 @@ def inverses(monkeypatch):
 def test_hot_paths_take_no_modular_inverse(inverses):
     A = realize(GenericSpec(0), 8, P)
     assert A.lower_reduced() is not None and inverses == []
-    assert A.det() == frac_mod(rational_det(A.rows), P)
+    assert det(A) == frac_mod(rational_det(A.rows), P)
     assert len(inverses) <= 1
     width = 9
     acc = RowEchelonAccumulator(width, P)
@@ -337,9 +392,9 @@ def test_is_nonsingular_agrees_with_det():
     for _ in range(200):
         p = rng.choice((3, 5, 7))
         A = FieldMatrix(_random_square(rng, rng.randint(1, 5), p), p)
-        det = A.det()
-        assert A.is_nonsingular() == (det != 0)
-        singular += det == 0
+        d = det(A)
+        assert A.is_nonsingular() == (d != 0)
+        singular += d == 0
     assert singular >= 40
     wide = FieldMatrix([[1, 0, 0], [0, 1, 0]], P)
     assert not wide.is_nonsingular() and wide.lower_reduced() is None
