@@ -4,8 +4,10 @@ Each suite draws its instances from a seed, checks one named property per
 instance, and returns :class:`Check` records.  Nothing in here asserts;
 callers decide how to surface failures.
 
-A suite is registered once, with :func:`_suite`, under its ``verify`` name
-in :data:`SUITES`.  That name also seeds the suite's random stream, so
+A suite is registered with :func:`_suite` as a function for one draw,
+under its ``verify`` name in :data:`SUITES`; the registry runs the draws,
+and a draw that fails validation becomes one failed check while the suite
+goes on.  The name also seeds the suite's random stream, so
 ``verify <name>`` reproduces that suite's part of ``verify all``.
 """
 
@@ -82,33 +84,45 @@ def _fmt(faces) -> str:
 
 
 SUITES: dict = {}
+_PHASES: dict = {}
 
 
-def _suite(name: str):
-    """Register a suite body under its ``verify`` name.
+def _suite(name: str, count=lambda trials: trials):
+    """Register one draw of a suite under its ``verify`` name.
 
-    The body takes ``(rng, trials, max_n, seed, p)``, draws from ``rng`` and
-    yields :class:`Check` records.  The registered function takes keywords,
-    hands the body ``_stream(seed, name)`` and returns the checks as a list.
-    A ``ValidationFailure`` ends the body: its draw, the one after the last
-    check yielded, becomes a failed check naming the suite, the draw, the
-    seed and the error, so a caller running several suites runs the rest.
+    The draw takes ``(rng, t, max_n, seed, p)``, draws from ``rng`` and
+    yields :class:`Check` records; ``t`` counts the phase's draws from 0.
+    The first registration under a name makes the suite's runner, which
+    takes keywords and is what the decorator returns; a later one adds a
+    phase after it.  The runner runs each phase ``count(trials)`` times, in
+    order, on one ``_stream(seed, name)``, and returns the checks as a list.
+    A draw that raises ``ValidationFailure`` becomes one failed check naming
+    the suite, the draw (the number of checks before it), the seed and the
+    error, and the next draw runs on the stream where the failed one left
+    it.  The output is deterministic for a given seed and prime, but a draw
+    after a failure may differ from the same draw in a run where none fails.
     """
 
-    def register(body):
+    def register(draw):
+        _PHASES.setdefault(name, []).append((draw, count))
+        if name in SUITES:
+            return draw
+
         def run(*, trials: int = 10, max_n: int = 8, seed: int = 0, p: int = DEFAULT_PRIME):
+            rng = _stream(seed, name)
             checks = []
-            try:
-                for check in body(_stream(seed, name), trials, max_n, seed, p):
-                    checks.append(check)
-            except ValidationFailure as exc:
-                detail = f"{name} draw {len(checks)} at seed {seed}: {exc}"
-                checks.append(Check("validation-failure", False, detail))
+            for phase, times in _PHASES[name]:
+                for t in range(times(trials)):
+                    try:
+                        checks.extend(phase(rng, t, max_n, seed, p))
+                    except ValidationFailure as exc:
+                        detail = f"{name} draw {len(checks)} at seed {seed}: {exc}"
+                        checks.append(Check("validation-failure", False, detail))
             return checks
 
-        # not functools.wraps: its __wrapped__ would show the body's signature
-        run.__name__ = run.__qualname__ = body.__name__
-        run.__doc__ = body.__doc__
+        # not functools.wraps: its __wrapped__ would show the draw's signature
+        run.__name__ = run.__qualname__ = draw.__name__
+        run.__doc__ = draw.__doc__
         SUITES[name] = run
         return run
 
@@ -127,8 +141,8 @@ def _suspension_pair(K: SimplicialComplex, seed: int, p: int):
     return left, right
 
 
-@_suite("counterexample")
-def suite_counterexample(rng, trials, max_n, seed, p):
+@_suite("counterexample", lambda trials: 1)
+def suite_counterexample(rng, t, max_n, seed, p):
     """Two disjoint edges: shifting the suspension and suspending the
     shift disagree, by exactly one triangle each way, and the former is
     lexicographically smaller."""
@@ -155,45 +169,43 @@ def _interval_counts(D: SimplicialComplex, size: int, height: int) -> Counter:
 
 
 @_suite("union-eq1")
-def suite_union_eq1(rng, trials, max_n, seed, p):
+def suite_union_eq1(rng, t, max_n, seed, p):
     """Interval counts over every small base: one window above the
     overlap's dimension, the union's shift splits additively into the
     operands' shifts."""
-    for t in range(trials):
-        n = rng.randint(2, max_n)
-        K = random_complex(rng, n)
-        L = random_complex(rng, n)
-        depth = max(intersection(K, L).dim, -1) + 2
-        DM = shifted(union(K, L), seed=_seed32(rng), p=p)
-        DK = shifted(K, seed=_seed32(rng), p=p)
-        DL = shifted(L, seed=_seed32(rng), p=p)
-        bad = ""
-        for size in range(4):
-            cm, ck, cl = (_interval_counts(D, size, depth) for D in (DM, DK, DL))
-            miss = [A for A in cm.keys() | ck.keys() | cl.keys() if cm[A] != ck[A] + cl[A]]
-            if miss:
-                A = min(miss, key=vertex_tuple)
-                bad = f"A={vertex_tuple(A)} {cm[A]}!={ck[A] + cl[A]}"
-                break
-        # the bases of size < 4 whose window fits in [n]: max(A) <= n - depth
-        bases = sum(math.comb(n - depth, s) for s in range(4)) if depth <= n else 0
-        yield Check(f"pair-{t:02d}", not bad, bad or f"n={n} depth={depth} bases={bases}")
+    n = rng.randint(2, max_n)
+    K = random_complex(rng, n)
+    L = random_complex(rng, n)
+    depth = max(intersection(K, L).dim, -1) + 2
+    DM = shifted(union(K, L), seed=_seed32(rng), p=p)
+    DK = shifted(K, seed=_seed32(rng), p=p)
+    DL = shifted(L, seed=_seed32(rng), p=p)
+    bad = ""
+    for size in range(4):
+        cm, ck, cl = (_interval_counts(D, size, depth) for D in (DM, DK, DL))
+        miss = [A for A in cm.keys() | ck.keys() | cl.keys() if cm[A] != ck[A] + cl[A]]
+        if miss:
+            A = min(miss, key=vertex_tuple)
+            bad = f"A={vertex_tuple(A)} {cm[A]}!={ck[A] + cl[A]}"
+            break
+    # the bases of size < 4 whose window fits in [n]: max(A) <= n - depth
+    bases = sum(math.comb(n - depth, s) for s in range(4)) if depth <= n else 0
+    yield Check(f"pair-{t:02d}", not bad, bad or f"n={n} depth={depth} bases={bases}")
 
 
 @_suite("disjoint-union")
-def suite_disjoint_union(rng, trials, max_n, seed, p):
+def suite_disjoint_union(rng, t, max_n, seed, p):
     """The gap rule applied to the parts' shifts reproduces the shift of
     the disjoint union."""
-    for t in range(trials):
-        na = rng.randint(1, max(1, max_n // 2))
-        nb = rng.randint(1, max(1, max_n - na))
-        K = random_complex(rng, na)
-        L = random_complex(rng, nb)
-        direct = shifted(disjoint_union(K, L), seed=_seed32(rng), p=p)
-        DK = shifted(K, seed=_seed32(rng), p=p)
-        DL = shifted(L, seed=_seed32(rng), p=p)
-        rule = disjoint_union_shift(DK, DL)
-        yield Check(f"pair-{t:02d}", direct == rule, f"n={na}+{nb} f={direct.f_vector}")
+    na = rng.randint(1, max(1, max_n // 2))
+    nb = rng.randint(1, max(1, max_n - na))
+    K = random_complex(rng, na)
+    L = random_complex(rng, nb)
+    direct = shifted(disjoint_union(K, L), seed=_seed32(rng), p=p)
+    DK = shifted(K, seed=_seed32(rng), p=p)
+    DL = shifted(L, seed=_seed32(rng), p=p)
+    rule = disjoint_union_shift(DK, DL)
+    yield Check(f"pair-{t:02d}", direct == rule, f"n={na}+{nb} f={direct.f_vector}")
 
 
 def sqcup_agree(
@@ -210,41 +222,39 @@ def sqcup_agree(
 
 
 @_suite("sqcup")
-def suite_sqcup(rng, trials, max_n, seed, p):
+def suite_sqcup(rng, t, max_n, seed, p):
     """Three routes to the shift of a disjoint union of shifted complexes."""
-    for t in range(trials):
-        na = rng.randint(1, max(1, max_n // 2))
-        nb = rng.randint(1, max(1, max_n - na))
-        DA = random_shifted(rng, na, p=p)
-        DB = random_shifted(rng, nb, p=p)
-        ok = sqcup_agree(DA, DB, seed=_seed32(rng), p=p)
-        yield Check(f"pair-{t:02d}", ok, f"n={na}+{nb}")
+    na = rng.randint(1, max(1, max_n // 2))
+    nb = rng.randint(1, max(1, max_n - na))
+    DA = random_shifted(rng, na, p=p)
+    DB = random_shifted(rng, nb, p=p)
+    ok = sqcup_agree(DA, DB, seed=_seed32(rng), p=p)
+    yield Check(f"pair-{t:02d}", ok, f"n={na}+{nb}")
 
 
 @_suite("clique-sum")
-def suite_clique_sum(rng, trials, max_n, seed, p):
+def suite_clique_sum(rng, t, max_n, seed, p):
     """Gluing along a shared full simplex: the gap rule with the shared
     simplex's counts subtracted matches the direct shift."""
-    for t in range(trials):
-        na = rng.randint(1, max(2, max_n - 2))
-        A = random_complex(rng, na)
-        d = rng.randint(-1, min(A.dim, 2))
-        sigma = rng.choice(A.faces_of_size(d + 1))
-        fresh = rng.randint(0 if d >= 0 else 1, max(1, max_n - na))
-        nb = d + 1 + fresh
-        B = SimplicialComplex.from_facets(
-            nb,
-            list(random_complex(rng, nb).facets()) + [Face((1 << (d + 1)) - 1)],
-        )
-        glued = glue(A, B, sigma)
-        direct = shifted(glued, seed=_seed32(rng), p=p)
-        rule = clique_sum_shift(
-            shifted(A, seed=_seed32(rng), p=p),
-            shifted(B, seed=_seed32(rng), p=p),
-            d,
-        )
-        detail = f"d={d} sigma={vertex_tuple(sigma)} n={glued.n}"
-        yield Check(f"glue-{t:02d}", direct == rule, detail)
+    na = rng.randint(1, max(2, max_n - 2))
+    A = random_complex(rng, na)
+    d = rng.randint(-1, min(A.dim, 2))
+    sigma = rng.choice(A.faces_of_size(d + 1))
+    fresh = rng.randint(0 if d >= 0 else 1, max(1, max_n - na))
+    nb = d + 1 + fresh
+    B = SimplicialComplex.from_facets(
+        nb,
+        list(random_complex(rng, nb).facets()) + [Face((1 << (d + 1)) - 1)],
+    )
+    glued = glue(A, B, sigma)
+    direct = shifted(glued, seed=_seed32(rng), p=p)
+    rule = clique_sum_shift(
+        shifted(A, seed=_seed32(rng), p=p),
+        shifted(B, seed=_seed32(rng), p=p),
+        d,
+    )
+    detail = f"d={d} sigma={vertex_tuple(sigma)} n={glued.n}"
+    yield Check(f"glue-{t:02d}", direct == rule, detail)
 
 
 # ----------------------------------------------------------------------
@@ -252,19 +262,18 @@ def suite_clique_sum(rng, trials, max_n, seed, p):
 
 
 @_suite("cone")
-def suite_cone(rng, trials, max_n, seed, p):
+def suite_cone(rng, t, max_n, seed, p):
     """Shifting commutes with coning; cones decompose along the apex and
     carry no reduced homology."""
-    for t in range(trials):
-        n = rng.randint(1, max(1, max_n - 1))
-        K = random_complex(rng, n)
-        C = cone(K)
-        DC = shifted(C, seed=_seed32(rng), p=p)
-        DK = shifted(K, seed=_seed32(rng), p=p)
-        ok = DC == cone(DK)
-        ok = ok and near_cone_decomposition_check(C, 1, seed=_seed32(rng), p=p)
-        ok = ok and not any(betti_from_shifted(DC))
-        yield Check(f"cone-{t:02d}", ok, f"n={n + 1} f={DC.f_vector}")
+    n = rng.randint(1, max(1, max_n - 1))
+    K = random_complex(rng, n)
+    C = cone(K)
+    DC = shifted(C, seed=_seed32(rng), p=p)
+    DK = shifted(K, seed=_seed32(rng), p=p)
+    ok = DC == cone(DK)
+    ok = ok and near_cone_decomposition_check(C, 1, seed=_seed32(rng), p=p)
+    ok = ok and not any(betti_from_shifted(DC))
+    yield Check(f"cone-{t:02d}", ok, f"n={n + 1} f={DC.f_vector}")
 
 
 def _apex_level_matches(D: SimplicialComplex, j: int, dlk: SimplicialComplex) -> bool:
@@ -327,25 +336,27 @@ def _explicit_apex_check(rng: random.Random, K: SimplicialComplex, p: int) -> bo
 
 
 @_suite("near-cone")
-def suite_near_cone(rng, trials, max_n, seed, p):
+def suite_near_cone(rng, t, max_n, seed, p):
     """Near cones: apex decomposition of the shift, the iterated version
     along a greedy certificate, and the explicit-matrix variant."""
-    for t in range(trials):
-        n = rng.randint(2, max_n)
-        K = random_near_cone(rng, n)
-        cert = near_cone_analyze(K)
-        ok = is_near_cone(K, 1) and cert.depth >= 1
-        ok = ok and near_cone_decomposition_check(K, 1, seed=_seed32(rng), p=p)
-        ok = ok and near_cone_iterated_check(K, cert, seed=_seed32(rng), p=p)
-        ok = ok and _explicit_apex_check(rng, K, p)
-        yield Check(f"nc-{t:02d}", ok, f"n={n} depth={cert.depth}")
-    # shifted complexes admit a full apex chain, one apex per vertex
-    for t in range(max(1, trials // 5)):
-        D = random_shifted(rng, rng.randint(2, max_n), p=p)
-        cert = near_cone_analyze(D)
-        ok = cert.depth == D.num_vertices
-        ok = ok and near_cone_iterated_check(D, cert, seed=_seed32(rng), p=p)
-        yield Check(f"full-chain-{t:02d}", ok, f"depth={cert.depth}")
+    n = rng.randint(2, max_n)
+    K = random_near_cone(rng, n)
+    cert = near_cone_analyze(K)
+    ok = is_near_cone(K, 1) and cert.depth >= 1
+    ok = ok and near_cone_decomposition_check(K, 1, seed=_seed32(rng), p=p)
+    ok = ok and near_cone_iterated_check(K, cert, seed=_seed32(rng), p=p)
+    ok = ok and _explicit_apex_check(rng, K, p)
+    yield Check(f"nc-{t:02d}", ok, f"n={n} depth={cert.depth}")
+
+
+@_suite("near-cone", lambda trials: max(1, trials // 5))
+def _near_cone_full_chain(rng, t, max_n, seed, p):
+    """Shifted complexes admit a full apex chain, one apex per vertex."""
+    D = random_shifted(rng, rng.randint(2, max_n), p=p)
+    cert = near_cone_analyze(D)
+    ok = cert.depth == D.num_vertices
+    ok = ok and near_cone_iterated_check(D, cert, seed=_seed32(rng), p=p)
+    yield Check(f"full-chain-{t:02d}", ok, f"depth={cert.depth}")
 
 
 # ----------------------------------------------------------------------
@@ -353,35 +364,33 @@ def suite_near_cone(rng, trials, max_n, seed, p):
 
 
 @_suite("idempotence")
-def suite_idempotence(rng, trials, max_n, seed, p):
+def suite_idempotence(rng, t, max_n, seed, p):
     """Shifting is idempotent, seed-independent, and blind to relabeling."""
-    for t in range(trials):
-        n = rng.randint(1, max_n)
-        K = random_complex(rng, n)
-        s1, s2 = _seed32(rng), _seed32(rng)
-        D = shifted(K, seed=s1, p=p)
-        ok = D.is_shifted()
-        ok = ok and shifted(D, seed=s2, p=p) == D
-        ok = ok and shifted(K, seed=s2, p=p) == D
-        for _ in range(5):
-            pi = random_permutation(rng, n)
-            if shifted(K.permuted(pi), seed=_seed32(rng), p=p) != D:
-                ok = False
-                break
-        yield Check(f"inst-{t:02d}", ok, f"n={n} f={D.f_vector}")
+    n = rng.randint(1, max_n)
+    K = random_complex(rng, n)
+    s1, s2 = _seed32(rng), _seed32(rng)
+    D = shifted(K, seed=s1, p=p)
+    ok = D.is_shifted()
+    ok = ok and shifted(D, seed=s2, p=p) == D
+    ok = ok and shifted(K, seed=s2, p=p) == D
+    for _ in range(5):
+        pi = random_permutation(rng, n)
+        if shifted(K.permuted(pi), seed=_seed32(rng), p=p) != D:
+            ok = False
+            break
+    yield Check(f"inst-{t:02d}", ok, f"n={n} f={D.f_vector}")
 
 
 @_suite("betti")
-def suite_betti(rng, trials, max_n, seed, p):
+def suite_betti(rng, t, max_n, seed, p):
     """The shift preserves the face-count vector and every reduced rank,
     and the combinatorial count on the output matches the rank route."""
-    for t in range(trials):
-        n = rng.randint(1, max_n)
-        K = random_complex(rng, n)
-        D = shifted(K, seed=_seed32(rng), p=p)
-        ok = D.f_vector == K.f_vector
-        ok = ok and betti_direct(K, p) == betti_from_shifted(D) == betti_direct(D, p)
-        yield Check(f"inst-{t:02d}", ok, f"n={n} betti={betti_from_shifted(D)}")
+    n = rng.randint(1, max_n)
+    K = random_complex(rng, n)
+    D = shifted(K, seed=_seed32(rng), p=p)
+    ok = D.f_vector == K.f_vector
+    ok = ok and betti_direct(K, p) == betti_from_shifted(D) == betti_direct(D, p)
+    yield Check(f"inst-{t:02d}", ok, f"n={n} betti={betti_from_shifted(D)}")
 
 
 # ----------------------------------------------------------------------
@@ -389,46 +398,51 @@ def suite_betti(rng, trials, max_n, seed, p):
 
 
 @_suite("kernel-dims")
-def suite_kernel_dims(rng, trials, max_n, seed, p):
+def suite_kernel_dims(rng, t, max_n, seed, p):
     """Membership and interval counts read off joint kernels of stacked
     contraction maps, never the greedy scan; plus the closed form for the
     stacked image on a full simplex."""
-    for t in range(trials):
-        n = rng.randint(2, max_n)
-        K = random_complex(rng, n, max_size=4)
-        res = exterior_shift(K, GenericSpec(_seed32(rng)), p=p)
-        D, A = res.shifted, res.matrix
-        # the interval of height i above S must fit inside [n]
-        sizes = [k for k in range(1, min(len(K.f_vector), n)) if K.f_vector[k]]
-        size = rng.choice(sizes)
-        S = Face.from_vertices(rng.sample(range(1, n + 1), size))
-        # membership: the kernel shrinks at S's own contraction
-        strict, at = kernel_dims_at(K, A, S)
-        ok = (strict > at) == (S in D)
-        # triple equality: full label range, labels of K only, and the
-        # lex tail of the shifted family all give one number
-        ok = ok and strict == kernel_intersection_dim(K, A, S, first_k_only=True)
-        ok = ok and strict == lex_tail_count(D, S)
-        i = rng.randint(1, max(1, min(2, n - size)))
-        lo, hi = kernel_dims_at(K, A, S, extra=i)
-        count = _interval_counts(D, size, i)[S]
-        ok = ok and lo - hi == count
-        yield Check(f"inst-{t:02d}", ok, f"n={n} S={vertex_tuple(S)} i={i}")
-    for h in range(1, 6):
-        n = h + 2
-        A = realize(GenericSpec(seed + h), n, p)
-        cells = 0
-        bad = ""
-        for size in range(1, n + 1):
-            direct = image_dim_complete_direct(h, n, size, A)
-            for S, dim in zip(iter_k_subsets(n, size), direct):
-                cells += 1
-                if image_dim_complete(h, n, S) != dim:
-                    bad = f"S={vertex_tuple(S)}"
-                    break
-            if bad:
+    n = rng.randint(2, max_n)
+    K = random_complex(rng, n, max_size=4)
+    res = exterior_shift(K, GenericSpec(_seed32(rng)), p=p)
+    D, A = res.shifted, res.matrix
+    # the interval of height i above S must fit inside [n]
+    sizes = [k for k in range(1, min(len(K.f_vector), n)) if K.f_vector[k]]
+    size = rng.choice(sizes)
+    S = Face.from_vertices(rng.sample(range(1, n + 1), size))
+    # membership: the kernel shrinks at S's own contraction
+    strict, at = kernel_dims_at(K, A, S)
+    ok = (strict > at) == (S in D)
+    # triple equality: full label range, labels of K only, and the
+    # lex tail of the shifted family all give one number
+    ok = ok and strict == kernel_intersection_dim(K, A, S, first_k_only=True)
+    ok = ok and strict == lex_tail_count(D, S)
+    i = rng.randint(1, max(1, min(2, n - size)))
+    lo, hi = kernel_dims_at(K, A, S, extra=i)
+    count = _interval_counts(D, size, i)[S]
+    ok = ok and lo - hi == count
+    yield Check(f"inst-{t:02d}", ok, f"n={n} S={vertex_tuple(S)} i={i}")
+
+
+@_suite("kernel-dims", lambda trials: 5)
+def _kernel_dims_complete_image(rng, t, max_n, seed, p):
+    """The stacked image on the full simplex at height h = t + 1, on
+    h + 2 labels, against its closed form; draws nothing from ``rng``."""
+    h = t + 1
+    n = h + 2
+    A = realize(GenericSpec(seed + h), n, p)
+    cells = 0
+    bad = ""
+    for size in range(1, n + 1):
+        direct = image_dim_complete_direct(h, n, size, A)
+        for S, dim in zip(iter_k_subsets(n, size), direct):
+            cells += 1
+            if image_dim_complete(h, n, S) != dim:
+                bad = f"S={vertex_tuple(S)}"
                 break
-        yield Check(f"complete-image-h{h}", not bad, bad or f"{cells} cells")
+        if bad:
+            break
+    yield Check(f"complete-image-h{h}", not bad, bad or f"{cells} cells")
 
 
 # ----------------------------------------------------------------------
@@ -468,24 +482,23 @@ def _wedge_multiplicative(
 
 
 @_suite("sarkaria")
-def suite_sarkaria(rng, trials, max_n, seed, p):
+def suite_sarkaria(rng, t, max_n, seed, p):
     """The two change-of-basis maps on a near cone interlace the three
     contraction operators degree by degree, and the first one respects
     wedges."""
-    for t in range(trials):
-        n = rng.randint(2, max_n)
-        K = random_near_cone(rng, n)
-        alphas = {v: 1 + rng.randrange(p - 1) for v in K.support}
-        U, Dm = sarkaria_maps(K, alphas, p)
-        ok = True
-        for level in range(1, len(K.f_vector)):
-            B = boundary_matrix(K, {1: 1}, level, p)
-            E = boundary_matrix(K, None, level, p)
-            F = boundary_matrix(K, alphas, level, p)
-            ok = ok and U[level - 1] @ B == E @ U[level]
-            ok = ok and Dm[level - 1] @ E == F @ Dm[level]
-        ok = ok and _wedge_multiplicative(rng, K, U, p)
-        yield Check(f"nc-{t:02d}", ok, f"n={n} dim={K.dim}")
+    n = rng.randint(2, max_n)
+    K = random_near_cone(rng, n)
+    alphas = {v: 1 + rng.randrange(p - 1) for v in K.support}
+    U, Dm = sarkaria_maps(K, alphas, p)
+    ok = True
+    for level in range(1, len(K.f_vector)):
+        B = boundary_matrix(K, {1: 1}, level, p)
+        E = boundary_matrix(K, None, level, p)
+        F = boundary_matrix(K, alphas, level, p)
+        ok = ok and U[level - 1] @ B == E @ U[level]
+        ok = ok and Dm[level - 1] @ E == F @ Dm[level]
+    ok = ok and _wedge_multiplicative(rng, K, U, p)
+    yield Check(f"nc-{t:02d}", ok, f"n={n} dim={K.dim}")
 
 
 # ----------------------------------------------------------------------
@@ -521,17 +534,16 @@ def join_top_count_check(
 
 
 @_suite("join-top")
-def suite_join_top(rng, trials, max_n, seed, p):
+def suite_join_top(rng, t, max_n, seed, p):
     """Top faces of a join's shift avoiding an initial label segment
     factor as a product over the operands."""
-    for t in range(trials):
-        na = rng.randint(1, max(1, max_n // 2))
-        nb = rng.randint(1, max(1, max_n - na))
-        K = random_complex(rng, na, max_size=2)
-        L = random_complex(rng, nb, max_size=2)
-        i = rng.randint(0, 3)
-        lhs, rhs = join_top_count_check(K, L, i, seed=_seed32(rng), p=p)
-        yield Check(f"pair-{t:02d}", lhs == rhs, f"i={i} {lhs}=={rhs}")
+    na = rng.randint(1, max(1, max_n // 2))
+    nb = rng.randint(1, max(1, max_n - na))
+    K = random_complex(rng, na, max_size=2)
+    L = random_complex(rng, nb, max_size=2)
+    i = rng.randint(0, 3)
+    lhs, rhs = join_top_count_check(K, L, i, seed=_seed32(rng), p=p)
+    yield Check(f"pair-{t:02d}", lhs == rhs, f"i={i} {lhs}=={rhs}")
 
 
 # ----------------------------------------------------------------------

@@ -419,9 +419,9 @@ def test_verify_all_checks_are_golden(capsys):
 
 def test_verify_reports_a_validation_failure_as_a_failed_check(capsys):
     # at p = 7 some generic shifts stay unshifted after every reseed; each
-    # such draw ends its suite with a failed check naming the suite, the
-    # draw and the seed, every later suite still runs, and --json still
-    # prints the whole report
+    # such draw becomes one failed check naming the suite, the draw and the
+    # seed, its suite goes on with the next draw, every later suite still
+    # runs, and --json still prints the whole report
     code, out, err = run(capsys, "verify", "all", "--trials", "10", "--seed", "2", "--json", "--prime", "7")
     assert code == 2 and err == ""
     report = json.loads(out)
@@ -440,6 +440,42 @@ def test_verify_reports_a_validation_failure_as_a_failed_check(capsys):
     for s in report["suites"]:
         assert s["passed"] == sum(c["ok"] for c in s["checks"]) and s["total"] == len(s["checks"])
         assert s["ok"] == (s["suite"] not in failed and s["passed"] == s["total"])
+
+
+SMALL_PRIME_RUN = ("--trials", "10", "--seed", "2", "--json", "--prime", "7")
+
+
+def test_verify_at_a_small_prime_reports_one_check_per_draw(capsys):
+    # every suite goes on past its failed draws: one check per draw of each
+    # phase, and each first failure reads as when a failure ended its suite
+    code, out, _ = run(capsys, "verify", "all", *SMALL_PRIME_RUN)
+    assert code == 2
+    suites = json.loads(out)["suites"]
+    totals = {s["suite"]: s["total"] for s in suites}
+    fixed = {"near-cone": 12, "kernel-dims": 15, "counterexample": 4}
+    assert totals == {**dict.fromkeys(SUITES, 10), **fixed}
+    failed = {
+        s["suite"]: [c["detail"] for c in s["checks"] if c["label"] == "validation-failure"]
+        for s in suites
+    }
+    stuck = "output not shifted after 3 reseeds of GenericSpec(seed={})"
+    assert {name: details for name, details in failed.items() if details} == {
+        "cone": ["cone draw 1 at seed 2: " + stuck.format(3566198980)],
+        "idempotence": ["idempotence draw 8 at seed 2: " + stuck.format(615898105)],
+        "union-eq1": [
+            "union-eq1 draw 2 at seed 2: " + stuck.format(1141204426),
+            "union-eq1 draw 8 at seed 2: " + stuck.format(2094042489),
+        ],
+    }
+
+
+def test_verify_one_suite_reproduces_its_part_of_verify_all_past_a_failed_draw(capsys):
+    _, out, _ = run(capsys, "verify", "all", *SMALL_PRIME_RUN)
+    parts = {s["suite"]: s for s in json.loads(out)["suites"]}
+    for name in ("cone", "idempotence", "union-eq1"):
+        code, out, _ = run(capsys, "verify", name, *SMALL_PRIME_RUN)
+        assert code == 2
+        assert json.loads(out)["suites"] == [parts[name]], name
 
 
 def test_verify_guards(tmp_path, capsys):

@@ -1,10 +1,12 @@
-"""Suite failure details name the face where a check broke, and the suites'
-window counts agree with enumerating every window."""
+"""Suite failure details name the face where a check broke, a draw that
+fails validation is one failed check in any phase, and the suites' window
+counts agree with enumerating every window."""
 
+import itertools
 import random
 import re
 
-from shiftkit import SimplicialComplex, shifted, suites
+from shiftkit import SimplicialComplex, ValidationFailure, shifted, suites
 from shiftkit.complexes import interval, iter_k_subsets
 from shiftkit.operators import intersection, union
 from shiftkit.sampling import random_complex, random_shifted
@@ -108,3 +110,53 @@ def test_kernel_dims_names_the_failing_cell(monkeypatch):
     assert [(c.label, c.ok, c.detail) for c in checks] == [
         (f"complete-image-h{h}", False, "S=(1,)") for h in range(1, 6)
     ]
+
+
+def _raising_on(real, calls):
+    """``real``, except that the calls numbered in ``calls``, from 0, raise
+    ``ValidationFailure``."""
+    count = itertools.count()
+
+    def stub(*args, **kwargs):
+        if next(count) in calls:
+            raise ValidationFailure("stub")
+        return real(*args, **kwargs)
+
+    return stub
+
+
+def test_a_failed_draw_is_one_check_in_either_phase(monkeypatch):
+    # each draw of both near-cone phases checks its apex chain once: call 3
+    # is the fourth nc draw, call 10 the first full-chain draw
+    real = suites.near_cone_iterated_check
+    monkeypatch.setattr(suites, "near_cone_iterated_check", _raising_on(real, {3, 10}))
+    trials = 10
+    checks = suites.suite_near_cone(trials=trials, seed=0)
+    assert len(checks) == trials + max(1, trials // 5)
+    assert [c.label for c in checks] == (
+        ["nc-00", "nc-01", "nc-02", "validation-failure"]
+        + [f"nc-{t:02d}" for t in range(4, 10)]
+        + ["validation-failure", "full-chain-01"]
+    )
+    assert [c.detail for c in checks if c.label == "validation-failure"] == [
+        "near-cone draw 3 at seed 0: stub",
+        "near-cone draw 10 at seed 0: stub",
+    ]
+    assert all(c.ok == (c.label != "validation-failure") for c in checks)
+
+
+def test_a_failed_first_phase_draw_leaves_the_next_phase_whole(monkeypatch):
+    # each kernel-dims draw reads the kernel dimensions twice; call 2 is the
+    # first read of draw 1 and call 6 the second read of draw 3
+    real = suites.kernel_dims_at
+    monkeypatch.setattr(suites, "kernel_dims_at", _raising_on(real, {2, 6}))
+    checks = suites.suite_kernel_dims(trials=4, seed=0)
+    assert [c.label for c in checks] == (
+        ["inst-00", "validation-failure", "inst-02", "validation-failure"]
+        + [f"complete-image-h{h}" for h in range(1, 6)]
+    )
+    assert [c.detail for c in checks if c.label == "validation-failure"] == [
+        "kernel-dims draw 1 at seed 0: stub",
+        "kernel-dims draw 3 at seed 0: stub",
+    ]
+    assert all(c.ok == (c.label != "validation-failure") for c in checks)
