@@ -12,11 +12,16 @@ A complex file holds one facet per line as whitespace-separated integers in
 facet, and an optional ``n=<count>`` line, count in 0..64, fixes the ambient
 vertex count (default: the largest label used).  ``shift`` and ``op`` print the
 same format back, so commands pipe into each other.
+
+Every command writes its output once, when it has finished: the text, or
+with ``--json`` the report, to ``--out`` if given and otherwise to stdout.  A
+command that fails writes nothing to stdout, only an ``error:`` line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -75,14 +80,20 @@ _OPS = {
 # complex file format
 
 
+def _data_lines(lines):
+    """The (line number, stripped line) pairs of ``lines``, numbered from 1,
+    without blank lines and ``#`` comment lines."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def parse_complex_text(text: str, name: str = "<input>") -> SimplicialComplex:
     facets = []
     ambient = None
     faces = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(text.splitlines()):
         if line.startswith("n="):
             if ambient is not None:
                 raise ValueError(
@@ -150,6 +161,8 @@ def _parse_face(text: str) -> Face:
         labels = [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
         raise ValueError(f"--face must list vertex labels, got {text!r}") from None
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"--face repeats a label, got {text!r}")
     return Face.from_vertices(labels)
 
 
@@ -166,32 +179,13 @@ def _parse_matrix(text: str, seed: int):
         path = text[len("explicit:"):]
         rows = []
         with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
+            for lineno, line in _data_lines(fh):
                 try:
                     rows.append([int(tok) for tok in line.split()])
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: not a matrix row: {line!r}")
         return ExplicitSpec.from_rows(rows)
     raise ValueError(f"unknown matrix spec {text!r}")
-
-
-def _emit(args: argparse.Namespace, text: str) -> None:
-    out = getattr(args, "out", None)  # verify and explore have no --out
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_report(args: argparse.Namespace, **fields) -> None:
-    """Emit the JSON report of one command: schema and command name first,
-    then ``fields`` in the order given."""
-    report = {"schema": 1, "command": args.cmd, **fields}
-    _emit(args, json.dumps(report, indent=2) + "\n")
 
 
 def _check_draws(args: argparse.Namespace, least: int, most: int) -> None:
@@ -218,26 +212,25 @@ def _check_draws(args: argparse.Namespace, least: int, most: int) -> None:
 # subcommands
 
 
-def _cmd_shift(args: argparse.Namespace) -> int:
+def _cmd_shift(args: argparse.Namespace) -> tuple:
     p = check_prime(args.prime)
     K = read_complex(args.input)
     spec = _parse_matrix(args.matrix, args.seed)
     res = exterior_shift(K, spec, p=p, max_retries=args.retries)
     D = res.shifted
     betti = betti_from_shifted(D) if res.validated.is_shifted else None
-    if args.json:
-        _emit_report(
-            args,
-            seed=res.seed_used,
-            prime=p,
-            n=D.n,
-            facets=_face_lists(D),
-            f_vector=list(D.f_vector),
-            betti=None if betti is None else list(betti),
-            validated=asdict(res.validated),
-            retries=res.retries,
-        )
-    else:
+    fields = dict(
+        seed=res.seed_used,
+        prime=p,
+        n=D.n,
+        facets=_face_lists(D),
+        f_vector=list(D.f_vector),
+        betti=None if betti is None else list(betti),
+        validated=asdict(res.validated),
+        retries=res.retries,
+    )
+
+    def text() -> str:
         comments = [
             f"shift of {args.input} (matrix={args.matrix}, seed={res.seed_used})",
             f"f_vector={D.f_vector}",
@@ -245,11 +238,12 @@ def _cmd_shift(args: argparse.Namespace) -> int:
         ]
         if betti is not None:
             comments.append(f"betti={betti}")
-        _emit(args, format_complex(D, comments))
-    return 0
+        return format_complex(D, comments)
+
+    return 0, fields, text
 
 
-def _cmd_op(args: argparse.Namespace) -> int:
+def _cmd_op(args: argparse.Namespace) -> tuple:
     kind = args.kind
     func, arity, flag = _OPS[kind]
     if len(args.inputs) != arity:
@@ -277,80 +271,75 @@ def _cmd_op(args: argparse.Namespace) -> int:
         K = complexes[0]
         betti = func(K, p)
         fields = dict(prime=p, n=K.n, f_vector=list(K.f_vector), betti=list(betti))
-        text = f"f_vector: {K.f_vector}\nbetti: {betti}\n"
+        text = lambda: f"f_vector: {K.f_vector}\nbetti: {betti}\n"
     elif kind == "compare":
         rel = func(*complexes)
         fields = dict(relation=rel)
-        text = f"relation: {rel}\n"
+        text = lambda: f"relation: {rel}\n"
     else:
         R = func(*complexes, *extra)
         fields = dict(n=R.n, facets=_face_lists(R), f_vector=list(R.f_vector))
-        text = format_complex(R, [f"{kind} result", f"f_vector={R.f_vector}"])
-    if args.json:
-        _emit_report(args, kind=kind, **fields)
-    else:
-        _emit(args, text)
-    return 0
+        text = lambda: format_complex(R, [f"{kind} result", f"f_vector={R.f_vector}"])
+    return 0, dict(kind=kind, **fields), text
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple:
     p = check_prime(args.prime)
     _check_draws(args, 2, MAX_VERTICES)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r} (try one of {', '.join(sorted(SUITES))})")
-    all_ok = True
     reports = []
     for name in names:
         checks = SUITES[name](trials=args.trials, max_n=args.max_n, seed=args.seed, p=p)
         passed = sum(1 for c in checks if c.ok)
-        ok = passed == len(checks)
-        all_ok = all_ok and ok
-        if args.json:
-            reports.append(
-                {
-                    "suite": name,
-                    "ok": ok,
-                    "passed": passed,
-                    "total": len(checks),
-                    "checks": [asdict(c) for c in checks],
-                }
-            )
-        else:
-            for c in checks:
-                if not c.ok or args.verbose:
-                    mark = "ok  " if c.ok else "FAIL"
-                    print(f"{mark} {name}/{c.label}  {c.detail}")
-            print(f"suite {name}: {passed}/{len(checks)} ok")
-    if args.json:
-        _emit_report(
-            args, seed=args.seed, prime=p, trials=args.trials, max_n=args.max_n,
-            ok=all_ok, suites=reports,
+        reports.append(
+            {
+                "suite": name,
+                "ok": passed == len(checks),
+                "passed": passed,
+                "total": len(checks),
+                "checks": [asdict(c) for c in checks],
+            }
         )
-    return 0 if all_ok else 2
+    all_ok = all(r["ok"] for r in reports)
+
+    def text() -> str:
+        lines = []
+        for r in reports:
+            for c in r["checks"]:
+                if not c["ok"] or args.verbose:
+                    mark = "ok  " if c["ok"] else "FAIL"
+                    lines.append(f"{mark} {r['suite']}/{c['label']}  {c['detail']}")
+            lines.append(f"suite {r['suite']}: {r['passed']}/{r['total']} ok")
+        return "".join(f"{line}\n" for line in lines)
+
+    fields = dict(
+        seed=args.seed, prime=p, trials=args.trials, max_n=args.max_n, ok=all_ok, suites=reports
+    )
+    return 0 if all_ok else 2, fields, text
 
 
-def _cmd_explore(args: argparse.Namespace) -> int:
+def _cmd_explore(args: argparse.Namespace) -> tuple:
     p = check_prime(args.prime)
     # each draw is suspended, which adds 2 labels
     _check_draws(args, 1, MAX_VERTICES - 2)
     scan = conjecture_scan(trials=args.trials, max_n=args.max_n, seed=args.seed, p=p)
-    if args.json:
-        _emit_report(args, seed=args.seed, prime=p, **scan)
-    else:
-        print(f"trials: {scan['trials']} (n <= {scan['max_n']})")
-        for rel, count in scan["tallies"].items():
-            print(f"  {rel}: {count}")
-        print(f"violations: {scan['violations']}")
-        for w in scan["witnesses"]:
-            print(f"  witness facets: {w}")
+
+    def text() -> str:
+        lines = [f"trials: {scan['trials']} (n <= {scan['max_n']})"]
+        lines += [f"  {rel}: {count}" for rel, count in scan["tallies"].items()]
+        lines.append(f"violations: {scan['violations']}")
+        lines += [f"  witness facets: {w}" for w in scan["witnesses"]]
         failures = scan.get("failures", [])
         if failures:
-            print(f"failures: {len(failures)}")
-            for f in failures:
-                print(f"  {f}")
-    return 2 if scan["violations"] or "failures" in scan else 0
+            lines.append(f"failures: {len(failures)}")
+            lines += [f"  {f}" for f in failures]
+        return "".join(f"{line}\n" for line in lines)
+
+    code = 2 if scan["violations"] or "failures" in scan else 0
+    return code, dict(seed=args.seed, prime=p, **scan), text
 
 
 # ----------------------------------------------------------------------
@@ -420,18 +409,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list | None = None) -> int:
+    """Run one command and return its exit code.  Each ``_cmd_*`` returns its
+    exit code, its report fields and a function that builds its text; only
+    the output asked for is built, and it is written here, once."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
-    except ValidationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, fields, text = args.func(args)
+        if args.json:
+            output = json.dumps({"schema": 1, "command": args.cmd, **fields}, indent=2) + "\n"
+        else:
+            output = text()
+        out = getattr(args, "out", None)  # verify and explore have no --out
+        with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+            fh.write(output)
+    except (ValidationFailure, ValueError, OSError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2 if isinstance(exc, ValidationFailure) else 1
+    return code
 
 
 if __name__ == "__main__":

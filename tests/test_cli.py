@@ -157,6 +157,15 @@ def test_bad_face_token_names_the_flag(tmp_path, capsys):
     assert (code, err) == (1, "error: vertex 0 outside 1..64\n")
 
 
+def test_face_with_a_repeated_label_is_refused(tmp_path, capsys):
+    # as a facet line with a repeated label is refused, not read as a smaller face
+    src = write(tmp_path, "b.cx", TWO_EDGES)
+    for cmd in ("link", "antistar"):
+        code, out, err = run(capsys, "op", cmd, src, "--face", "1 1")
+        assert (code, out) == (1, ""), cmd
+        assert err == "error: --face repeats a label, got '1 1'\n", cmd
+
+
 def test_huge_facet_line_is_refused_before_expansion(tmp_path, capsys):
     # 18 labels would expand to 262,144 faces (seconds, 100+ MB)
     src = write(tmp_path, "big.cx", "1 2\n" + " ".join(map(str, range(1, 19))) + "\n")
@@ -587,6 +596,53 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert parse_complex_text(dest.read_text()) == SimplicialComplex.from_facets(
         4, [[1, 2], [1, 3], [4]]
     )
+
+
+def _boom(*args, **kwargs):
+    raise ValueError("boom")
+
+
+# one run of each command, its exit code, and a stage that runs after the
+# command has started: for verify the last suite, so the earlier suites'
+# lines (failures included, at p = 7) are ready to be written before it raises
+COMMANDS = [
+    (
+        ("shift", "k.cx"),
+        0,
+        lambda mp: mp.setattr(cli, "betti_from_shifted", _boom),
+    ),
+    (
+        ("op", "compare", "k.cx", "e.cx"),
+        0,
+        lambda mp: mp.setitem(cli._OPS, "compare", (_boom, 2, None)),
+    ),
+    (
+        ("verify", "all", "--trials", "10", "--seed", "2", "--prime", "7"),
+        2,
+        lambda mp: mp.setitem(cli.SUITES, sorted(SUITES)[-1], _boom),
+    ),
+    (
+        ("explore", "--trials", "10", "--seed", "0", "--prime", "7"),
+        2,
+        lambda mp: mp.setattr(cli, "conjecture_scan", _boom),
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, want, fail_midway", COMMANDS, ids=[c[0][0] for c in COMMANDS])
+def test_one_exit_code_in_both_modes_and_no_stdout_after_an_error(
+    tmp_path, capsys, monkeypatch, argv, want, fail_midway
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.cx").write_text("1 2 3\n3 4\n4 5\n2 5\n")
+    (tmp_path / "e.cx").write_text(TWO_EDGES)
+    for mode in ((), ("--json",)):
+        code, out, err = run(capsys, *argv, *mode)
+        assert (code, err) == (want, ""), mode
+        assert out
+    fail_midway(monkeypatch)
+    for mode in ((), ("--json",)):
+        assert run(capsys, *argv, *mode) == (1, "", "error: boom\n"), mode
 
 
 P61 = 2305843009213693951
