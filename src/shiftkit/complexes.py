@@ -213,6 +213,7 @@ class SimplicialComplex:
     __slots__ = ("n", "_faces", "_by_size")
 
     def __init__(self, n: int, faces: Iterable[int] = ()):
+        n = operator.index(n)
         if not 0 <= n <= MAX_VERTICES:
             raise ValueError(f"ambient size must lie in 0..{MAX_VERTICES}")
         face_set = set(map(operator.index, faces))

@@ -86,12 +86,13 @@ scan visits the sets h + v of one head in a run, so it pops h's row once,
 as residues, and keeps one dict of h's G_u while the run lasts;
 ``_WedgeTables.row`` packs each G_u into it on first use, and a set's row
 is a few packed multiply-adds.  Every slot of G_u is a residue of w, its
-negation or 0, so a gather is a pick: the head's dict holds, once, the
-residues of w, of -w and one 0, and the tables hold, per size k and vertex
-u, one ``operator.itemgetter`` built on first use, which picks each slot's
-residue; one ``struct`` pack in ``field``'s residue layout writes the
-picked residues as G_u's bytes, read as one int.  The per-slot work runs
-in C, and each index list is built once per shift.
+negation or 0, so a gather is a pick: when the scan pops h's row it builds,
+once, h's chunks, the residues of w, of -w and one 0, and the tables hold,
+per size k and vertex u on a size-k face, one ``operator.itemgetter``,
+built with the tables, which picks each slot's residue; one ``struct``
+pack in ``field``'s residue layout writes the picked residues as G_u's
+bytes, read as one int.  The per-slot work runs in C, and each index list
+is built once per shift.
 Rows are not reduced: they go to the accumulator packed in its slot
 layout (``_WedgeTables.row`` bounds the slots), which reads every slot
 mod p, so the verdicts are those of the reduced rows.
@@ -187,16 +188,14 @@ class _WedgeTables:
     and the wedge of S's rows is the wedge of h's rows with row v: at a
     size-k face U it is the sum over u in U of sign(u, U) w[U - u] a[u],
     where w is h's row, the compound row of h on the size-(k - 1) faces,
-    and a is row v.  The tables are column-major: ``terms[k][u]`` holds the
-    pairs (position of U, position of U - u) for the size-k faces U that
-    contain vertex u + 1, the second shifted past w's length for a minus
-    sign, ``getters[k][u]`` the gather of those pairs once built, and
-    ``nonzero[v]`` holds the pairs (u, a[u]) of the nonzero entries of row
-    v at the vertices u + 1 of the complex's support.  Only those columns
-    are visited: a vertex off the support is on no face, so its
-    ``terms[k][u]`` is empty at every k and its term is 0; for the
-    lower-reduced matrix the scan passes in, row v of a generic matrix is
-    zero left of column v.
+    and a is row v.  The tables are column-major: ``getters[k][u]`` gathers
+    G_u, an ``operator.itemgetter`` of one chunk index per size-k face, and
+    is None when vertex u + 1 is on no size-k face, and ``nonzero[v]``
+    holds the pairs (u, a[u]) of the nonzero entries of row v at the
+    vertices u + 1 of the complex's support.  Only those columns are
+    visited: a vertex off the support is on no face, so its G_u is 0 at
+    every k; for the lower-reduced matrix the scan passes in, row v of a
+    generic matrix is zero left of column v.
     The final coordinate at a face T only ever consults subfaces of T, so
     keeping just the faces of the complex is exact, and this path agrees
     with the per-minor reference mod p.
@@ -204,82 +203,67 @@ class _WedgeTables:
     S's row is the sum of M[v][u] G_u over the nonzero entries of row v,
     where the head's gathered vector G_u holds, at a size-k face U through
     vertex u, the residue of sign(u, U) w[U - u], and 0 at the other faces.
-    The tables hold no head: the caller hands ``row`` the head's row and a
-    dict of its gathered vectors, which ``row`` fills on first use.
+    The tables hold no head and are read-only once built: the caller hands
+    ``row`` the head's chunks and a dict of its gathered vectors, which
+    ``row`` fills on first use.
     """
 
-    __slots__ = ("p", "nonzero", "sizes", "terms", "getters")
+    __slots__ = ("nonzero", "sizes", "getters")
 
     def __init__(self, K: SimplicialComplex, A: FieldMatrix):
-        self.p = A.p
         support = K.support
         self.nonzero = [tuple((u, a) for u, a in enumerate(row) if a and support >> u & 1) for row in A.rows]
         top = len(K.f_vector)
         faces = [K.faces_of_size(k) for k in range(top)]
         self.sizes = [len(level) for level in faces]
-        self.terms = [None]
+        self.getters = [None]
         for j in range(1, top):
             sub = {f: i for i, f in enumerate(faces[j - 1])}
             minus = len(sub)  # a minus term reads the negated copy of w
-            level = [[] for _ in range(K.n)]
+            index = [None] * K.n
             for i, m in enumerate(faces[j]):
                 rest = m
                 while rest:  # the sign is the parity of the vertices past the one taken off
                     low = rest & -rest
                     rest ^= low
-                    level[low.bit_length() - 1].append((i, sub[m ^ low] + (rest.bit_count() & 1) * minus))
-            self.terms.append(level)
-        self.getters = [[None] * K.n for _ in range(top)]
+                    u = low.bit_length() - 1
+                    if index[u] is None:  # a face without u picks the closing 0
+                        index[u] = [2 * minus] * (len(faces[j]) + 1)
+                    index[u][i] = sub[m ^ low] + (rest.bit_count() & 1) * minus
+            self.getters.append([None if at is None else itemgetter(*at) for at in index])
 
-    def row(self, S: int, w: list[int], gathered: dict, nb: int) -> int:
+    def row(self, S: int, chunks: list[int], gathered: dict, nb: int) -> int:
         """A row for a nonempty S of size k, packed unreduced to the ``nb``
         bytes a slot of ``RowEchelonAccumulator(width, p)``: slot i holds
         the sum of at most k products of two residues, one for each vertex
         of the i-th size-k face, so it lies in 0..k (p - 1)^2, k <= 64.
 
-        ``w`` is a row of S's head h, one residue a size-(k - 1) face ([1]
-        for the empty head), and ``gathered`` maps a vertex u to h's G_u
-        packed to ``nb`` bytes a slot, and None to the residues G_u is
-        gathered from; a missing entry is made from ``w`` and stored there,
-        so the dict must belong to h, w and nb alone.  The row returned is
-        w wedged with row v: S's compound row mod p when w is h's own row,
-        and for the scan the row the engine module docstring describes."""
+        ``chunks`` are the residues of w, a row of S's head h, one residue a
+        size-(k - 1) face ([1] for the empty head), then p - x for each x in
+        w (0 for 0), then one 0: the value of every possible slot of G_u.
+        ``gathered`` maps a vertex u to h's G_u packed to ``nb`` bytes a
+        slot; a missing entry is made from ``chunks`` and stored there, so
+        the dict must belong to h, w and nb alone.  The getter of (k, u)
+        picks each size-k face's chunk, the 0 for a face without u, and one
+        more 0, so that it returns a tuple even for a single face; a vertex
+        with no getter has G_u = 0.  The ``_residue_struct`` of (nb, f_k +
+        1), f_k the number of size-k faces, packs the picked residues in one
+        call: each is below p, so it fits the layout's field, and the layout
+        writes the slot's other bytes as 0, so the bytes are those of
+        ``pack_slots``.  The closing 0 is a slot past the row's width, and
+        adds nothing to the int.  The row returned is w wedged with row v:
+        S's compound row mod p when w is h's own row, and for the scan the
+        row the engine module docstring describes."""
         out = 0
+        k = S.bit_count()
         for u, a in self.nonzero[S.bit_length() - 1]:
             g = gathered.get(u)
             if g is None:
-                g = gathered[u] = self._gather(S.bit_count(), u, w, gathered, nb)
+                get = self.getters[k][u]
+                g = gathered[u] = 0 if get is None else int.from_bytes(
+                    _residue_struct(nb, self.sizes[k] + 1).pack(*get(chunks)), "little")
             out += a * g
         return out
-
-    def _gather(self, k: int, u: int, w: list[int], gathered: dict, nb: int) -> int:
-        """G_u of the size-(k - 1) row ``w``, packed to ``nb`` bytes a slot.
-
-        The chunks are the residues w, then p - x for each x in w (0 for
-        0), then one 0: the value of every possible slot of G_u.  The
-        getter of (k, u) picks each size-k face's chunk, the 0 for a face
-        without u, and one more 0, so that it returns a tuple even for a
-        single face.  The ``_residue_struct`` of (nb, f_k + 1), f_k the
-        number of size-k faces, packs the picked residues in one call: each
-        is below p, so it fits the layout's field, and the layout writes
-        the slot's other bytes as 0, so the bytes are those of
-        ``pack_slots``.  The closing 0 is a slot past the row's width, and
-        adds nothing to the int.  Getters are built on first use and serve
-        every head; chunks are built once per head."""
-        get = self.getters[k][u]
-        if get is None:
-            terms = self.terms[k][u]
-            if not terms:
-                return 0
-            index = [2 * self.sizes[k - 1]] * (self.sizes[k] + 1)
-            for i, j in terms:
-                index[i] = j
-            get = self.getters[k][u] = itemgetter(*index)
-        chunks = gathered.get(None)
-        if chunks is None:
-            p = self.p
-            chunks = gathered[None] = w + [p - x if x else 0 for x in w] + [0]
-        return int.from_bytes(_residue_struct(nb, self.sizes[k] + 1).pack(*get(chunks)), "little")
 
 
 def _shift_family(K: SimplicialComplex, A: FieldMatrix) -> SimplicialComplex:
@@ -287,19 +271,21 @@ def _shift_family(K: SimplicialComplex, A: FieldMatrix) -> SimplicialComplex:
     if M is None:
         raise ValueError("cannot shift with a singular matrix")
     faces = [0]
+    p = A.p
     tables = _WedgeTables(K, M)
     kept = [0]  # the sets kept at a size, in lex order
     acc, pivots = None, {}  # their accumulator, and each one's pivot in it
     for k in range(1, len(K.f_vector)):
         target = len(K.faces_of_size(k))
-        below, acc = acc, RowEchelonAccumulator(target, A.p)
+        below, acc = acc, RowEchelonAccumulator(target, p)
         heads, kept = kept, []
         head = None
         for S in extensions(heads, K.n):
             h = S ^ 1 << (S.bit_length() - 1)
             if h != head:  # a head's sets come in one run: pop its row once
                 head, w, gathered = h, below.pop(pivots[h]) if h else [1], {}
-            if acc.insert(tables.row(S, w, gathered, acc.nb)):
+                chunks = w + [p - x if x else 0 for x in w] + [0]
+            if acc.insert(tables.row(S, chunks, gathered, acc.nb)):
                 kept.append(S)
                 if acc.rank == target:
                     break
@@ -452,22 +438,19 @@ def kernel_intersection_dim(
     A: FieldMatrix,
     S: int,
     *,
-    strict: bool = True,
     extra: int = 0,
     first_k_only: bool = False,
 ) -> int:
     """Dimension of the joint kernel of the contractions by all wedge rows
-    lex-below ``S`` (or lex-at-most ``S``), acting on the size
-    ``|S| + extra`` chains of ``K``; one of the two numbers of
-    ``kernel_dims_at``.
+    lex-below ``S``, acting on the size ``|S| + extra`` chains of ``K``;
+    the first of the two numbers of ``kernel_dims_at``, which also gives
+    the dimension over the rows lex-at-most ``S``.
 
     Args:
         S: reference face, cardinality s >= 1, vertices in 1..``K.n``.
-        strict: range over R lex-less than S; otherwise R lex-at-most S.
         extra, first_k_only: as for ``lex_kernel_dims``.
     """
-    below, at = kernel_dims_at(K, A, S, extra=extra, first_k_only=first_k_only)
-    return below if strict else at
+    return kernel_dims_at(K, A, S, extra=extra, first_k_only=first_k_only)[0]
 
 
 def membership_via_kernels(K: SimplicialComplex, A: FieldMatrix, S: int) -> bool:

@@ -30,23 +30,17 @@ def wedge_sign(s: int, t: int) -> int:
     return -1 if a & 1 else 1
 
 
-def wedge(s: int, t: int):
-    """``e_S ^ e_T``: ``(sign, Face(S | T))`` for disjoint faces, else None."""
-    if s & t:
-        return None
-    return wedge_sign(s, t), Face(s | t)
-
-
 def wedge_elements(x: Mapping[int, int], y: Mapping[int, int], p: int = DEFAULT_PRIME) -> dict:
-    """Wedge of two chain elements given as ``mask -> coefficient`` dicts."""
+    """Wedge of two chain elements given as ``mask -> coefficient`` dicts:
+    ``e_S ^ e_T`` is ``wedge_sign(S, T) e_(S | T)`` for disjoint S and T,
+    and 0 otherwise."""
     out: dict[int, int] = {}
     for s, a in x.items():
         for t, b in y.items():
-            w = wedge(s, t)
-            if w is None:
+            if s & t:
                 continue
-            sign, u = w
-            c = (out.get(u, 0) + sign * a * b) % p
+            u = Face(s | t)
+            c = (out.get(u, 0) + wedge_sign(s, t) * a * b) % p
             if c:
                 out[u] = c
             else:

@@ -121,17 +121,14 @@ def _require_shifted(*complexes: SimplicialComplex) -> None:
 
 
 def disjoint_union_shift(DK: SimplicialComplex, DL: SimplicialComplex) -> SimplicialComplex:
-    """Shift of a disjoint union, from the shifts of the parts.
+    """Shift of a disjoint union, from the shifts of the parts:
+    Δ(K ⊔ L) = Δ(ΔK ⊔ ΔL), computed by the gap rule of ``clique_sum_shift``
+    at ``d = -1``.
 
     A face S belongs iff its last gap is at most the sum of the two
     head counts of S; no matrix work involved.
     """
-    _require_shifted(DK, DL)
-    n = DK.n + DL.n
-    if DK.is_void and DL.is_void:
-        return SimplicialComplex(n, ())
-    counts = _head_counts(DK.face_set()) + _head_counts(DL.face_set())
-    return SimplicialComplex(n, _gap_family(n, counts))
+    return clique_sum_shift(DK, DL, -1)
 
 
 def clique_sum_shift(
@@ -144,16 +141,20 @@ def clique_sum_shift(
 
     The allowance is the sum of the two head counts minus the count
     contributed by the shared simplex (a full simplex on d + 1 vertices).
-    ``d = -1`` degenerates to the disjoint union rule.
+    At ``d = -1`` the simplex is empty and subtracts nothing: that is the
+    disjoint union rule, which also takes void operands (two void operands
+    give the void complex).
     """
     _require_shifted(DK, DL)
     if d < -1:
         raise ValueError("d must be at least -1")
-    if d > min(DK.dim, DL.dim):
+    if d >= 0 and d > min(DK.dim, DL.dim):
         raise ValueError("shared simplex exceeds an operand's dimension")
     n = DK.n + DL.n - (d + 1)
-    counts = _head_counts(DK.face_set()) + _head_counts(DL.face_set())
-    counts -= _head_counts(range(1 << (d + 1)))
+    if DK.is_void and DL.is_void:
+        return SimplicialComplex(n, ())
+    counts = _head_counts([*DK.face_set(), *DL.face_set()])
+    counts.subtract(_head_counts(range(1 << (d + 1))))
     return SimplicialComplex(n, _gap_family(n, counts))
 
 

@@ -36,8 +36,8 @@ from .homology import (
     boundary_matrix,
     is_near_cone,
     sarkaria_maps,
-    wedge,
     wedge_elements,
+    wedge_sign,
 )
 from .operators import (
     NearConeCertificate,
@@ -235,12 +235,13 @@ def suite_sqcup(rng, t, max_n, seed, p):
 @_suite("clique-sum")
 def suite_clique_sum(rng, t, max_n, seed, p):
     """Gluing along a shared full simplex: the gap rule with the shared
-    simplex's counts subtracted matches the direct shift."""
-    na = rng.randint(1, max(2, max_n - 2))
+    simplex's counts subtracted matches the direct shift.  The glued complex
+    has ``na + fresh`` labels, at most ``max_n``."""
+    na = rng.randint(1, min(max_n - 1, max(2, max_n - 2)))
     A = random_complex(rng, na)
     d = rng.randint(-1, min(A.dim, 2))
     sigma = rng.choice(A.faces_of_size(d + 1))
-    fresh = rng.randint(0 if d >= 0 else 1, max(1, max_n - na))
+    fresh = rng.randint(0 if d >= 0 else 1, max_n - na)
     nb = d + 1 + fresh
     B = SimplicialComplex.from_facets(
         nb,
@@ -470,7 +471,7 @@ def _wedge_multiplicative(
         verts = list(W)
         S = Face.from_vertices(rng.sample(verts, rng.randint(1, len(verts) - 1)))
         T = Face(W ^ S)
-        sign, _ = wedge(S, T)
+        sign = wedge_sign(S, T)
         ks, kt, kw = len(S), len(T), len(W)
         us = _column_element(U[ks], K.faces_of_size(ks), index[ks][S])
         ut = _column_element(U[kt], K.faces_of_size(kt), index[kt][T])

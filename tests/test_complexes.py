@@ -26,8 +26,9 @@ from shiftkit.engine import (
     lex_tail_count,
     membership_via_kernels,
 )
+from shiftkit.cli import format_complex
 from shiftkit.field import GenericSpec, realize
-from shiftkit.homology import interior_matrix, interior_sign, wedge
+from shiftkit.homology import interior_matrix, interior_sign, wedge_elements, wedge_sign
 from shiftkit.operators import antistar, link
 from shiftkit.sampling import (
     all_complexes,
@@ -83,7 +84,8 @@ _FACE_TAKERS = [
     pytest.param(lambda S: link(_K, S), (Face.of(3),), id="link"),
     pytest.param(lambda S: antistar(_K, S), (Face.of(2, 3),), id="antistar"),
     pytest.param(interior_sign, (Face.of(2), Face.of(1, 2, 3)), id="interior_sign"),
-    pytest.param(wedge, (Face.of(1, 3), Face.of(2)), id="wedge"),
+    pytest.param(lambda s, t: wedge_elements({s: 1}, {t: 3}), (Face.of(1, 3), Face.of(2)), id="wedge"),
+    pytest.param(wedge_sign, (Face.of(1, 3), Face.of(2)), id="wedge_sign"),
     pytest.param(
         lambda t, u: interior_matrix(_K, {t: 1, u: 3}, 3),
         (Face.of(2), Face.of(4)),
@@ -91,7 +93,7 @@ _FACE_TAKERS = [
     ),
     pytest.param(lambda S: kernel_dims_at(_K, _A, S), (Face.of(2, 3),), id="kernel_dims_at"),
     pytest.param(
-        lambda S: kernel_intersection_dim(_K, _A, S, strict=False),
+        lambda S: kernel_intersection_dim(_K, _A, S),
         (Face.of(1, 4),),
         id="kernel_intersection_dim",
     ),
@@ -257,6 +259,18 @@ def test_non_integer_faces_and_labels_are_refused():
     assert K.faces_of_size(2) == (Face.of(1, 3),)
     assert Face.of(True, 3) == Face.of(1, 3)
     assert SimplicialComplex.from_facets(3, [[Face.of(2), 3]]).facets() == [Face.of(2, 3)]
+
+
+def test_ambient_size_is_read_as_an_int():
+    # n goes through operator.index, as a matrix size does in realize: a
+    # bool is the int it stands for, a float or a string is refused
+    K = SimplicialComplex(True, [1])
+    assert type(K.n) is int and K.n == 1
+    assert K == SimplicialComplex(1, [1])
+    assert format_complex(K).splitlines()[0] == "n=1"
+    for bad in (3.0, "3", None):
+        with pytest.raises(TypeError):
+            SimplicialComplex(bad, [1])
 
 
 def _down_closure(masks):

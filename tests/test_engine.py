@@ -27,6 +27,7 @@ from shiftkit.engine import (
     compound_row,
     image_dim_complete,
     image_dim_complete_direct,
+    kernel_dims_at,
     lex_tail_count,
 )
 from shiftkit.field import (
@@ -186,15 +187,16 @@ def test_upper_triangular_matrix_fixes_a_shifted_complex():
 
 
 def _built_row(tables, S, w, p, gathered, spare=0):
-    # S's unreduced row, built from w, its head's row as residues ([1] for
-    # the empty head), and ``gathered``, the head's packed G_u, and read
-    # back slot by slot: each raw slot is a sum of at most k products of two
-    # residues, read mod p by the accumulator; ``spare`` bytes are added to
-    # each slot
+    # S's unreduced row, built from the chunks of w, its head's row as
+    # residues ([1] for the empty head), and ``gathered``, the head's packed
+    # G_u, and read back slot by slot: each raw slot is a sum of at most k
+    # products of two residues, read mod p by the accumulator; ``spare``
+    # bytes are added to each slot
     k = S.bit_count()
     width = tables.sizes[k]
     nb = slot_bytes(p, width) + spare
-    packed = tables.row(S, w, gathered, nb)
+    chunks = w + [-x % p for x in w] + [0]
+    packed = tables.row(S, chunks, gathered, nb)
     raw = unpack_slots(packed, nb, width)  # OverflowError past ``width`` slots
     assert all(x <= k * (p - 1) ** 2 for x in raw)
     return [x % p for x in raw]
@@ -299,38 +301,47 @@ def test_rows_off_the_support_match_the_reference():
 
 
 def test_gathers_at_the_edges_match_the_reference(monkeypatch):
-    # each G_u is picked out of its head's chunks by the getter of (k, u):
-    # a level of one face, whose getter picks one chunk and the closing zero
-    # one, so it still returns a tuple; a vertex on no face of a size, whose
-    # G_u is 0 with no getter built; the empty head's row [1]; and on the
-    # octahedron, one getter per (k, u) serving every head of the table
+    # each G_u is picked out of its head's chunks by the getter of (k, u),
+    # all built with the tables: one per (k, u) whose vertex is on a size-k
+    # face, and None for any other (k, u), whose G_u reads 0; a level of one
+    # face, whose getter picks one chunk and the closing zero one, so it
+    # still returns a tuple; the empty head's row [1]; and on the
+    # octahedron, one getter per (k, u) serving every head of the table.
+    # Building rows builds no getter and changes no table.
     built = []
     monkeypatch.setattr(engine, "itemgetter", lambda *index: built.append(index) or itemgetter(*index))
     triangle = SimplicialComplex.from_facets(4, [[1, 2, 3], [4]])
     for q in (2**61 - 1, 10007, 3):
         for K in (triangle, octahedron()):
             A = realize(GenericSpec(q), K.n, q)  # unreduced: most G_u are asked for
+            del built[:]
             tables = _WedgeTables(K, A)
+            on = [[any(f >> u & 1 for f in K.faces_of_size(k)) for u in range(K.n)] for k in range(len(K.f_vector))]
+            assert tables.getters[0] is None
+            assert len(built) == sum(map(sum, on[1:]))
+            getters = [None] + [list(level) for level in tables.getters[1:]]
             for k in range(1, len(K.f_vector)):
-                del built[:]
+                assert [g is not None for g in tables.getters[k]] == on[k]
                 heads = {}
                 for S in iter_k_subsets(K.n, k):
                     head = S ^ 1 << (S.bit_length() - 1)
                     w = _reference_row(K, A, head)
                     gathered = heads.setdefault(head, {})
                     assert _built_row(tables, S, w, q, gathered) == _reference_row(K, A, S)
-                # one getter per vertex on a size-k face, whoever asked first
-                assert len(built) == sum(g is not None for g in tables.getters[k])
                 asked = [[g[u] for g in heads.values() if u in g] for u in range(K.n)]
-                for u, terms in enumerate(tables.terms[k]):
-                    if not terms:
-                        assert tables.getters[k][u] is None and set(asked[u]) <= {0}
+                for u in range(K.n):
+                    if not on[k][u]:
+                        assert set(asked[u]) <= {0}
+                if K is triangle and k == 1:
+                    assert heads[0] and list(heads) == [0]  # the empty head, row [1]
                 if K is triangle and k == 2:
-                    assert not tables.terms[2][3] and asked[3]
+                    assert not on[2][3] and asked[3]
                 if K is triangle and k == 3:
                     assert tables.sizes[3] == 1
                 if K is not triangle and k > 1:
-                    assert max(len(asked[u]) for u, terms in enumerate(tables.terms[k]) if terms) > 1
+                    assert max(len(asked[u]) for u in range(K.n) if on[k][u]) > 1
+            assert len(built) == sum(map(sum, on[1:]))
+            assert [None] + [list(level) for level in tables.getters[1:]] == getters
 
 
 def _reference_shift(K, A, p):
@@ -681,8 +692,8 @@ def test_strict_vs_nonstrict_kernel_gap_is_membership():
     A = realize(GenericSpec(res.seed_used), K.n)
     D = res.shifted
     for mask in iter_k_subsets(K.n, 2):
-        below = kernel_intersection_dim(K, A, mask, strict=True)
-        at = kernel_intersection_dim(K, A, mask, strict=False)
+        below, at = kernel_dims_at(K, A, mask)
+        assert kernel_intersection_dim(K, A, mask) == below
         assert below - at in (0, 1)
         assert (below > at) == (mask in {int(f) for f in D.faces_of_size(2)})
 
@@ -774,14 +785,13 @@ def test_kernel_dims_match_a_stacked_rank_from_scratch(p):
                 faces = list(iter_k_subsets(n, s))
                 for S in rng.sample(faces, min(2, len(faces))):
                     for first_k_only in (False, True):
-                        got, want = (
-                            [
-                                dim(K, A, S, strict=strict, extra=extra, first_k_only=first_k_only)
-                                for strict in (True, False)
-                            ]
-                            for dim in (kernel_intersection_dim, _brute_kernel_dim)
-                        )
+                        got = list(kernel_dims_at(K, A, S, extra=extra, first_k_only=first_k_only))
+                        want = [
+                            _brute_kernel_dim(K, A, S, strict=strict, extra=extra, first_k_only=first_k_only)
+                            for strict in (True, False)
+                        ]
                         assert got == want, (K, kind, S, extra, first_k_only)
+                        assert kernel_intersection_dim(K, A, S, extra=extra, first_k_only=first_k_only) == want[0]
                         if first_k_only:
                             differs += want != full
                         else:
@@ -812,11 +822,11 @@ def test_kernel_sweep_saturates_before_s_and_builds_nothing_after(monkeypatch):
     calls = _interior_calls(monkeypatch)
     assert [dim for _, dim in engine.lex_kernel_dims(K, A, 1, extra=1)] == [3, 1, 0, 0]
     assert len(calls) == 3
-    for strict in (True, False):
-        got = kernel_intersection_dim(K, A, Face.of(4), strict=strict, extra=1)
-        assert got == 0 == _brute_kernel_dim(
-            K, A, int(Face.of(4)), strict=strict, extra=1, first_k_only=False
-        )
+    assert kernel_intersection_dim(K, A, Face.of(4), extra=1) == 0
+    assert kernel_dims_at(K, A, Face.of(4), extra=1) == (0, 0) == tuple(
+        _brute_kernel_dim(K, A, int(Face.of(4)), strict=strict, extra=1, first_k_only=False)
+        for strict in (True, False)
+    )
 
 
 def test_kernel_sweep_with_no_columns_builds_nothing(monkeypatch):
@@ -825,8 +835,8 @@ def test_kernel_sweep_with_no_columns_builds_nothing(monkeypatch):
     A = realize(GenericSpec(3), K.n, P)
     calls = _interior_calls(monkeypatch)
     for S in iter_k_subsets(K.n, 1):
-        for strict in (True, False):
-            assert kernel_intersection_dim(K, A, S, strict=strict, extra=2) == 0
+        assert kernel_intersection_dim(K, A, S, extra=2) == 0
+        assert kernel_dims_at(K, A, S, extra=2) == (0, 0)
     assert calls == []
     assert _brute_kernel_dim(K, A, int(Face.of(6)), strict=False, extra=2, first_k_only=False) == 0
 

@@ -15,7 +15,6 @@ from shiftkit.homology import (
     interior_sign,
     is_near_cone,
     sarkaria_maps,
-    wedge,
     wedge_elements,
     wedge_sign,
 )
@@ -52,11 +51,13 @@ def test_interior_product_values():
 
 
 def test_wedge_signs_and_overlap():
-    assert wedge(Face.of(1), Face.of(2)) == (1, Face.of(1, 2))
-    assert wedge(Face.of(2), Face.of(1)) == (-1, Face.of(1, 2))
-    assert wedge(Face.of(1, 3), Face.of(2)) == (-1, Face.of(1, 2, 3))
-    assert wedge(Face.of(1, 2), Face.of(2, 3)) is None
+    assert wedge_sign(Face.of(1), Face.of(2)) == 1
+    assert wedge_sign(Face.of(2), Face.of(1)) == -1
+    assert wedge_sign(Face.of(1, 3), Face.of(2)) == -1
     assert wedge_sign(Face.of(2, 4), Face.of(1, 3)) == -1  # three inversions
+    # e_S ^ e_T is wedge_sign(S, T) e_(S | T), and 0 on overlapping faces
+    assert wedge_elements({Face.of(1, 3): 1}, {Face.of(2): 1}, P) == {Face.of(1, 2, 3): P - 1}
+    assert wedge_elements({Face.of(1, 2): 1}, {Face.of(2, 3): 1}, P) == {}
 
 
 def test_wedge_is_antisymmetric_up_to_cardinality_sign():
@@ -65,10 +66,10 @@ def test_wedge_is_antisymmetric_up_to_cardinality_sign():
         s = Face.from_vertices(rng.sample(range(1, 9), rng.randint(1, 3)))
         rest = [v for v in range(1, 9) if v not in s]
         t = Face.from_vertices(rng.sample(rest, rng.randint(1, 3)))
-        sign_st, u = wedge(s, t)
-        sign_ts, u2 = wedge(t, s)
-        assert u == u2
+        sign_st, sign_ts = wedge_sign(s, t), wedge_sign(t, s)
         assert sign_st == sign_ts * (-1) ** (len(s) * len(t))
+        assert wedge_elements({s: 1}, {t: 1}, P) == {s | t: sign_st % P}
+        assert wedge_elements({t: 1}, {s: 1}, P) == {s | t: sign_ts % P}
 
 
 def test_wedge_elements_dict_arithmetic():
@@ -76,6 +77,19 @@ def test_wedge_elements_dict_arithmetic():
     y = {int(Face.of(2)): 3}
     out = wedge_elements(x, y, P)
     assert out == {int(Face.of(1, 2)): 6}  # e2 ^ e2 vanishes
+
+
+def test_wedge_elements_on_overlapping_supports():
+    # the supports share faces and vertices: (e12 + 2 e1) ^ (e23 + 5 e3)
+    # keeps only the disjoint pairs, e1 ^ e23 and e12 ^ e3 meet on e123 and
+    # e1 ^ e3 gives e13; e12 ^ e23 vanishes
+    x = {int(Face.of(1, 2)): 1, int(Face.of(1)): 2}
+    y = {int(Face.of(2, 3)): 1, int(Face.of(3)): 5}
+    assert wedge_elements(x, y, P) == {int(Face.of(1, 2, 3)): 7, int(Face.of(1, 3)): 10}
+    # e1 ^ e2 + e2 ^ e1 cancels, so the entry is dropped, not kept as 0;
+    # e1 ^ e1 and e2 ^ e2 vanish
+    z = {int(Face.of(1)): 1, int(Face.of(2)): 1}
+    assert wedge_elements(z, z, P) == {}
 
 
 def test_interior_matrix_on_triangle_boundary():

@@ -234,6 +234,22 @@ def test_disjoint_union_rule_on_void_operands():
     for a, b, want in cases:
         assert disjoint_union_shift(a, b) == want
         assert shifted_union_recursive(a, b) == disjoint_union_shift(a, b)
+        assert clique_sum_shift(a, b, -1) == want
+
+
+def test_disjoint_union_theorem_on_every_small_pair():
+    # the paper's theorem, shift(K + L) = shift(shift K + shift L), read
+    # through the gap rule on every pair of all_complexes(3) x
+    # all_complexes(4), {[]} included; the rule is the clique-sum rule at
+    # d = -1
+    small, large = list(all_complexes(3)), list(all_complexes(4))
+    assert (len(small), len(large)) == (19, 167)
+    shifts = {K: shifted(K) for K in small + large}
+    for K in small:
+        for L in large:
+            want = shifted(disjoint_union(K, L))
+            assert disjoint_union_shift(shifts[K], shifts[L]) == want
+            assert clique_sum_shift(shifts[K], shifts[L], -1) == want
 
 
 # ---------------------------------------------------------------- lex order

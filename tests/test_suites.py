@@ -160,3 +160,14 @@ def test_a_failed_first_phase_draw_leaves_the_next_phase_whole(monkeypatch):
         "kernel-dims draw 3 at seed 0: stub",
     ]
     assert all(c.ok == (c.label != "validation-failure") for c in checks)
+
+
+def test_clique_sum_glues_within_max_n():
+    # at --max-n 2 the operands are drawn so that the glued complex has at
+    # most 2 labels; the draws at --max-n 3 and above are unchanged
+    for max_n in (2, 3, 5, 8):
+        checks = suites.SUITES["clique-sum"](trials=40, max_n=max_n, seed=0)
+        sizes = [int(re.search(r"\bn=(\d+)", c.detail).group(1)) for c in checks]
+        assert len(sizes) == 40 and all(c.ok for c in checks)
+        assert max(sizes) <= max_n
+        assert max_n in sizes
