@@ -195,8 +195,8 @@ def _check_draws(args: argparse.Namespace, least: int, most: int) -> None:
     # not only by the suites that happen to shift at it
     if args.seed < 0:
         raise ValueError(f"seed must be a nonnegative int, got {args.seed}")
-    if args.trials < 0:
-        raise ValueError(f"--trials {args.trials} is negative")
+    if args.trials < 1:
+        raise ValueError(f"--trials {args.trials} is below 1: no draw, nothing checked")
     if args.max_n < least:
         raise ValueError(f"--max-n {args.max_n} is below {least}")
     if args.max_n > most:

@@ -89,13 +89,13 @@ is a few packed multiply-adds.  Every slot of G_u is a residue of w, its
 negation or 0, so a gather is a pick: when the scan pops h's row it builds,
 once, h's chunks, the residues of w, of -w and one 0, and the tables hold,
 per size k and vertex u on a size-k face, one ``operator.itemgetter``,
-built with the tables, which picks each slot's residue; one ``struct``
-pack in ``field``'s residue layout writes the picked residues as G_u's
-bytes, read as one int.  The per-slot work runs in C, and each index list
-is built once per shift.
-Rows are not reduced: they go to the accumulator packed in its slot
-layout (``_WedgeTables.row`` bounds the slots), which reads every slot
-mod p, so the verdicts are those of the reduced rows.
+built with the tables, which picks each slot's residue; one
+``field.pack_residues`` call, the packer of every row in the package,
+writes the picked residues as G_u.  The per-slot work runs in C, and each
+index list is built once per shift.
+Rows are not reduced: a row is a sum of packed G_u times residues, in the
+accumulator's slot layout (``_WedgeTables.row`` bounds the slots), which
+reads every slot mod p, so the verdicts are those of the reduced rows.
 
 For a uniformly random A the kept family is the canonical shift with
 failure probability bounded by total-degree/p per determinant comparison
@@ -136,8 +136,7 @@ from .field import (
     GenericSpec,
     MatrixSpec,
     RowEchelonAccumulator,
-    _residue_struct,
-    pack_slots,
+    pack_residues,
     realize,
 )
 from .homology import interior_matrix
@@ -208,14 +207,13 @@ class _WedgeTables:
     ``row`` fills on first use.
     """
 
-    __slots__ = ("nonzero", "sizes", "getters")
+    __slots__ = ("nonzero", "getters")
 
     def __init__(self, K: SimplicialComplex, A: FieldMatrix):
         support = K.support
         self.nonzero = [tuple((u, a) for u, a in enumerate(row) if a and support >> u & 1) for row in A.rows]
         top = len(K.f_vector)
         faces = [K.faces_of_size(k) for k in range(top)]
-        self.sizes = [len(level) for level in faces]
         self.getters = [None]
         for j in range(1, top):
             sub = {f: i for i, f in enumerate(faces[j - 1])}
@@ -246,22 +244,19 @@ class _WedgeTables:
         the dict must belong to h, w and nb alone.  The getter of (k, u)
         picks each size-k face's chunk, the 0 for a face without u, and one
         more 0, so that it returns a tuple even for a single face; a vertex
-        with no getter has G_u = 0.  The ``_residue_struct`` of (nb, f_k +
-        1), f_k the number of size-k faces, packs the picked residues in one
-        call: each is below p, so it fits the layout's field, and the layout
-        writes the slot's other bytes as 0, so the bytes are those of
-        ``pack_slots``.  The closing 0 is a slot past the row's width, and
-        adds nothing to the int.  The row returned is w wedged with row v:
-        S's compound row mod p when w is h's own row, and for the scan the
-        row the engine module docstring describes."""
+        with no getter has G_u = 0.  ``pack_residues``, the one packer of
+        the accumulator's layout, packs the picked residues, each below p,
+        in one call; the closing 0 is a slot past the row's width, and adds
+        nothing to the int.  The row returned is w wedged with row v: S's
+        compound row mod p when w is h's own row, and for the scan the row
+        the engine module docstring describes."""
         out = 0
         k = S.bit_count()
         for u, a in self.nonzero[S.bit_length() - 1]:
             g = gathered.get(u)
             if g is None:
                 get = self.getters[k][u]
-                g = gathered[u] = 0 if get is None else int.from_bytes(
-                    _residue_struct(nb, self.sizes[k] + 1).pack(*get(chunks)), "little")
+                g = gathered[u] = 0 if get is None else pack_residues(get(chunks), nb)
             out += a * g
         return out
 
@@ -400,7 +395,7 @@ def _lex_kernel_sweep(K: SimplicialComplex, A: FieldMatrix, s: int, degree: int,
         if acc.rank < ncols:
             element = dict(zip(supports, compound_row(A, R, supports)))
             for row in interior_matrix(K, element, degree, A.p).rows:
-                if acc.insert(pack_slots(row, acc.nb)) and acc.rank == ncols:
+                if acc.insert(pack_residues(row, acc.nb)) and acc.rank == ncols:
                     break
         yield R, ncols - acc.rank
 

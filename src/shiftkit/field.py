@@ -15,16 +15,16 @@ is checked.  ``RowEchelonAccumulator`` is the one mutable object and
 supports a single writer.  It works on vectors packed into one int, a fixed
 number of bytes per entry, and keeps each row from its pivot on, so
 reducing by a stored row is one big-int multiply-add on a vector consumed
-from the bottom.  ``slot_bytes``, ``pack_slots`` and ``unpack_slots`` define
-that layout; every caller packs its rows to the accumulator's ``nb`` bytes
-a slot, the shift scan unreduced.  ``slot_reducer`` reduces and scales
-every slot of such a vector mod p.  The accumulator lists its kept rows'
+from the bottom.  ``slot_bytes`` sizes that layout and ``pack_residues`` is
+its one packer: every row the package packs is residues written by it to
+the accumulator's ``nb`` bytes a slot, and the shift scan hands over sums
+of such rows times residues, unreduced.  ``slot_reducer`` reduces and
+scales every slot of a vector mod p.  The accumulator lists its kept rows'
 pivots in keep order, and ``pop`` hands a kept row back, unpacked, as a
 nonzero multiple of the vector inserted plus rows kept before it: the
 shift scan reads each level's rows back this way to build the next level.
 ``pop`` reduces the row with ``slot_reducer`` and reads its residues with
-one ``struct`` unpack, whose layout ``_residue_struct`` caches per (nb,
-width); the shift's scan packs residues into rows with the same layouts.
+one unpack of the ``struct`` layout ``pack_residues`` writes.
 
 Modular inverses cost microseconds each at 61 bits, so the hot paths take
 few.  ``_lower_reduce`` is fraction-free and takes none; only ``_det``
@@ -44,7 +44,6 @@ import operator
 import random
 import struct
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 from .complexes import MAX_VERTICES, iter_vertices
@@ -228,7 +227,7 @@ class FieldMatrix:
     def rank(self) -> int:
         acc = RowEchelonAccumulator(self.ncols, self.p)
         for row in self.rows:
-            acc.insert(pack_slots(row, acc.nb))
+            acc.insert(pack_residues(row, acc.nb))
         return acc.rank
 
     def is_nonsingular(self) -> bool:
@@ -393,38 +392,34 @@ def slot_bytes(p: int, width: int) -> int:
     return (2 * p.bit_length() + (MAX_VERTICES + width).bit_length() + 7) // 8
 
 
-def pack_slots(slots: Iterable[int], nb: int) -> int:
-    """One int holding ``slots``, each in 0..2^(8 nb) - 1, slot i in bits
-    [8 nb i, 8 nb (i + 1)).  A slot too large raises ``OverflowError``."""
-    return int.from_bytes(b"".join(map(int.to_bytes, slots, repeat(nb), repeat("little"))), "little")
-
-
-def unpack_slots(v: int, nb: int, width: int) -> list[int]:
-    """The ``width`` slots of ``nb`` bytes that ``v`` packs, the inverse of
-    ``pack_slots``; a ``v`` of more slots raises ``OverflowError``."""
-    buf = v.to_bytes(width * nb, "little")
-    return [int.from_bytes(buf[i : i + nb], "little") for i in range(0, width * nb, nb)]
-
-
 @functools.lru_cache(maxsize=64)
 def _residue_struct(nb: int, width: int) -> struct.Struct:
-    """The ``struct`` layout of ``width`` slots of ``nb`` bytes that hold
-    residues mod a p whose ``slot_bytes`` is nb: each slot is read as one
-    little-endian unsigned field, the widest of 1, 2, 4 or 8 bytes that
-    fits in the slot, and the slot's other bytes are skipped.  They are 0:
-    for nb >= 8 the field is Q, 64 bits, and p < 2^62; for nb < 8 the
-    field is more than half the slot, so it has more than 4 nb bits, and
-    ``slot_bytes`` makes 8 nb > 2 bitlen(p)."""
+    """The ``struct`` layout of ``width`` slots of ``nb`` bytes that
+    ``pack_residues`` writes: per slot one little-endian unsigned field,
+    the widest of 1, 2, 4 or 8 bytes that fits in the slot, then pad."""
     size = min(8, 1 << (nb.bit_length() - 1))
     code = "BHIQ"[size.bit_length() - 1]
     return struct.Struct("<" + f"{code}{nb - size}x" * width)
 
 
+def pack_residues(residues: Sequence[int], nb: int) -> int:
+    """One int holding ``residues``, residue i in bits [8 nb i, 8 nb (i +
+    1)), each in 0..p-1 for a p whose ``slot_bytes`` is ``nb``.
+
+    One pack of the ``_residue_struct`` of (nb, len(residues)) writes the
+    bytes.  A slot's field holds any such residue: for nb >= 8 it is Q, 64
+    bits, and p < 2^62; for nb < 8 it is more than half the slot, so it
+    has more than 4 nb bits, and ``slot_bytes`` makes 8 nb > 2 bitlen(p).
+    The pad bytes are written 0, so each slot reads as its residue."""
+    return int.from_bytes(_residue_struct(nb, len(residues)).pack(*residues), "little")
+
+
 @functools.lru_cache(maxsize=64)
 def slot_reducer(p: int, width: int) -> Callable[[int, int], int]:
     """A function taking a vector of at most ``width`` slots of nb =
-    ``slot_bytes(p, width)`` bytes, packed by ``pack_slots``, and a residue
-    s to the vector of its slots times s, mod p.
+    ``slot_bytes(p, width)`` bytes, each within the bound ``slot_bytes``
+    states, and a residue s to the vector of its slots times s, mod p, in
+    the layout ``pack_residues`` writes.
 
     Write p = 2^e - c with e = bitlen(p), so 0 < c < 2^(e - 1).  As
     2^e = c mod p, a slot x and its fold (x mod 2^e) + c floor(x / 2^e)
@@ -476,7 +471,10 @@ def slot_reducer(p: int, width: int) -> Callable[[int, int], int]:
     if folds * nb > 256:
 
         def per_slot(v: int, s: int) -> int:
-            return pack_slots([x * s % p for x in unpack_slots(v, nb, -(-v.bit_length() // bits))], nb)
+            # the package's one read of slots that need not be residues
+            buf = v.to_bytes(-(-v.bit_length() // bits) * nb, "little")
+            slots = (int.from_bytes(buf[i : i + nb], "little") for i in range(0, len(buf), nb))
+            return pack_residues([x * s % p for x in slots], nb)
 
         return per_slot
 
@@ -509,10 +507,12 @@ class RowEchelonAccumulator:
 
     Entry i of a packed vector is the slot of bits [8Bi, 8B(i + 1)), with
     B = ``nb``, the ``slot_bytes`` of (p, width).  ``insert`` takes only a
-    vector packed so, by ``pack_slots(slots, acc.nb)``, each slot within
-    the bound ``slot_bytes`` states and read mod p.  Only the caller can
-    rule out a slot past it, which would silently carry: ``insert`` checks
-    just that the vector is a nonnegative int of at most ``width`` slots.
+    vector packed so, each slot within the bound ``slot_bytes`` states and
+    read mod p: residues packed by ``pack_residues(residues, acc.nb)``, or
+    a sum of such rows times residues, as the shift scan builds.  Only the
+    caller can rule out a slot past the bound, which would silently carry:
+    ``insert`` checks just that the vector is a nonnegative int of at most
+    ``width`` slots.
     A kept row with pivot q reduces other vectors as its tail, held in a
     table keyed by q: the tail packs its slots q..width-1 as residues, the
     pivot scaled to read -1 (p - 1).
@@ -618,8 +618,8 @@ class RowEchelonAccumulator:
         A raw row is reduced by the accumulator's ``slot_reducer`` at scale
         1, a tail already holds residues.  Shifted up by ``pivot`` slots,
         so the slots below the pivot read 0, the row's bytes are read by
-        one unpack of the ``_residue_struct`` of (nb, width): no Python
-        loop runs over the slots."""
+        one unpack of the layout ``pack_residues`` writes: no Python loop
+        runs over the slots."""
         kept = self._raw.pop(pivot, None)
         if kept is None:
             kept = self._rows.pop(pivot)

@@ -495,14 +495,17 @@ def test_verify_guards(tmp_path, capsys):
     # counts that would do no work or draw from an empty range
     refused = [
         ("verify", "all", "--trials", "-5"),
+        ("verify", "all", "--trials", "0"),
         ("verify", "union-eq1", "--max-n", "1"),
         ("explore", "--trials", "-1"),
+        ("explore", "--trials", "0"),
         ("explore", "--max-n", "0"),
         ("shift", write(tmp_path, "b.cx", TWO_EDGES), "--retries", "-1"),
     ]
     for argv in refused:
-        code, _, err = run(capsys, *argv)
-        assert code == 1 and "error:" in err, argv
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and "error:" in err and not out, argv
+    assert "error: --trials 0 is below 1" in run(capsys, "explore", "--trials", "0")[2]
     # the smallest sizes each command draws are accepted
     assert run(capsys, "verify", "union-eq1", "--max-n", "2", "--trials", "2")[0] == 0
     assert run(capsys, "explore", "--max-n", "1", "--trials", "2")[0] == 0

@@ -34,10 +34,8 @@ from shiftkit.field import (
     DEFAULT_PRIME,
     FieldMatrix,
     RowEchelonAccumulator,
-    pack_slots,
     realize,
     slot_bytes,
-    unpack_slots,
 )
 from shiftkit.homology import interior_matrix
 from shiftkit.sampling import (
@@ -46,6 +44,7 @@ from shiftkit.sampling import (
     random_permutation,
     random_shifted,
 )
+from packing import pack_slots, unpack_slots
 
 P = 10007
 
@@ -186,14 +185,14 @@ def test_upper_triangular_matrix_fixes_a_shifted_complex():
             assert _shift_family(K, M) == K
 
 
-def _built_row(tables, S, w, p, gathered, spare=0):
+def _built_row(K, tables, S, w, p, gathered, spare=0):
     # S's unreduced row, built from the chunks of w, its head's row as
     # residues ([1] for the empty head), and ``gathered``, the head's packed
     # G_u, and read back slot by slot: each raw slot is a sum of at most k
     # products of two residues, read mod p by the accumulator; ``spare``
     # bytes are added to each slot
     k = S.bit_count()
-    width = tables.sizes[k]
+    width = len(K.faces_of_size(k))
     nb = slot_bytes(p, width) + spare
     chunks = w + [-x % p for x in w] + [0]
     packed = tables.row(S, chunks, gathered, nb)
@@ -217,7 +216,7 @@ def _check_levels(K, C):
         below, built = built, {}
         for S in iter_k_subsets(K.n, k):
             head = S ^ 1 << (S.bit_length() - 1)
-            built[S] = _built_row(tables, S, below[head], C.p, {})
+            built[S] = _built_row(K, tables, S, below[head], C.p, {})
             assert built[S] == _reference_row(K, C, S)
             masks.append(S)
     return masks
@@ -247,7 +246,7 @@ def test_compound_rows_match_reference_path():
         for mask in rng.sample(masks, len(masks)):
             head = mask ^ 1 << (mask.bit_length() - 1)
             w = _reference_row(K, A, head)
-            got = _built_row(tables, mask, w, P, gathered.setdefault(head, {}))
+            got = _built_row(K, tables, mask, w, P, gathered.setdefault(head, {}))
             assert got == _reference_row(K, A, mask)
         # the gathered vectors of a head, from its reference row: a top head
         # h of the first n - 1 labels and each of its prefixes, longest
@@ -266,10 +265,10 @@ def test_compound_rows_match_reference_path():
                 ups = range(K.n, head.bit_length(), -1)
                 for v in ups:
                     S = head | 1 << (v - 1)
-                    assert _built_row(tables, S, w, q, by_spare[0]) == _reference_row(K, C, S)
+                    assert _built_row(K, tables, S, w, q, by_spare[0]) == _reference_row(K, C, S)
                 S = head | 1 << (rng.choice(ups) - 1)
                 for spare in (0, 1, 0):
-                    got = _built_row(tables, S, w, q, by_spare.setdefault(spare, {}), spare)
+                    got = _built_row(K, tables, S, w, q, by_spare.setdefault(spare, {}), spare)
                     assert got == _reference_row(K, C, S)
                 if not head:
                     break
@@ -327,7 +326,7 @@ def test_gathers_at_the_edges_match_the_reference(monkeypatch):
                     head = S ^ 1 << (S.bit_length() - 1)
                     w = _reference_row(K, A, head)
                     gathered = heads.setdefault(head, {})
-                    assert _built_row(tables, S, w, q, gathered) == _reference_row(K, A, S)
+                    assert _built_row(K, tables, S, w, q, gathered) == _reference_row(K, A, S)
                 asked = [[g[u] for g in heads.values() if u in g] for u in range(K.n)]
                 for u in range(K.n):
                     if not on[k][u]:
@@ -337,7 +336,7 @@ def test_gathers_at_the_edges_match_the_reference(monkeypatch):
                 if K is triangle and k == 2:
                     assert not on[2][3] and asked[3]
                 if K is triangle and k == 3:
-                    assert tables.sizes[3] == 1
+                    assert len(K.faces_of_size(3)) == 1
                 if K is not triangle and k > 1:
                     assert max(len(asked[u]) for u in range(K.n) if on[k][u]) > 1
             assert len(built) == sum(map(sum, on[1:]))

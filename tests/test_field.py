@@ -21,13 +21,13 @@ from shiftkit.field import (
     RowEchelonAccumulator,
     check_prime,
     is_prime,
-    pack_slots,
+    pack_residues,
     realize,
     slot_bytes,
     slot_reducer,
-    unpack_slots,
 )
 from shiftkit.suites import _explicit_apex_check
+from packing import pack_slots, unpack_slots
 
 P = 10007  # small prime keeps oracle arithmetic readable
 BIG = (1 << 62) - 57  # the largest accepted prime
@@ -768,6 +768,22 @@ def test_pop_reads_the_stored_row_mod_p(p, width):
             assert got[q]
 
 
+@pytest.mark.parametrize("p", [3, P, (1 << 30) + 3, DEFAULT_PRIME, BIG, SLOTWISE])
+@pytest.mark.parametrize("width", [0, 1, 2, 63, 64, 300])
+def test_pack_residues_matches_the_bytewise_layout(p, width):
+    # the package's one packer writes the bytes the tests' packer writes
+    # slot by slot, at every slot size the tests' primes give: 2 (3), 5
+    # (10007), 9 (2^30 + 3) and 17 (2^61 - 1, 2^62 - 57, 2^60 + 33)
+    nb = slot_bytes(p, width)
+    assert nb == {3: 2, P: 5, (1 << 30) + 3: 9}.get(p, 17)
+    rng = random.Random(p + width)
+    mixed = [rng.choice((0, p - 1, rng.randrange(p))) for _ in range(width)]
+    for residues in ([0] * width, [p - 1] * width, mixed, [rng.randrange(p) for _ in range(width)]):
+        packed = pack_residues(residues, nb)
+        assert packed == pack_slots(residues, nb)
+        assert unpack_slots(packed, nb, width) == residues
+
+
 @pytest.mark.parametrize(
     "p, folds", [(DEFAULT_PRIME, True), (BIG, True), (3, True), (P, True), (SLOTWISE, False)]
 )
@@ -780,7 +796,7 @@ def test_slot_reducer_matches_per_slot_mod(p, folds, monkeypatch):
     # sides of the slot size's steps, at 64 and 192 slots; vectors as wide
     # as the reducer and shorter, as tails are; scaled by 1 and by a residue
     packs = []
-    monkeypatch.setattr(field, "pack_slots", lambda slots, nb: packs.append(nb) or pack_slots(slots, nb))
+    monkeypatch.setattr(field, "pack_residues", lambda residues, nb: packs.append(nb) or pack_residues(residues, nb))
     rng = random.Random(p)
     e = p.bit_length()
     for width in (*range(1, 9), 63, 64, 191, 192, 300):
