@@ -9,6 +9,7 @@ All values are immutable after construction and safe to share freely.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -199,53 +200,102 @@ class SimplicialComplex:
     Instances are immutable, hashable on ``(n, faces)``, and validate
     downward closure on construction.
 
-    The size classes are built in lex order from the one below, with no
-    sort over a whole class.  The head of a nonempty face is the face minus
-    its largest vertex.  Closure makes every head a face, one size smaller.
-    Size k lists, for each (k - 1)-face h in lex order, the k-faces with
-    head h in numeric order, that is by largest vertex: the order in which
-    ``extensions`` yields them, so by its lemma each k-face is listed once
-    and the list is in lex order.  The classes stop at the first empty one,
-    which follows the largest face, since a closed family has faces of
-    every smaller size.
+    A complex is built from its head map.  The head of a nonempty face is
+    the face minus its largest vertex, its top; the head map sends each
+    head h to the mask of the tops of the faces with head h, which all lie
+    past max(h).  It is the ``children`` map of ``extensions``, and it is
+    kept as ``_heads``.  The checks are made per head, not per face:
+
+    * labels: the tops of every head lie below 2^n, checked first, as the
+      constructor checks every face's labels first;
+    * closure: the size classes are grown from the empty face, size k
+      from size k - 1, and each face h placed brings the faces h + t.  As
+      it is placed, for each u in h, the tops of h must lie in the tops of
+      h - u: the codimension-one faces of h + t are h and the (h - u) + t,
+      whose head is h - u and top t, as t > max(h);
+    * reach: every head is placed.  A family holds 1 + (the sum of the
+      popcounts of the head map) faces, so it is refused when fewer are
+      placed.
+
+    With every head a face and each h + t's codimension-one faces in the
+    map, the family is closed.  The classes need no sort: size k lists, for
+    each (k - 1)-face h in lex order, the k-faces with head h in numeric
+    order, that is by top: the order in which ``extensions`` yields them,
+    so by its lemma the list is in lex order.  The classes stop at the
+    first empty one, which follows the largest face, since a closed family
+    has faces of every smaller size.
     """
 
-    __slots__ = ("n", "_faces", "_by_size")
+    __slots__ = ("n", "_faces", "_by_size", "_heads")
 
     def __init__(self, n: int, faces: Iterable[int] = ()):
         n = operator.index(n)
         if not 0 <= n <= MAX_VERTICES:
             raise ValueError(f"ambient size must lie in 0..{MAX_VERTICES}")
-        face_set = set(map(operator.index, faces))
-        if face_set:
-            face_set.add(0)
         top = 1 << n
-        by_head: dict[int, list] = {}
-        for m in face_set:
+        heads: dict[int, int] = {}
+        empty = False
+        for m in map(operator.index, faces):
             if m < 0 or m >= top:
                 raise ValueError("vertex label out of 1..n")
-            probe = m
-            while probe:
-                low = probe & -probe
-                if (m ^ low) not in face_set:
-                    raise ValueError("face family is not downward closed")
-                probe ^= low
-            if m:  # keyed by its head: m minus its largest vertex
-                by_head.setdefault(m ^ (1 << (m.bit_length() - 1)), []).append(m)
+            if m:
+                t = 1 << (m.bit_length() - 1)
+                heads[m ^ t] = heads.get(m ^ t, 0) | t
+            else:
+                empty = True
+        self._build(n, heads if heads or empty else None)
+
+    @classmethod
+    def _from_heads(cls, n: int, heads: dict[int, int]) -> "SimplicialComplex":
+        """The complex on [n] whose head map is ``heads``: the empty face
+        and every h + t, t a vertex in ``heads[h]``.
+
+        Each mask of tops must be nonzero and lie past max(h); the labels,
+        the closure and the reach are checked as the class docstring
+        states, with the errors of the constructor.  The complex keeps
+        ``heads``, so the caller must not change it afterwards."""
+        K = cls.__new__(cls)
+        K._build(n, heads)
+        return K
+
+    def _build(self, n: int, heads: dict[int, int] | None) -> None:
+        """Fill a new instance from a head map, None for the void complex."""
         self.n = n
-        self._faces = frozenset(face_set)
+        if heads is None:
+            self._faces, self._by_size, self._heads = frozenset(), (), {}
+            return
+        if functools.reduce(operator.or_, heads.values(), 0) >> n:
+            raise ValueError("vertex label out of 1..n")
+        get = heads.get
+        faces = [0]
         by_size = []
-        level = (EMPTY_FACE,) if face_set else ()
+        level = (EMPTY_FACE,)
         while level:
             by_size.append(level)
             grown = []
             for h in level:
-                group = by_head.get(h)
-                if group:
-                    group.sort()
-                    grown += group
+                tops = get(h)
+                if not tops:
+                    continue
+                rest = h
+                while rest:
+                    low = rest & -rest
+                    if tops & ~get(h ^ low, 0):
+                        raise ValueError("face family is not downward closed")
+                    rest ^= low
+                while tops:
+                    t = tops & -tops
+                    grown.append(h | t)
+                    tops ^= t
+            faces += grown
             level = tuple(map(Face, grown))
+        if len(faces) != 1 + sum(map(int.bit_count, heads.values())):  # a head not placed
+            raise ValueError("face family is not downward closed")
+        # through a set: a frozenset sizes its table to a set it copies, but
+        # grows one from a list by fourfold steps, up to twice the memory
+        self._faces = frozenset(set(faces))
         self._by_size = tuple(by_size)
+        self._heads = heads
 
     # ------------------------------------------------------------------
     # constructors
@@ -358,21 +408,31 @@ class SimplicialComplex:
     def is_shifted(self) -> bool:
         """Whether the family is closed downward under the domination order.
 
-        Only the trades of a vertex ``v`` for ``v - 1`` are checked, and
-        they suffice.  Let ``S != T`` have the same size with ``s_j <= t_j``
-        for every j, and let i be the first index with ``s_i < t_i``.  Then
-        ``t_i - 1`` is not in ``T`` (it is at least ``s_i``, which exceeds
-        ``t_{i-1} = s_{i-1}``), and trading ``t_i`` for ``t_i - 1`` gives a
-        face that lies between ``S`` and ``T``; repeating the step reaches
-        ``S``.
+        Only the trades of a vertex ``v`` for ``v - 1`` are needed.  Let
+        ``S != T`` have the same size with ``s_j <= t_j`` for every j, and
+        let i be the first index with ``s_i < t_i``.  Then ``t_i - 1`` is
+        not in ``T`` (it is at least ``s_i``, which exceeds ``t_{i-1} =
+        s_{i-1}``), and trading ``t_i`` for ``t_i - 1`` gives a face that
+        lies between ``S`` and ``T``; repeating the step reaches ``S``.
+
+        The trades are checked per head h, with tops T, on the head map.  A
+        face is h + t, t in T.  Trading the top t keeps the head: t - 1 is
+        free when it lies past max(h), and h + (t - 1) must be a face, so T
+        must be a run of vertices starting right after max(h), that is, T
+        plus the bit of max(h) + 1 is a power of two.  Trading a vertex b of
+        h with b - 1 free keeps the top, as t > max(h): the face is h' + t,
+        h' = h - b + (b - 1), so T must lie in the tops of h'.
         """
-        faces = self._faces
-        for m in faces:
-            # v in m with v >= 2 and v - 1 not in m
-            movable = m & ~(m << 1) & ~1
+        heads = self._heads
+        for h, tops in heads.items():
+            run = tops + (1 << h.bit_length())
+            if run & (run - 1):
+                return False
+            # b in h with b >= 2 and b - 1 not in h
+            movable = h & ~(h << 1) & ~1
             while movable:
                 b = movable & -movable
-                if m ^ b ^ (b >> 1) not in faces:
+                if tops & ~heads.get(h ^ b ^ (b >> 1), 0):
                     return False
                 movable ^= b
         return True

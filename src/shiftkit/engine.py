@@ -265,7 +265,7 @@ def _shift_family(K: SimplicialComplex, A: FieldMatrix) -> SimplicialComplex:
     M = A.lower_reduced()
     if M is None:
         raise ValueError("cannot shift with a singular matrix")
-    faces = [0]
+    tops: dict[int, int] = {}  # the head map of the shift
     p = A.p
     tables = _WedgeTables(K, M)
     kept = [0]  # the sets kept at a size, in lex order
@@ -282,11 +282,11 @@ def _shift_family(K: SimplicialComplex, A: FieldMatrix) -> SimplicialComplex:
                 chunks = w + [p - x if x else 0 for x in w] + [0]
             if acc.insert(tables.row(S, chunks, gathered, acc.nb)):
                 kept.append(S)
+                tops[h] = tops.get(h, 0) | S ^ h
                 if acc.rank == target:
                     break
-        faces += kept
         pivots = dict(zip(kept, acc.pivots))
-    return SimplicialComplex(K.n, faces)
+    return SimplicialComplex._from_heads(K.n, tops)
 
 
 def exterior_shift(

@@ -474,7 +474,10 @@ def slot_reducer(p: int, width: int) -> Callable[[int, int], int]:
             # the package's one read of slots that need not be residues
             buf = v.to_bytes(-(-v.bit_length() // bits) * nb, "little")
             slots = (int.from_bytes(buf[i : i + nb], "little") for i in range(0, len(buf), nb))
-            return pack_residues([x * s % p for x in slots], nb)
+            out = [x * s % p for x in slots]
+            # padded to ``width`` slots, so every call packs the one layout
+            # ``pop`` reads; the zero slots past v add nothing to the int
+            return pack_residues(out + [0] * (width - len(out)), nb)
 
         return per_slot
 

@@ -7,15 +7,15 @@ a cone inserts its apex as the new vertex 1.
 
 The second half computes shifts of unions directly from the shifts of the
 pieces, using last-gap tests driven by head counts, plus a recursive
-variant that descends through links and antistars.  Everything here works
-on face sets; the checks against the matrix engine live in ``suites``.
+variant that descends through links and antistars.  The gap rules read the
+operands' head maps and build the result from its head map; the recursive
+variant works on face sets.  The checks against the matrix engine live in
+``suites``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
 from .complexes import Face, SimplicialComplex, iter_vertices, lex_less
 from .homology import is_near_cone
@@ -79,12 +79,6 @@ def antistar(K: SimplicialComplex, S: int) -> SimplicialComplex:
 # head counts and gap tests
 
 
-def _head_counts(faces: Iterable[int]) -> Counter:
-    """Nonempty face masks counted by head: the face minus its largest
-    vertex."""
-    return Counter(m ^ (1 << (m.bit_length() - 1)) for m in faces if m)
-
-
 def d_value(D: SimplicialComplex, S: int) -> int:
     """Head count steering the gap tests: the number of faces of ``D``
     of size ``|S|`` whose lex-initial ``|S| - 1`` vertices match ``S``'s.
@@ -99,19 +93,21 @@ def d_value(D: SimplicialComplex, S: int) -> int:
 def _d_value(D: SimplicialComplex, S: int) -> int:
     if not S:
         raise ValueError("face must be nonempty")
-    return _head_counts(D.face_set())[S ^ (1 << (S.bit_length() - 1))]
+    return D._heads.get(S ^ (1 << (S.bit_length() - 1)), 0).bit_count()
 
 
-def _gap_family(n: int, counts: Counter) -> set[int]:
-    """The empty face plus every face S inside [n] whose largest vertex
-    exceeds the one below it (0 for a singleton) by at most
-    ``counts[head(S)]``: for a head h with count c, the faces h + {v} with
-    max(h) < v <= max(h) + c."""
-    faces: set[int] = {0}
+def _gap_family(n: int, counts: dict[int, int]) -> dict[int, int]:
+    """The head map of the empty face plus every face S inside [n] whose
+    largest vertex exceeds the one below it (0 for a singleton) by at most
+    ``counts[head(S)]``: a head h with count c gets the tops max(h) + 1
+    through min(n, max(h) + c), and a head with no top is left out."""
+    heads = {}
     for h, c in counts.items():
-        top = h.bit_length()
-        faces.update(h | 1 << b for b in range(top, min(n, top + c)))
-    return faces
+        lo = h.bit_length()
+        hi = min(n, lo + c)
+        if hi > lo:
+            heads[h] = (1 << hi) - (1 << lo)
+    return heads
 
 
 def _require_shifted(*complexes: SimplicialComplex) -> None:
@@ -153,9 +149,14 @@ def clique_sum_shift(
     n = DK.n + DL.n - (d + 1)
     if DK.is_void and DL.is_void:
         return SimplicialComplex(n, ())
-    counts = _head_counts([*DK.face_set(), *DL.face_set()])
-    counts.subtract(_head_counts(range(1 << (d + 1))))
-    return SimplicialComplex(n, _gap_family(n, counts))
+    counts = {h: tops.bit_count() for h, tops in DK._heads.items()}
+    for h, tops in DL._heads.items():
+        counts[h] = counts.get(h, 0) + tops.bit_count()
+    # the shared simplex on [d + 1]: a head h inside [d] has the tops
+    # max(h) + 1 through d + 1
+    for h in range(1 << d if d >= 0 else 0):
+        counts[h] -= d + 1 - h.bit_length()
+    return SimplicialComplex._from_heads(n, _gap_family(n, counts))
 
 
 def shifted_union_recursive(DK: SimplicialComplex, DL: SimplicialComplex) -> SimplicialComplex:

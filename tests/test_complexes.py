@@ -209,6 +209,25 @@ def test_dominates_componentwise():
             S in faces for T in faces for S in iter_k_subsets(4, T.bit_count()) if dominates(S, T)
         )
         assert K.is_shifted() == closed
+    # and closure under the trades of a vertex v for a free v - 1, face by
+    # face, on every complex of [5]: the per-head test of ``is_shifted``
+    # against the per-face one it replaced
+    answers = [K.is_shifted() for K in all_complexes(5)]
+    assert answers == [_closed_under_adjacent_trades(K) for K in all_complexes(5)]
+    assert (len(answers), answers.count(True)) == (7580, 118)
+
+
+def _closed_under_adjacent_trades(K):
+    faces = K.face_set()
+    for m in faces:
+        # v in m with v >= 2 and v - 1 not in m
+        movable = m & ~(m << 1) & ~1
+        while movable:
+            b = movable & -movable
+            if m ^ b ^ (b >> 1) not in faces:
+                return False
+            movable ^= b
+    return True
 
 
 def test_iter_k_subsets_lex_order():
@@ -317,6 +336,85 @@ def test_size_classes_are_lex_sorted_and_closure_is_checked(case):
     # the order does not depend on how the faces arrive
     for given_as in (sorted(family, reverse=True), (Face(m) for m in family)):
         assert SimplicialComplex(n, given_as)._by_size == K._by_size
+
+
+def _tops(mask):
+    return [1 << (v - 1) for v in vertex_tuple(mask)]
+
+
+def _head_map(faces):
+    heads = {}
+    for m in faces:
+        if m:
+            t = 1 << (m.bit_length() - 1)
+            heads[m ^ t] = heads.get(m ^ t, 0) | t
+    return heads
+
+
+@st.composite
+def _head_maps(draw):
+    """A head map on [n], n <= 7: that of a closed family, or one made not
+    closed in one of three ways, with the kind made."""
+    n = draw(st.integers(0, 7))
+    masks = st.integers(0, (1 << n) - 1)
+    faces = _down_closure(draw(st.sets(masks, max_size=12)) | {0})
+    heads = _head_map(faces)
+    kind = draw(st.sampled_from(["closed", "sibling", "unreached", "label"]))
+    if kind == "sibling":
+        # drop (h - u) + t for a face h + t and a vertex u of h
+        choices = [(h ^ u, t) for h, tops in heads.items() for u in _tops(h) for t in _tops(tops)]
+        if not choices:
+            return n, heads, "closed"
+        g, t = draw(st.sampled_from(choices))
+        heads[g] ^= t
+        if not heads[g]:
+            del heads[g]
+    elif kind == "unreached":
+        # tops for a head that is not a face
+        choices = [h for h in range(1, 1 << n) if h not in faces and h.bit_length() < n]
+        if not choices:
+            return n, heads, "closed"
+        h = draw(st.sampled_from(choices))
+        tops = draw(st.integers(1, (1 << (n - h.bit_length())) - 1)) << h.bit_length()
+        heads[h] = heads.get(h, 0) | tops
+    elif kind == "label":
+        # a top at or past n, for a head that is a face
+        h = draw(st.sampled_from(sorted(faces)))
+        heads[h] = heads.get(h, 0) | 1 << draw(st.integers(n, 63))
+    return n, heads, kind
+
+
+@given(_head_maps())
+def test_builder_agrees_with_the_constructor(case):
+    # ``_from_heads`` on a head map and the constructor on its faces: the
+    # same size classes, face set and head map, or the same error
+    n, heads, kind = case
+    faces = [0] + [h | t for h, tops in heads.items() for t in _tops(tops)]
+    try:
+        want = SimplicialComplex(n, faces)
+    except ValueError as e:
+        assert kind != "closed"
+        with pytest.raises(ValueError) as got:
+            SimplicialComplex._from_heads(n, dict(heads))
+        assert str(got.value) == str(e)
+        return
+    assert kind == "closed"
+    K = SimplicialComplex._from_heads(n, dict(heads))
+    assert (K.n, K._by_size, K._faces, K._heads) == (n, want._by_size, want._faces, want._heads)
+    assert K == want and K._heads == heads
+
+
+def test_builder_refuses_each_kind_of_open_map():
+    build = SimplicialComplex._from_heads
+    # the boundary of a triangle, and {[]}
+    assert build(3, {0: 0b111, 0b1: 0b110, 0b10: 0b100}) == SimplicialComplex(3, range(7))
+    assert build(3, {}) == SimplicialComplex(3, [0])
+    with pytest.raises(ValueError, match="not downward closed"):
+        build(3, {0: 0b011, 0b1: 0b100})  # {1, 3} without its sibling {3}
+    with pytest.raises(ValueError, match="not downward closed"):
+        build(3, {0: 0b101, 0b10: 0b100})  # {2, 3}, its head {2} not a face
+    with pytest.raises(ValueError, match="out of 1"):
+        build(2, {0: 0b111})  # vertex 3 on [2]
 
 
 def test_empty_face_added_automatically():

@@ -19,7 +19,7 @@ from shiftkit import (
     membership_via_kernels,
     shifted,
 )
-from shiftkit import engine
+from shiftkit import engine, field
 from shiftkit.complexes import iter_k_subsets, iter_vertices
 from shiftkit.engine import (
     _WedgeTables,
@@ -531,6 +531,18 @@ def test_scan_holds_each_kept_row_once():
         tracemalloc.stop()
     assert D.f_vector == K.f_vector
     assert peak < 1.5 * 2**20, peak
+
+
+def test_slot_by_slot_reduction_packs_one_layout_per_width():
+    # at 2^60 + 33 rows are reduced slot by slot, and a tail holds fewer
+    # slots than its accumulator: the reducer pads its residues to the
+    # accumulator's width, so it packs the layout ``pop`` unpacks and the
+    # layout cache keeps a few entries, not one per tail length
+    K = cross_polytope(6)
+    field._residue_struct.cache_clear()
+    D = exterior_shift(K, p=2**60 + 33).shifted
+    assert D.f_vector == K.f_vector
+    assert field._residue_struct.cache_info().misses <= 12
 
 
 def _mixed_pivots_matrix(n=10, perm=(3, 7, 0, 9, 5, 1, 8, 2, 6, 4)):

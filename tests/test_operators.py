@@ -241,7 +241,8 @@ def test_disjoint_union_theorem_on_every_small_pair():
     # the paper's theorem, shift(K + L) = shift(shift K + shift L), read
     # through the gap rule on every pair of all_complexes(3) x
     # all_complexes(4), {[]} included; the rule is the clique-sum rule at
-    # d = -1
+    # d = -1, built from head maps, and the recursive rule, built from
+    # face sets, is checked against the same shifts
     small, large = list(all_complexes(3)), list(all_complexes(4))
     assert (len(small), len(large)) == (19, 167)
     shifts = {K: shifted(K) for K in small + large}
@@ -250,6 +251,7 @@ def test_disjoint_union_theorem_on_every_small_pair():
             want = shifted(disjoint_union(K, L))
             assert disjoint_union_shift(shifts[K], shifts[L]) == want
             assert clique_sum_shift(shifts[K], shifts[L], -1) == want
+            assert shifted_union_recursive(shifts[K], shifts[L]) == want
 
 
 # ---------------------------------------------------------------- lex order
